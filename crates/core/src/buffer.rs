@@ -1,5 +1,6 @@
 //! The server's secure update buffer.
 
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use crate::update::ModelUpdate;
 
 /// Buffered client updates awaiting aggregation (the "secure buffer" of
@@ -50,6 +51,23 @@ impl UpdateBuffer {
     /// Drain all buffered updates for aggregation.
     pub fn drain(&mut self) -> Vec<ModelUpdate> {
         std::mem::take(&mut self.updates)
+    }
+
+    /// Serialize the buffered updates in arrival order.
+    pub fn encode(&self, w: &mut BinWriter) {
+        w.usize(self.updates.len());
+        for u in &self.updates {
+            u.encode(w);
+        }
+    }
+
+    /// Inverse of [`UpdateBuffer::encode`].
+    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        let mut buffer = UpdateBuffer::new();
+        for _ in 0..r.count(8)? {
+            buffer.push(ModelUpdate::decode(r)?);
+        }
+        Ok(buffer)
     }
 
     /// Maximum staleness among buffered updates at server round `t`.

@@ -5,14 +5,18 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"SEAFLCKP"
-//! 8       4     format version (u32 LE, currently 1)
-//! 12      1     engine tag (0 = sync, 1 = semi-async)
+//! 8       4     format version (u32 LE, [`FORMAT_VERSION`])
+//! 12      1     engine tag ([`ENGINE_UNIFIED`], the only one in use)
 //! 13      8     config state-hash (ExperimentConfig::state_hash, u64 LE)
 //! 21      8     round the snapshot was taken at (u64 LE)
 //! 29      8     payload length in bytes (u64 LE)
 //! 37      8     FNV-1a 64 checksum of the payload (u64 LE)
-//! 45      …     payload (see engine encode/decode, codec.rs)
+//! 45      …     payload: the engine's `State::encode`, an ordered list of
+//!               parts each written by the type that owns it (DESIGN.md §7c)
 //! ```
+//!
+//! The byte reader/writer every part is written with lives in
+//! [`seafl_sim::bin`] and is re-exported here.
 //!
 //! # Durability & rejection
 //!
@@ -24,9 +28,7 @@
 //! falls back to the next-newest snapshot. `keep_last ≥ 2` is what makes
 //! that fallback non-empty.
 
-pub mod codec;
-
-pub use codec::{BinReader, BinWriter, CodecError};
+pub use seafl_sim::bin::{BinReader, BinWriter, CodecError};
 
 use std::fs;
 use std::io::Write;
@@ -45,8 +47,11 @@ pub const MAGIC: [u8; 8] = *b"SEAFLCKP";
 /// fleet-table rows, in-flight sessions / stale-replay memory / RNG streams
 /// as id-keyed sparse records instead of N dense slots); 4 = trailing codec
 /// section (update-compression byte counters, the bytes-to-accuracy curve
-/// and the error-feedback residual store) after the policy section.
-pub const FORMAT_VERSION: u32 = 4;
+/// and the error-feedback residual store) after the policy section; 5 = the
+/// trace is the only event ledger (the accuracy curve and the 13 run
+/// counters the trace already records are no longer stored beside it) and
+/// every client id is a `u32`.
+pub const FORMAT_VERSION: u32 = 5;
 /// Engine tag for the unified event-driven engine. The legacy tags (0 =
 /// sync, 1 = semi-async) died with format version 1.
 pub const ENGINE_UNIFIED: u8 = 2;
@@ -397,6 +402,18 @@ mod tests {
         // A stale engine tag (e.g. format-1's semi-async tag 1) is rejected.
         let err = store.load_latest(1, 0x1111).unwrap_err();
         assert!(err.to_string().contains("engine tag"), "unexpected error: {err}");
+        fs::remove_dir_all(&store.dir).ok();
+    }
+
+    #[test]
+    fn previous_format_version_rejected_not_guessed_at() {
+        let store = tmp_store("oldversion", 1);
+        let path = store.save(ENGINE_UNIFIED, 5, 1, b"a v4 payload").unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = store.load_latest(ENGINE_UNIFIED, 5).unwrap_err();
+        assert!(err.to_string().contains("unsupported format version 4"), "unexpected: {err}");
         fs::remove_dir_all(&store.dir).ok();
     }
 

@@ -1,6 +1,7 @@
 //! Client-side local training (Algorithm 1's `ClientUpdate`, plus the
 //! per-epoch snapshots SEAFL²'s partial uploads need).
 
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use seafl_data::ImageDataset;
 use seafl_nn::{Model, Sgd};
 use seafl_sim::SimRng;
@@ -45,6 +46,24 @@ impl TrainOutcome {
         } else {
             self.epoch_losses.iter().sum::<f32>() / self.epoch_losses.len() as f32
         }
+    }
+
+    /// Serialize bit-exactly (floats as IEEE-754 bit patterns): the snapshot
+    /// count, each snapshot, then the losses. The one layout behind both
+    /// in-flight sessions in a checkpoint and outcome uploads on the wire.
+    pub fn encode(&self, w: &mut BinWriter) {
+        w.usize(self.snapshots.len());
+        for snap in &self.snapshots {
+            w.vec_f32(snap);
+        }
+        w.vec_f32(&self.epoch_losses);
+    }
+
+    /// Inverse of [`TrainOutcome::encode`].
+    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        let n = r.count(8)?;
+        let snapshots = (0..n).map(|_| r.vec_f32()).collect::<Result<_, _>>()?;
+        Ok(TrainOutcome { snapshots, epoch_losses: r.vec_f32()? })
     }
 }
 

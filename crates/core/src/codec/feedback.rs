@@ -1,6 +1,6 @@
 //! Error-feedback residual store for lossy codecs.
 
-use crate::checkpoint::codec::{BinReader, BinWriter, CodecError};
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use std::collections::BTreeMap;
 
 /// Per-client residuals of what lossy compression discarded.
@@ -67,7 +67,7 @@ impl FeedbackStore {
     pub fn encode(&self, w: &mut BinWriter) {
         w.usize(self.residuals.len());
         for (&k, r) in &self.residuals {
-            w.usize(k);
+            w.u32(k as u32);
             w.vec_f32(r);
         }
     }
@@ -75,29 +75,11 @@ impl FeedbackStore {
     /// Inverse of [`FeedbackStore::encode`]. `num_clients` bounds the
     /// client ids a corrupt payload may claim.
     pub fn decode(r: &mut BinReader, num_clients: usize) -> Result<Self, CodecError> {
-        let n = r.usize()?;
-        if n > num_clients {
-            return Err(CodecError(format!(
-                "feedback store claims {n} residuals for {num_clients} clients"
-            )));
-        }
         let mut residuals = BTreeMap::new();
-        let mut prev: Option<usize> = None;
-        for _ in 0..n {
-            let k = r.usize()?;
-            if k >= num_clients {
-                return Err(CodecError(format!(
-                    "feedback residual for client {k} out of range {num_clients}"
-                )));
-            }
-            if prev.is_some_and(|p| p >= k) {
-                return Err(CodecError(format!(
-                    "feedback residual ids not strictly ascending at {k}"
-                )));
-            }
-            prev = Some(k);
-            residuals.insert(k, r.vec_f32()?);
-        }
+        r.ascending_ids("feedback residual", num_clients, |r, k| {
+            residuals.insert(k as usize, r.vec_f32()?);
+            Ok(())
+        })?;
         Ok(FeedbackStore { residuals })
     }
 }
@@ -151,7 +133,7 @@ mod tests {
     fn corrupt_store_rejected() {
         let mut w = BinWriter::new();
         w.usize(2);
-        w.usize(4); // client id out of range for num_clients=3
+        w.u32(4); // client id out of range for num_clients=3
         w.vec_f32(&[1.0]);
         let bytes = w.into_bytes();
         let mut r = BinReader::new(&bytes);

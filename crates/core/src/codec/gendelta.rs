@@ -1,7 +1,7 @@
 //! Lossless generation-delta coding.
 
 use super::UpdateCodec;
-use crate::checkpoint::codec::{BinReader, BinWriter, CodecError};
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 
 /// Lossless delta against the pulled generation: XOR each coordinate's
 /// IEEE-754 bit pattern with the reference model's and pack only the

@@ -1,7 +1,7 @@
 //! Bit-identical passthrough codec — the default.
 
 use super::UpdateCodec;
-use crate::checkpoint::codec::{BinReader, BinWriter, CodecError};
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 
 /// The do-nothing codec: the blob is the raw little-endian f32 payload
 /// and decoding returns it bit for bit. A run configured with `Identity`

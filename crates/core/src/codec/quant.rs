@@ -1,7 +1,7 @@
 //! 8-bit symmetric delta quantization.
 
 use super::UpdateCodec;
-use crate::checkpoint::codec::{BinReader, BinWriter, CodecError};
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 
 /// Quantize the delta `params - reference` to signed 8-bit codes with a
 /// single per-tensor symmetric scale `max|delta| / 127`, 4.0× smaller

@@ -1,7 +1,7 @@
 //! Top-k magnitude sparsification.
 
 use super::UpdateCodec;
-use crate::checkpoint::codec::{BinReader, BinWriter, CodecError};
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 
 /// Keep only the `k` coordinates whose change versus the reference model
 /// is largest in magnitude; every other coordinate decodes back to the
@@ -79,24 +79,12 @@ impl UpdateCodec for TopK {
 
     fn decode(&self, reference: &[f32], bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
         let mut r = BinReader::new(bytes);
-        let n = r.u64()? as usize;
-        let k = r.u64()? as usize;
-        if k > n {
-            return Err(CodecError(format!("topk: k {k} exceeds model size {n}")));
-        }
+        let n = r.usize()?;
         let mut out = if reference.len() == n { reference.to_vec() } else { vec![0.0; n] };
-        let mut prev: Option<u32> = None;
-        for _ in 0..k {
-            let i = r.u32()?;
-            if i as usize >= n {
-                return Err(CodecError(format!("topk: index {i} out of bounds for {n}")));
-            }
-            if prev.is_some_and(|p| p >= i) {
-                return Err(CodecError(format!("topk: indices not strictly ascending at {i}")));
-            }
-            prev = Some(i);
+        r.ascending_ids("topk index", n, |r, i| {
             out[i as usize] = r.f32()?;
-        }
+            Ok(())
+        })?;
         r.finish()?;
         Ok(out)
     }

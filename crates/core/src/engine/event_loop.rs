@@ -75,7 +75,9 @@
 //! idle pool (documented in DESIGN.md §2).
 
 use crate::buffer::UpdateBuffer;
-use crate::checkpoint::{BinReader, BinWriter, CheckpointError, CheckpointStore, ENGINE_UNIFIED};
+use crate::checkpoint::{
+    BinReader, BinWriter, CheckpointError, CheckpointStore, CodecError, ENGINE_UNIFIED,
+};
 use crate::client::TrainOutcome;
 use crate::codec::{build_codec, FeedbackStore, UpdateCodec};
 use crate::config::ExperimentConfig;
@@ -94,10 +96,9 @@ use crate::trainer::{CodecTransferStats, NetIncident};
 use crate::update::ModelUpdate;
 use seafl_sim::rng::{stream_rng, streams};
 use seafl_sim::{
-    AttackPlan, ClientId, EventQueue, EventQueueSnapshot, FaultPlan, LazyStreams, RejectCause,
-    SimRng, SimTime, TerminationReason, TraceEvent, TraceLog,
+    AttackPlan, ClientId, EventQueue, FaultPlan, LazyStreams, RejectCause, SimRng, SimTime,
+    TerminationReason, TraceEvent, TraceLog,
 };
-use std::collections::BTreeMap;
 
 /// Events on the virtual clock.
 #[derive(Debug, Clone, Copy)]
@@ -114,43 +115,43 @@ enum Ev {
     Crash { client: ClientId },
 }
 
-/// Serialize only the touched streams of a lazy per-client RNG family
-/// (format v3) — an untouched stream is a pure function of the master seed
-/// and costs nothing on disk.
-fn encode_streams(w: &mut BinWriter, s: &LazyStreams) {
-    w.usize(s.resident());
-    for (k, rng) in s.touched() {
-        w.u32(k);
-        w.rng(rng);
+impl Ev {
+    fn encode(&self, w: &mut BinWriter) {
+        match *self {
+            Ev::Upload { client, generation, attempt } => {
+                w.u8(0);
+                w.client_id(client);
+                w.u64(generation);
+                w.u32(attempt);
+            }
+            Ev::Timeout { client, session_seq } => {
+                w.u8(1);
+                w.client_id(client);
+                w.u64(session_seq);
+            }
+            Ev::Crash { client } => {
+                w.u8(2);
+                w.client_id(client);
+            }
+        }
     }
-}
 
-/// Rebuild a lazy per-client RNG family from its sparse checkpoint record.
-fn decode_streams(
-    r: &mut BinReader<'_>,
-    master_seed: u64,
-    base: u64,
-    n: usize,
-) -> Result<LazyStreams, CheckpointError> {
-    let count = r.usize()?;
-    let mut entries = Vec::with_capacity(count);
-    let mut prev: Option<u32> = None;
-    for _ in 0..count {
-        let k = r.u32()?;
-        if k as usize >= n {
-            return Err(CheckpointError::Malformed(format!(
-                "RNG stream record for client {k}, this experiment has {n}"
+    /// Read one event of an `n`-client experiment.
+    fn decode(r: &mut BinReader<'_>, n: usize) -> Result<Self, CodecError> {
+        let tag = r.u8()?;
+        let client = r.client_id()?;
+        if client.index() >= n {
+            return Err(CodecError(format!(
+                "clock event for client {client}, this experiment has {n}"
             )));
         }
-        if prev.is_some_and(|p| p >= k) {
-            return Err(CheckpointError::Malformed(format!(
-                "RNG stream records not strictly ascending at {k}"
-            )));
-        }
-        prev = Some(k);
-        entries.push((k, r.rng()?));
+        Ok(match tag {
+            0 => Ev::Upload { client, generation: r.u64()?, attempt: r.u32()? },
+            1 => Ev::Timeout { client, session_seq: r.u64()? },
+            2 => Ev::Crash { client },
+            b => return Err(CodecError(format!("invalid clock event tag {b}"))),
+        })
     }
-    Ok(LazyStreams::restore(master_seed, base, n, entries))
 }
 
 /// Run the engine to termination under the given policy.
@@ -207,7 +208,6 @@ pub(crate) fn drive(
         st.obs.span_end(Phase::Eval, span);
         st.obs.count(names::EVALS);
         st.obs.emit(move || export::eval_record(0.0, 0, acc0));
-        st.accuracy.push((0.0, acc0));
         st.bytes_curve.push((st.codec_bytes_raw, st.codec_bytes_encoded));
         st.trace.push(SimTime::ZERO, TraceEvent::Eval { round: 0, accuracy: acc0 });
 
@@ -259,7 +259,6 @@ pub(crate) fn drive(
                 st.on_timeout(cfg, env, now, client, session_seq);
             }
             Ev::Crash { client } => {
-                st.crashes += 1;
                 st.obs.count(names::DEVICE_CRASHES);
                 st.trace.push(now, TraceEvent::Crash { id: client });
             }
@@ -309,27 +308,37 @@ pub(crate) fn drive(
         let counts = st.trace.kind_counts();
         st.obs.finish(end.as_secs(), st.round, &counts)
     };
+    // The trace is the run's only event ledger: every counter an event
+    // records is read off it here, when the run ends, instead of being
+    // tallied (and checkpointed) a second time beside it.
+    let rejected = |cause| {
+        st.trace.count(|e| matches!(e, TraceEvent::Rejected { cause: c, .. } if *c == cause))
+    };
+    let (rejected_nonfinite, rejected_norm) =
+        (rejected(RejectCause::NonFinite), rejected(RejectCause::NormExploded));
     Ok(RunResult {
         algorithm: st.policy.name(),
-        accuracy: st.accuracy,
+        accuracy: st.trace.accuracy_series(),
         grad_norms: st.grad_norms,
         rounds: st.round,
-        total_updates: st.total_updates,
-        partial_updates: st.partial_updates,
-        dropped_updates: st.dropped_updates,
-        notifications: st.trace.num_notifications(),
+        total_updates: st.trace.count(|e| matches!(e, TraceEvent::Upload { .. })),
+        partial_updates: st.trace.count(
+            |e| matches!(e, TraceEvent::Upload { epochs, .. } if *epochs < cfg.local_epochs),
+        ),
+        dropped_updates: st.trace.count(|e| matches!(e, TraceEvent::Drop { .. })),
+        notifications: st.trace.count(|e| matches!(e, TraceEvent::Notify { .. })),
         termination,
-        crashes: st.crashes,
-        upload_failures: st.upload_failures,
-        retries: st.retries,
-        timeouts: st.timeouts,
-        quarantined: st.quarantined,
-        rejected_updates: st.rejected_updates,
-        rejected_nonfinite: st.rejected_nonfinite,
-        rejected_norm: st.rejected_norm,
-        screened_updates: st.screened_updates,
+        crashes: st.trace.count(|e| matches!(e, TraceEvent::Crash { .. })),
+        upload_failures: st.trace.count(|e| matches!(e, TraceEvent::UploadFailed { .. })),
+        retries: st.trace.count(|e| matches!(e, TraceEvent::Retry { .. })),
+        timeouts: st.trace.count(|e| matches!(e, TraceEvent::Timeout { .. })),
+        quarantined: st.trace.count(|e| matches!(e, TraceEvent::Quarantine { .. })),
+        rejected_updates: rejected_nonfinite + rejected_norm,
+        rejected_nonfinite,
+        rejected_norm,
+        screened_updates: rejected(RejectCause::RobustScreened),
         clipped_updates: st.clipped_updates,
-        attacked_updates: st.attacked_updates,
+        attacked_updates: st.trace.count(|e| matches!(e, TraceEvent::Attacked { .. })),
         attackers: st.attack.attackers(),
         screened_clients: st.trace.rejected_clients(RejectCause::RobustScreened),
         superseded_uploads: st.superseded_uploads,
@@ -360,25 +369,14 @@ struct State {
     /// weighting. `Mean` (the default) is a bit-identical pass-through.
     robust: RobustLayer,
     sel_rng: SimRng,
+    /// The run's event ledger. Every `RunResult` counter an event records
+    /// (uploads, drops, crashes, rejections, …) and the accuracy curve are
+    /// read off it at the end of [`drive`], never tallied beside it.
     trace: TraceLog,
-    accuracy: Vec<(f64, f64)>,
     grad_norms: Vec<(f64, f64)>,
-    total_updates: usize,
-    partial_updates: usize,
-    dropped_updates: usize,
-    crashes: usize,
-    upload_failures: usize,
-    retries: usize,
-    timeouts: usize,
-    quarantined: usize,
-    rejected_updates: usize,
-    /// Per-cause splits of `rejected_updates` (hygiene sanitizer) plus the
-    /// robust layer's own rejections (not part of the hygiene total).
-    rejected_nonfinite: usize,
-    rejected_norm: usize,
-    screened_updates: usize,
+    /// The two counters with no trace event of their own (adding one would
+    /// move `trace.digest()`).
     clipped_updates: usize,
-    attacked_updates: usize,
     superseded_uploads: usize,
     /// Round the injected server crash fires (`None` after a resume — a
     /// restarted server never re-crashes). Not checkpointed: re-derived
@@ -431,22 +429,8 @@ impl State {
             robust: RobustLayer::new(cfg.robust),
             sel_rng: stream_rng(cfg.seed, streams::SELECTION),
             trace: TraceLog::new(),
-            accuracy: Vec::new(),
             grad_norms: Vec::new(),
-            total_updates: 0,
-            partial_updates: 0,
-            dropped_updates: 0,
-            crashes: 0,
-            upload_failures: 0,
-            retries: 0,
-            timeouts: 0,
-            quarantined: 0,
-            rejected_updates: 0,
-            rejected_nonfinite: 0,
-            rejected_norm: 0,
-            screened_updates: 0,
             clipped_updates: 0,
-            attacked_updates: 0,
             superseded_uploads: 0,
             crash_round: None,
             reached_target: false,
@@ -463,328 +447,113 @@ impl State {
     }
 
     /// Serialize the complete engine state (plus the environment's per-client
-    /// RNG streams, which advance during refills) into a checkpoint payload.
-    /// The policy's own state rides along as a trailing opaque section —
-    /// the engine never interprets it, so a new policy never touches this
-    /// framing.
+    /// RNG streams, which advance during refills) into a checkpoint payload:
+    /// an ordered list of parts, each written by the type that owns it
+    /// (DESIGN.md §7c lists them). The robust layer, the policy and the
+    /// codec state ride in length-prefixed sections, so a rule, a policy or
+    /// a codec stage can grow state without touching this list.
     fn encode(&self, env: &Environment) -> Vec<u8> {
         let mut w = BinWriter::new();
         w.vec_f32(&self.global);
         w.u64(self.round);
-
-        // Virtual clock: frozen "now", next sequence number, pending events
-        // in canonical (sequence) order.
-        let snap = self.queue.snapshot();
-        w.sim_time(snap.last_popped);
-        w.u64(snap.next_seq);
-        w.usize(snap.entries.len());
-        for (t, seq, ev) in &snap.entries {
-            w.sim_time(*t);
-            w.u64(*seq);
-            match *ev {
-                Ev::Upload { client, generation, attempt } => {
-                    w.u8(0);
-                    w.u32(client.raw());
-                    w.u64(generation);
-                    w.u32(attempt);
-                }
-                Ev::Timeout { client, session_seq } => {
-                    w.u8(1);
-                    w.u32(client.raw());
-                    w.u64(session_seq);
-                }
-                Ev::Crash { client } => {
-                    w.u8(2);
-                    w.u32(client.raw());
-                }
-            }
-        }
-
-        w.usize(self.buffer.len());
-        for u in self.buffer.updates() {
-            w.usize(u.client_id);
-            w.vec_f32(&u.params);
-            w.usize(u.num_samples);
-            w.u64(u.born_round);
-            w.usize(u.epochs_completed);
-            w.f32(u.train_loss);
-        }
-
-        // The whole per-client table — phases, counters, in-flight sessions
-        // — in one sparse record: only rows that ever left their default
-        // state are written (format v3).
+        self.queue.encode(&mut w, |w, ev| ev.encode(w));
+        self.buffer.encode(&mut w);
         self.table.encode(&mut w);
         w.rng(&self.sel_rng);
-        w.trace(&self.trace);
-        w.f64_pairs(&self.accuracy);
+        self.trace.encode(&mut w);
         w.f64_pairs(&self.grad_norms);
-        for c in [
-            self.total_updates,
-            self.partial_updates,
-            self.dropped_updates,
-            self.crashes,
-            self.upload_failures,
-            self.retries,
-            self.timeouts,
-            self.quarantined,
-            self.rejected_updates,
-            self.superseded_uploads,
-        ] {
-            w.usize(c);
-        }
-        for c in [
-            self.rejected_nonfinite,
-            self.rejected_norm,
-            self.screened_updates,
-            self.clipped_updates,
-            self.attacked_updates,
-        ] {
-            w.usize(c);
-        }
-        // Attack-plan mutable state: the stale-replay memory, sparse by
-        // device (the assignment itself is a pure function of config + seed
-        // and is rebuilt on resume, like the fault plan).
-        w.usize(self.attack.replay_state().len());
-        for (&k, prev) in self.attack.replay_state() {
-            w.u32(k);
-            w.vec_f32(prev);
-        }
-        // The robust layer's counters ride in an opaque section, framed the
-        // same way as policy state, so the rule can grow state without
-        // touching the engine framing.
-        let mut rw = BinWriter::new();
-        self.robust.encode_state(&mut rw);
-        w.section(&rw.into_bytes());
-        encode_streams(&mut w, &env.client_rngs);
-        encode_streams(&mut w, &env.idle_rngs);
-
-        // The per-policy section, length-prefixed: stateless policies
-        // contribute an empty section.
-        let mut pw = BinWriter::new();
-        self.policy.encode_state(&mut pw);
-        w.section(&pw.into_bytes());
-
-        // The codec section (format v4): byte accounting, the
-        // bytes-to-accuracy curve, and the error-feedback residuals — the
-        // only codec state that is not a pure function of the config.
-        let mut cw = BinWriter::new();
-        cw.u64(self.codec_bytes_raw);
-        cw.u64(self.codec_bytes_encoded);
-        cw.usize(self.bytes_curve.len());
-        for &(raw, encoded) in &self.bytes_curve {
-            cw.u64(raw);
-            cw.u64(encoded);
-        }
-        match &self.feedback {
-            None => cw.bool(false),
-            Some(fb) => {
-                cw.bool(true);
-                fb.encode(&mut cw);
+        w.usize(self.clipped_updates);
+        w.usize(self.superseded_uploads);
+        self.attack.encode_state(&mut w);
+        w.section_with(|w| self.robust.encode_state(w));
+        env.client_rngs.encode(&mut w);
+        env.idle_rngs.encode(&mut w);
+        w.section_with(|w| self.policy.encode_state(w));
+        w.section_with(|w| {
+            w.u64(self.codec_bytes_raw);
+            w.u64(self.codec_bytes_encoded);
+            w.usize(self.bytes_curve.len());
+            for &(raw, encoded) in &self.bytes_curve {
+                w.u64(raw);
+                w.u64(encoded);
             }
-        }
-        w.section(&cw.into_bytes());
+            w.bool(self.feedback.is_some());
+            if let Some(fb) = &self.feedback {
+                fb.encode(w);
+            }
+        });
         w.into_bytes()
     }
 
-    /// Rebuild engine state from a checkpoint payload, restoring the
-    /// environment's per-client RNG streams in place and handing the
-    /// policy its own section. Any structural mismatch against the running
-    /// config is a [`CheckpointError`] — never a panic, never a partial
-    /// restore.
+    /// Rebuild engine state from a checkpoint payload — the mirror of
+    /// [`State::encode`], part for part — restoring the environment's
+    /// per-client RNG streams and handing the policy its own section. Any
+    /// structural mismatch against the running config is a
+    /// [`CheckpointError`] — never a panic, never a partial restore. The
+    /// fault and attack plans are rebuilt from the config (pure functions of
+    /// it and the seed); the restarted server never re-crashes, and the
+    /// per-device upload-loss attempt counters live in the fleet table.
     fn decode(
         cfg: &ExperimentConfig,
         env: &mut Environment,
-        mut policy: Box<dyn ServerPolicy>,
+        policy: Box<dyn ServerPolicy>,
         payload: &[u8],
     ) -> Result<Self, CheckpointError> {
         let n = cfg.num_clients;
-        let bad = |msg: String| CheckpointError::Malformed(msg);
+        let mut st = State::fresh(cfg, env, policy);
+        st.plan.clear_server_crash();
         let mut r = BinReader::new(payload);
 
-        let global = r.vec_f32()?;
-        if global.len() != env.initial_global.len() {
-            return Err(bad(format!(
+        st.global = r.vec_f32()?;
+        if st.global.len() != env.initial_global.len() {
+            return Err(CheckpointError::Malformed(format!(
                 "global model has {} parameters, this experiment has {}",
-                global.len(),
+                st.global.len(),
                 env.initial_global.len()
             )));
         }
-        let round = r.u64()?;
-
-        let last_popped = r.sim_time()?;
-        let next_seq = r.u64()?;
-        let n_events = r.usize()?;
-        let mut entries = Vec::new();
-        for _ in 0..n_events {
-            let t = r.sim_time()?;
-            let seq = r.u64()?;
-            let client = |r: &mut BinReader<'_>| -> Result<ClientId, CheckpointError> {
-                let raw = r.u32()?;
-                if raw as usize >= n {
-                    return Err(CheckpointError::Malformed(format!(
-                        "clock event for client {raw}, this experiment has {n}"
-                    )));
-                }
-                Ok(ClientId::from_raw(raw))
-            };
-            let ev = match r.u8()? {
-                0 => {
-                    Ev::Upload { client: client(&mut r)?, generation: r.u64()?, attempt: r.u32()? }
-                }
-                1 => Ev::Timeout { client: client(&mut r)?, session_seq: r.u64()? },
-                2 => Ev::Crash { client: client(&mut r)? },
-                b => return Err(bad(format!("invalid clock event tag {b}"))),
-            };
-            entries.push((t, seq, ev));
-        }
-        let queue =
-            EventQueue::from_snapshot(EventQueueSnapshot { entries, next_seq, last_popped });
-
-        let n_buf = r.usize()?;
-        let mut buffer = UpdateBuffer::new();
-        for _ in 0..n_buf {
-            buffer.push(ModelUpdate {
-                client_id: r.usize()?,
-                params: r.vec_f32()?,
-                num_samples: r.usize()?,
-                born_round: r.u64()?,
-                epochs_completed: r.usize()?,
-                train_loss: r.f32()?,
-            });
-        }
-
-        let table = FleetTable::decode(&mut r, n)?;
-        // Rebuild the deterministic fault plan from the config; the
-        // restarted server never re-crashes, and the per-device upload-loss
-        // attempt counters live in the fleet table (the plan's attempt
-        // decisions are pure functions of seed, device and attempt index).
-        let mut plan = FaultPlan::build(&cfg.faults, cfg.num_clients, cfg.seed);
-        plan.clear_server_crash();
-
-        let sel_rng = r.rng()?;
-        let trace = r.trace()?;
-        let accuracy = r.f64_pairs()?;
-        let grad_norms = r.f64_pairs()?;
-        let total_updates = r.usize()?;
-        let partial_updates = r.usize()?;
-        let dropped_updates = r.usize()?;
-        let crashes = r.usize()?;
-        let upload_failures = r.usize()?;
-        let retries = r.usize()?;
-        let timeouts = r.usize()?;
-        let quarantined = r.usize()?;
-        let rejected_updates = r.usize()?;
-        let superseded_uploads = r.usize()?;
-        let rejected_nonfinite = r.usize()?;
-        let rejected_norm = r.usize()?;
-        let screened_updates = r.usize()?;
-        let clipped_updates = r.usize()?;
-        let attacked_updates = r.usize()?;
-        let n_replay = r.usize()?;
-        let mut replay = BTreeMap::new();
-        let mut prev: Option<u32> = None;
-        for _ in 0..n_replay {
-            let k = r.u32()?;
-            if k as usize >= n {
-                return Err(bad(format!("replay record for client {k}, experiment has {n}")));
+        st.round = r.u64()?;
+        st.queue = EventQueue::decode(&mut r, |r| Ev::decode(r, n))?;
+        st.buffer = UpdateBuffer::decode(&mut r)?;
+        st.table = FleetTable::decode(&mut r, n)?;
+        st.sel_rng = r.rng()?;
+        st.trace = TraceLog::decode(&mut r)?;
+        st.grad_norms = r.f64_pairs()?;
+        st.clipped_updates = r.usize()?;
+        st.superseded_uploads = r.usize()?;
+        st.attack.decode_state(&mut r)?;
+        r.section_with("robust section", |r| st.robust.decode_state(r))?;
+        let client_rngs = LazyStreams::decode(&mut r, cfg.seed, streams::CLIENT_BASE, n)?;
+        let idle_rngs = LazyStreams::decode(&mut r, cfg.seed, streams::IDLE_BASE, n)?;
+        let policy_section = format!("{} policy section", st.policy.name());
+        r.section_with(&policy_section, |r| st.policy.decode_state(r))?;
+        r.section_with("codec section", |r| {
+            st.codec_bytes_raw = r.u64()?;
+            st.codec_bytes_encoded = r.u64()?;
+            let n_curve = r.count(16)?;
+            st.bytes_curve = (0..n_curve)
+                .map(|_| Ok((r.u64()?, r.u64()?)))
+                .collect::<Result<_, CodecError>>()?;
+            // `fresh` decided from the config whether this run keeps an
+            // error-feedback store; the checkpoint must agree.
+            let has_feedback = r.bool()?;
+            if has_feedback != st.feedback.is_some() {
+                return Err(CodecError(format!(
+                    "checkpoint {} an error-feedback store but the config {} one",
+                    if has_feedback { "carries" } else { "lacks" },
+                    if has_feedback { "forbids" } else { "expects" },
+                )));
             }
-            if prev.is_some_and(|p| p >= k) {
-                return Err(bad(format!("replay records not strictly ascending at {k}")));
+            if has_feedback {
+                st.feedback = Some(FeedbackStore::decode(r, n)?);
             }
-            prev = Some(k);
-            replay.insert(k, r.vec_f32()?);
-        }
-        let mut attack = AttackPlan::build(&cfg.attack, cfg.num_clients, cfg.seed);
-        attack.restore_replay_state(replay);
-        let mut robust = RobustLayer::new(cfg.robust);
-        {
-            let robust_bytes = r.section()?;
-            let mut rr = BinReader::new(robust_bytes);
-            robust.decode_state(&mut rr).map_err(|e| bad(format!("robust section: {}", e.0)))?;
-            rr.finish().map_err(|e| bad(format!("robust section: {}", e.0)))?;
-        }
-        let client_rngs = decode_streams(&mut r, cfg.seed, streams::CLIENT_BASE, n)?;
-        let idle_rngs = decode_streams(&mut r, cfg.seed, streams::IDLE_BASE, n)?;
-
-        // The policy's opaque section: hand it a sub-reader and require it
-        // to consume the section exactly.
-        let policy_bytes = r.section()?;
-        let codec_bytes_section = r.section()?;
+            Ok(())
+        })?;
         r.finish()?;
-        let mut pr = BinReader::new(policy_bytes);
-        policy
-            .decode_state(&mut pr)
-            .map_err(|e| bad(format!("{} policy section: {}", policy.name(), e.0)))?;
-        pr.finish().map_err(|e| bad(format!("{} policy section: {}", policy.name(), e.0)))?;
-
-        // The codec section (format v4): byte counters, bytes-to-accuracy
-        // curve, error-feedback residuals.
-        let mut cr = BinReader::new(codec_bytes_section);
-        let codec_err = |e: crate::checkpoint::CodecError| bad(format!("codec section: {}", e.0));
-        let codec_bytes_raw = cr.u64().map_err(codec_err)?;
-        let codec_bytes_encoded = cr.u64().map_err(codec_err)?;
-        let n_curve = cr.usize().map_err(codec_err)?;
-        let mut bytes_curve = Vec::with_capacity(n_curve.min(1 << 20));
-        for _ in 0..n_curve {
-            bytes_curve.push((cr.u64().map_err(codec_err)?, cr.u64().map_err(codec_err)?));
-        }
-        let has_feedback = cr.bool().map_err(codec_err)?;
-        let feedback_enabled = cfg.codec.error_feedback && !cfg.codec.is_lossless();
-        if has_feedback != feedback_enabled {
-            return Err(bad(format!(
-                "checkpoint {} an error-feedback store but the config {} one",
-                if has_feedback { "carries" } else { "lacks" },
-                if feedback_enabled { "expects" } else { "forbids" },
-            )));
-        }
-        let feedback = if has_feedback {
-            Some(FeedbackStore::decode(&mut cr, n).map_err(codec_err)?)
-        } else {
-            None
-        };
-        cr.finish().map_err(codec_err)?;
 
         env.client_rngs = client_rngs;
         env.idle_rngs = idle_rngs;
-        Ok(State {
-            global,
-            round,
-            queue,
-            buffer,
-            table,
-            plan,
-            attack,
-            robust,
-            sel_rng,
-            trace,
-            accuracy,
-            grad_norms,
-            total_updates,
-            partial_updates,
-            dropped_updates,
-            crashes,
-            upload_failures,
-            retries,
-            timeouts,
-            quarantined,
-            rejected_updates,
-            rejected_nonfinite,
-            rejected_norm,
-            screened_updates,
-            clipped_updates,
-            attacked_updates,
-            superseded_uploads,
-            crash_round: None,
-            reached_target: false,
-            codec: build_codec(&cfg.codec),
-            codec_identity: cfg.codec.is_identity(),
-            feedback,
-            codec_bytes_raw,
-            codec_bytes_encoded,
-            bytes_curve,
-            obs: Obs::off(),
-            policy,
-        })
+        Ok(st)
     }
 
     /// Number of clients currently training.
@@ -993,7 +762,6 @@ impl State {
         // retries with capped exponential backoff, then gives up. Lockstep
         // rounds skip the channel entirely (see module docs).
         if !lockstep && self.upload_attempt_fails(client) {
-            self.upload_failures += 1;
             self.obs.count(names::UPLOAD_FAILURES);
             self.trace.push(now, TraceEvent::UploadFailed { id: client, attempt });
             if attempt < cfg.resilience.max_upload_retries {
@@ -1001,7 +769,6 @@ impl State {
                     .min(cfg.resilience.retry_backoff_cap);
                 let arrival =
                     now.after(backoff + env.fleet.profile(client).upload_time(env.model_bytes));
-                self.retries += 1;
                 self.obs.count(names::UPLOAD_RETRIES);
                 self.trace.push(now, TraceEvent::Retry { id: client, attempt: attempt + 1 });
                 self.schedule_upload(now, client, arrival, generation, attempt + 1);
@@ -1030,7 +797,6 @@ impl State {
         if !lockstep {
             if let Some(kind) = self.attack.apply(k, &mut params, &self.global) {
                 attacked = true;
-                self.attacked_updates += 1;
                 self.obs.count(names::UPDATES_ATTACKED);
                 self.trace.push(now, TraceEvent::Attacked { id: client, kind });
             }
@@ -1047,11 +813,9 @@ impl State {
         let born = session.born_round;
         self.table.remove_session(client);
         self.table.reset_timeouts(client);
-        self.total_updates += 1;
         self.obs.count(names::UPDATES_RECEIVED);
         self.obs.count_n(names::NET_BYTES_RECEIVED, env.model_bytes as u64);
         if epochs < cfg.local_epochs {
-            self.partial_updates += 1;
             self.obs.count(names::UPDATES_PARTIAL);
         }
         self.trace.push(now, TraceEvent::Upload { id: client, born_round: born, epochs });
@@ -1079,7 +843,6 @@ impl State {
                 // Discarded on arrival: counted and traced like an
                 // aggregation-time drop, and the client goes straight back
                 // to the idle pool.
-                self.dropped_updates += 1;
                 self.trace.push(
                     now,
                     TraceEvent::Drop { id: client, staleness: update.staleness(self.round) },
@@ -1110,12 +873,10 @@ impl State {
         // is refilled. A late upload from this session is ignored (its
         // generation can never match a later session).
         self.table.remove_session(client);
-        self.timeouts += 1;
         self.obs.count(names::SESSION_TIMEOUTS);
         self.trace.push(now, TraceEvent::Timeout { id: client });
         if self.table.record_timeout(client) >= cfg.resilience.quarantine_after {
             self.table.set_phase(client, ClientPhase::Quarantined);
-            self.quarantined += 1;
             self.obs.count(names::CLIENTS_QUARANTINED);
             self.trace.push(now, TraceEvent::Quarantine { id: client });
         } else {
@@ -1149,14 +910,11 @@ impl State {
         let (clean, rejected) = sanitize::sanitize_updates(updates, &self.global, &cfg.resilience);
         self.obs.span_end(Phase::Sanitize, span);
         for (id, cause) in rejected {
-            self.rejected_updates += 1;
             match cause {
                 RejectCause::NonFinite => {
-                    self.rejected_nonfinite += 1;
                     self.obs.count(names::UPDATES_REJECTED_NONFINITE);
                 }
                 RejectCause::NormExploded => {
-                    self.rejected_norm += 1;
                     self.obs.count(names::UPDATES_REJECTED_NORM);
                 }
                 // The sanitizer never produces this cause; it belongs to the
@@ -1181,7 +939,6 @@ impl State {
             let outcome = self.robust.screen(&mut clean, &self.global);
             self.obs.span_end(Phase::Robust, span);
             for &id in &outcome.screened {
-                self.screened_updates += 1;
                 self.obs.count(names::UPDATES_SCREENED_ROBUST);
                 self.trace.push(
                     now,
@@ -1210,7 +967,6 @@ impl State {
         // wait/notify policies are designed to avoid.
         let (updates, stale) = self.policy.partition_stale(clean, self.round);
         for u in &stale {
-            self.dropped_updates += 1;
             self.obs.count(names::UPDATES_DROPPED_STALE);
             self.trace.push(
                 now,
@@ -1310,7 +1066,6 @@ impl State {
                 let (t, round) = (now.as_secs(), self.round);
                 self.obs.emit(move || export::eval_record(t, round, acc));
             }
-            self.accuracy.push((now.as_secs(), acc));
             self.bytes_curve.push((self.codec_bytes_raw, self.codec_bytes_encoded));
             self.trace.push(now, TraceEvent::Eval { round: self.round, accuracy: acc });
             if cfg.grad_norm_probe {
@@ -1502,6 +1257,61 @@ impl State {
                     self.trace.push(now, TraceEvent::NetQuarantine { worker });
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::build_policy;
+    use crate::test_support::{apply_attack_overlay, fixture_cases};
+
+    /// For every fixture case under the attack overlay, the newest snapshot
+    /// of a three-round run re-encodes to the bytes it was decoded from, and
+    /// no truncation of it decodes. Trying every length is quadratic in the
+    /// payload, so the cuts are about 128 lengths on an odd stride (every
+    /// residue of the 4- and 8-byte field widths) plus the whole 64-byte
+    /// tail, and the model is thin: small vectors, unchanged structure.
+    #[test]
+    fn snapshots_reencode_identically_and_no_truncation_decodes() {
+        for case in fixture_cases() {
+            let dir = std::env::temp_dir().join(format!(
+                "seafl-state-codec-{}-{}-{}",
+                std::process::id(),
+                case.label,
+                case.variant
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut cfg = case.cfg.clone();
+            apply_attack_overlay(&mut cfg);
+            cfg.model =
+                seafl_nn::ModelKind::Mlp { in_features: 28 * 28, hidden: 2, num_classes: 10 };
+            cfg.max_rounds = 3;
+            cfg.checkpoint_every = Some(1);
+            cfg.keep_last = 1;
+            cfg.checkpoint_dir = Some(dir.clone());
+            run_loop(&cfg, &mut Environment::build(&cfg), build_policy(&cfg));
+            let payload = CheckpointStore::new(&dir, 1)
+                .and_then(|s| s.load_latest(ENGINE_UNIFIED, cfg.state_hash()))
+                .unwrap_or_else(|e| panic!("{}: {e}", case.key()))
+                .payload;
+            std::fs::remove_dir_all(&dir).ok();
+
+            let mut env = Environment::build(&cfg);
+            let mut decode =
+                |bytes: &[u8]| State::decode(&cfg, &mut env, build_policy(&cfg), bytes);
+            let restored = decode(&payload).unwrap_or_else(|e| panic!("{}: {e}", case.key()));
+            assert!(restored.trace.len() > 3, "{}: snapshot of an idle run", case.key());
+            let tail = payload.len() - 64;
+            for cut in (0..tail).step_by((tail / 128) | 1).chain(tail..payload.len()) {
+                match decode(&payload[..cut]) {
+                    Err(CheckpointError::Malformed(_)) => {}
+                    Err(e) => panic!("{}: cut at {cut}: {e}", case.key()),
+                    Ok(_) => panic!("{}: a {cut}-byte prefix decoded", case.key()),
+                }
+            }
+            assert_eq!(restored.encode(&env), payload, "{}: re-encoding moved bytes", case.key());
         }
     }
 }

@@ -190,20 +190,30 @@ impl Environment {
         let n = self.test.len();
         let ranges: Vec<(usize, usize)> =
             (0..n).step_by(EVAL_CHUNK).map(|s| (s, (s + EVAL_CHUNK).min(n))).collect();
-        let partials: Vec<f64> = if self.pool.is_sequential() || ranges.len() <= 1 {
-            ranges.iter().map(|&(s, e)| self.eval_chunk(global, s, e)).collect()
+        // Borrow the two `Sync` fields, not `self`: `self.trainer` is a
+        // `Box<dyn CohortTrainer>`, which is `Send` only, so `&self` cannot
+        // cross into the pool's workers.
+        let (pool, test) = (&self.pool, &self.test);
+        let chunk = |&(s, e): &(usize, usize)| Self::eval_chunk(pool, test, global, s, e);
+        let partials: Vec<f64> = if pool.is_sequential() || ranges.len() <= 1 {
+            ranges.iter().map(chunk).collect()
         } else {
-            self.pool
-                .run(|| ranges.par_iter().map(|&(s, e)| self.eval_chunk(global, s, e)).collect())
+            pool.run(|| ranges.par_iter().map(chunk).collect())
         };
         partials.into_iter().sum::<f64>() / n as f64
     }
 
     /// Weighted accuracy (`accuracy × chunk size`) of one contiguous test
     /// chunk on a scratch model loaded with `global`.
-    fn eval_chunk(&self, global: &[f32], start: usize, end: usize) -> f64 {
-        let (x, y) = self.test.batch_range(start..end);
-        self.pool.with_trainer(|t| {
+    fn eval_chunk(
+        pool: &TrainerPool,
+        test: &ImageDataset,
+        global: &[f32],
+        start: usize,
+        end: usize,
+    ) -> f64 {
+        let (x, y) = test.batch_range(start..end);
+        pool.with_trainer(|t| {
             let model = t.model_mut();
             model.set_params_flat(global);
             let (_, acc) = model.evaluate(x, &y);

@@ -52,6 +52,35 @@ pub struct Session {
     pub notified: bool,
 }
 
+impl Session {
+    fn encode(&self, w: &mut BinWriter) {
+        w.u64(self.born_round);
+        w.u64(self.seq);
+        w.u64(self.generation);
+        w.usize(self.epoch_ends.len());
+        for &t in &self.epoch_ends {
+            w.sim_time(t);
+        }
+        self.outcome.encode(w);
+        w.usize(self.scheduled_epochs);
+        w.bool(self.notified);
+    }
+
+    fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        let (born_round, seq, generation) = (r.u64()?, r.u64()?, r.u64()?);
+        let n_ends = r.count(8)?;
+        Ok(Session {
+            born_round,
+            seq,
+            generation,
+            epoch_ends: (0..n_ends).map(|_| r.sim_time()).collect::<Result<_, _>>()?,
+            outcome: TrainOutcome::decode(r)?,
+            scheduled_epochs: r.usize()?,
+            notified: r.bool()?,
+        })
+    }
+}
+
 /// Where a client is in the train → upload → aggregate protocol.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ClientPhase {
@@ -370,20 +399,7 @@ impl FleetTable {
         w.usize(self.sessions.len());
         for (&k, s) in &self.sessions {
             w.u32(k);
-            w.u64(s.born_round);
-            w.u64(s.seq);
-            w.u64(s.generation);
-            w.usize(s.epoch_ends.len());
-            for &t in &s.epoch_ends {
-                w.sim_time(t);
-            }
-            w.usize(s.outcome.snapshots.len());
-            for snap in &s.outcome.snapshots {
-                w.vec_f32(snap);
-            }
-            w.vec_f32(&s.outcome.epoch_losses);
-            w.usize(s.scheduled_epochs);
-            w.bool(s.notified);
+            s.encode(w);
         }
     }
 
@@ -391,23 +407,14 @@ impl FleetTable {
     /// Any structural defect (wrong fleet size, out-of-range or unsorted
     /// row ids, bad phase tags) is a [`CodecError`], never a panic.
     pub fn decode(r: &mut BinReader<'_>, n: usize) -> Result<Self, CodecError> {
-        let err = |msg: String| Err(CodecError(msg));
         let stored_n = r.usize()?;
         if stored_n != n {
-            return err(format!("fleet table has {stored_n} clients, this experiment has {n}"));
+            return Err(CodecError(format!(
+                "fleet table has {stored_n} clients, this experiment has {n}"
+            )));
         }
         let mut table = FleetTable::new(n);
-        let n_rows = r.usize()?;
-        let mut prev: Option<u32> = None;
-        for _ in 0..n_rows {
-            let raw = r.u32()?;
-            if raw as usize >= n {
-                return err(format!("fleet row {raw} outside table of {n}"));
-            }
-            if prev.is_some_and(|p| p >= raw) {
-                return err(format!("fleet rows not strictly ascending at {raw}"));
-            }
-            prev = Some(raw);
+        r.ascending_ids("fleet row", n, |r, raw| {
             let k = raw as usize;
             let phase = ClientPhase::from_tag(r.u8()?)
                 .ok_or_else(|| CodecError(format!("invalid client phase for row {raw}")))?;
@@ -418,37 +425,12 @@ impl FleetTable {
             table.fault_attempts[k] = r.u64()?;
             bit_set(&mut table.crash_scheduled, k, r.bool()?);
             table.touch(k);
-        }
-        let n_sessions = r.usize()?;
-        let mut prev: Option<u32> = None;
-        for _ in 0..n_sessions {
-            let raw = r.u32()?;
-            if raw as usize >= n {
-                return err(format!("session for client {raw} outside table of {n}"));
-            }
-            if prev.is_some_and(|p| p >= raw) {
-                return err(format!("sessions not strictly ascending at {raw}"));
-            }
-            prev = Some(raw);
-            let born_round = r.u64()?;
-            let seq = r.u64()?;
-            let generation = r.u64()?;
-            let n_ends = r.usize()?;
-            let epoch_ends = (0..n_ends).map(|_| r.sim_time()).collect::<Result<Vec<_>, _>>()?;
-            let n_snaps = r.usize()?;
-            let snapshots = (0..n_snaps).map(|_| r.vec_f32()).collect::<Result<Vec<_>, _>>()?;
-            let epoch_losses = r.vec_f32()?;
-            let s = Session {
-                born_round,
-                seq,
-                generation,
-                epoch_ends,
-                outcome: TrainOutcome { snapshots, epoch_losses },
-                scheduled_epochs: r.usize()?,
-                notified: r.bool()?,
-            };
-            table.insert_session(ClientId::from_raw(raw), s);
-        }
+            Ok(())
+        })?;
+        r.ascending_ids("session", n, |r, raw| {
+            table.insert_session(ClientId::from_raw(raw), Session::decode(r)?);
+            Ok(())
+        })?;
         Ok(table)
     }
 }
@@ -614,7 +596,28 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = BinReader::new(&bytes);
         let e = FleetTable::decode(&mut r, 10).unwrap_err();
-        assert!(e.0.contains("outside table"), "{}", e.0);
+        assert!(e.0.contains("fleet row id 10 outside 0..10"), "{}", e.0);
+        // Session ids out of order (no rows, two sessions: 3 then 3).
+        let mut w = BinWriter::new();
+        w.usize(10);
+        w.usize(0);
+        w.usize(2);
+        for _ in 0..2 {
+            w.u32(3);
+            Session {
+                born_round: 0,
+                seq: 0,
+                generation: 0,
+                epoch_ends: Vec::new(),
+                outcome: TrainOutcome { snapshots: Vec::new(), epoch_losses: Vec::new() },
+                scheduled_epochs: 1,
+                notified: false,
+            }
+            .encode(&mut w);
+        }
+        let bytes = w.into_bytes();
+        let e = FleetTable::decode(&mut BinReader::new(&bytes), 10).unwrap_err();
+        assert!(e.0.contains("session ids not") && e.0.ends_with("at 3"), "{}", e.0);
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //! training hot path reuses pooled buffers instead of allocating.
 
 use crate::client::{LocalTrainer, TrainOutcome};
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use seafl_data::ImageDataset;
 use seafl_sim::SimRng;
+use std::sync::{Mutex, MutexGuard};
 
 /// One client-training work item: everything a session's result depends on.
 pub struct TrainJob<'a> {
@@ -114,13 +114,17 @@ impl TrainerPool {
         n.div_ceil(self.batch_size)
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("TrainerPool: nothing panics while the trainer list is locked")
+    }
+
     fn checkout(&self) -> LocalTrainer {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.idle.pop().unwrap_or_else(|| inner.proto.clone())
     }
 
     fn checkin(&self, trainer: LocalTrainer) {
-        self.inner.lock().idle.push(trainer);
+        self.lock().idle.push(trainer);
     }
 
     /// Run `f` with exclusive access to one scratch trainer (evaluation,

@@ -1,5 +1,6 @@
 //! A client's uploaded model update.
 
+use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use serde::{Deserialize, Serialize};
 
 /// One local update as received by the server.
@@ -31,6 +32,29 @@ impl ModelUpdate {
     /// session.
     pub fn is_partial(&self, full_epochs: usize) -> bool {
         self.epochs_completed < full_epochs
+    }
+
+    /// Serialize bit-exactly — a corrupt client may have planted NaNs in
+    /// `params`, and a checkpoint must carry them unchanged.
+    pub fn encode(&self, w: &mut BinWriter) {
+        w.usize(self.client_id);
+        w.vec_f32(&self.params);
+        w.usize(self.num_samples);
+        w.u64(self.born_round);
+        w.usize(self.epochs_completed);
+        w.f32(self.train_loss);
+    }
+
+    /// Inverse of [`ModelUpdate::encode`].
+    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        Ok(ModelUpdate {
+            client_id: r.usize()?,
+            params: r.vec_f32()?,
+            num_samples: r.usize()?,
+            born_round: r.u64()?,
+            epochs_completed: r.usize()?,
+            train_loss: r.f32()?,
+        })
     }
 }
 

@@ -10,11 +10,12 @@
 //! Encoding reuses the checkpoint codec ([`BinWriter`]/[`BinReader`]):
 //! little-endian, length-prefixed, NaN-exact floats, so a training outcome
 //! crosses the wire with the identical bit patterns the local pool would
-//! have produced.
+//! have produced — through the very [`TrainOutcome::encode`] that writes
+//! in-flight sessions into a checkpoint.
 
 use seafl_core::checkpoint::{BinReader, BinWriter, CodecError};
 use seafl_core::{TrainOutcome, UpdateCodec};
-use seafl_sim::rng::{rng_state, SimRngState};
+use seafl_sim::rng::SimRngState;
 
 /// One application message.
 #[derive(Clone, Debug, PartialEq)]
@@ -120,7 +121,7 @@ impl Msg {
                 w.u64(*client_id);
                 w.u32(*epochs);
                 w.bool(*keep_snapshots);
-                write_rng_state(&mut w, *rng);
+                w.rng_state(*rng);
             }
             Msg::OutcomeChunk { generation, client_id, index, total, bytes } => {
                 w.u8(5);
@@ -158,7 +159,7 @@ impl Msg {
                 client_id: r.u64()?,
                 epochs: r.u32()?,
                 keep_snapshots: r.bool()?,
-                rng: read_rng_state(&mut r)?,
+                rng: r.rng_state()?,
             },
             5 => Msg::OutcomeChunk {
                 generation: r.u64()?,
@@ -175,42 +176,22 @@ impl Msg {
     }
 }
 
-fn write_rng_state(w: &mut BinWriter, state: SimRngState) {
-    let (seed, stream, word_pos) = state;
-    w.bytes(&seed);
-    w.u64(stream);
-    w.u128(word_pos);
-}
-
-fn read_rng_state(r: &mut BinReader<'_>) -> Result<SimRngState, CodecError> {
-    // BinReader exposes RNG state only as a rebuilt SimRng; the
-    // state ↔ generator conversion is exact (checkpoint resume depends on
-    // it), so round back to the raw tuple.
-    Ok(rng_state(&r.rng()?))
-}
-
 /// Serialize a training outcome plus the advanced RNG state for the
 /// upload path. Bit-exact: floats travel as IEEE-754 bit patterns.
 pub fn encode_outcome(outcome: &TrainOutcome, rng: SimRngState) -> Vec<u8> {
     let mut w = BinWriter::new();
-    w.usize(outcome.snapshots.len());
-    for snap in &outcome.snapshots {
-        w.vec_f32(snap);
-    }
-    w.vec_f32(&outcome.epoch_losses);
-    write_rng_state(&mut w, rng);
+    outcome.encode(&mut w);
+    w.rng_state(rng);
     w.into_bytes()
 }
 
 /// Inverse of [`encode_outcome`].
 pub fn decode_outcome(bytes: &[u8]) -> Result<(TrainOutcome, SimRngState), CodecError> {
     let mut r = BinReader::new(bytes);
-    let n = r.usize()?;
-    let snapshots = (0..n).map(|_| r.vec_f32()).collect::<Result<Vec<_>, _>>()?;
-    let epoch_losses = r.vec_f32()?;
-    let rng = read_rng_state(&mut r)?;
+    let outcome = TrainOutcome::decode(&mut r)?;
+    let rng = r.rng_state()?;
     r.finish()?;
-    Ok((TrainOutcome { snapshots, epoch_losses }, rng))
+    Ok((outcome, rng))
 }
 
 /// Serialize a training outcome through an active update codec: each
@@ -236,7 +217,7 @@ pub fn encode_outcome_coded(
         w.section(&codec.encode(reference, snap));
     }
     w.vec_f32(&outcome.epoch_losses);
-    write_rng_state(&mut w, rng);
+    w.rng_state(rng);
     w.into_bytes()
 }
 
@@ -261,7 +242,7 @@ pub fn decode_outcome_coded(
         snapshots.push(snap);
     }
     let epoch_losses = r.vec_f32()?;
-    let rng = read_rng_state(&mut r)?;
+    let rng = r.rng_state()?;
     r.finish()?;
     Ok((TrainOutcome { snapshots, epoch_losses }, rng, raw, encoded))
 }
@@ -348,6 +329,12 @@ mod tests {
         assert_eq!(rng, rng_sample());
         // -0.0 must survive as -0.0 (bitwise, not numeric, identity).
         assert_eq!(back.snapshots[0][1].to_bits(), (-0.0f32).to_bits());
+        // The wire blob is the checkpoint's session layout followed by the
+        // RNG state, byte for byte.
+        let mut w = BinWriter::new();
+        outcome.encode(&mut w);
+        w.rng_state(rng_sample());
+        assert_eq!(blob, w.into_bytes());
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub struct BatchNorm2d {
     cache: Option<BnCache>,
 }
 
+#[derive(Clone)]
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
@@ -221,6 +222,7 @@ pub struct GroupNorm {
     cache: Option<GnCache>,
 }
 
+#[derive(Clone)]
 struct GnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>, // per (sample, group)

@@ -27,10 +27,11 @@
 //! key go to a `due` list, sorted by sequence number, preserving the exact
 //! `(time, seq)` total order of the old heap.
 //!
-//! Snapshots serialize the pending set in sequence-number order — the same
-//! canonical form the heap used — so checkpoint bytes and restore semantics
-//! are unchanged.
+//! [`EventQueue::encode`] serializes the pending set in sequence-number
+//! order — the same canonical form the heap used — so restore semantics are
+//! unchanged.
 
+use crate::bin::{BinReader, BinWriter, CodecError};
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::fmt;
@@ -161,8 +162,8 @@ impl<E> EventQueue<E> {
         let diff = entry.key ^ self.current_key;
         if diff == 0 {
             // Exactly on the clock: due now. Appends arrive in increasing
-            // seq order (fresh schedules and seq-sorted snapshot replays),
-            // keeping the list sorted.
+            // seq order (fresh schedules and seq-sorted decodes), keeping
+            // the list sorted.
             self.due.push_back(entry);
             return;
         }
@@ -271,53 +272,58 @@ impl<E> EventQueue<E> {
         self.last_popped
     }
 
-    /// Capture the queue's full state for checkpointing.
+    /// Serialize the queue: the frozen clock, the next sequence number and
+    /// the pending events as `(time, seq, event)`, each event body written
+    /// by `event`.
     ///
-    /// Entries are returned sorted by sequence number — a canonical order
+    /// Entries go out sorted by sequence number — a canonical order
     /// independent of the wheel's internal layout, so two queues holding the
-    /// same pending events always snapshot to identical bytes.
-    pub fn snapshot(&self) -> EventQueueSnapshot<E>
-    where
-        E: Clone,
-    {
-        let mut entries: Vec<(SimTime, u64, E)> = self
-            .due
-            .iter()
-            .chain(self.slots.iter().flatten())
-            .map(|e| (e.time, e.seq, e.event.clone()))
-            .collect();
-        entries.sort_by_key(|&(_, seq, _)| seq);
-        EventQueueSnapshot { entries, next_seq: self.next_seq, last_popped: self.last_popped }
+    /// same pending events always encode to identical bytes.
+    pub fn encode(&self, w: &mut BinWriter, mut event: impl FnMut(&mut BinWriter, &E)) {
+        let mut entries: Vec<&Entry<E>> =
+            self.due.iter().chain(self.slots.iter().flatten()).collect();
+        entries.sort_by_key(|e| e.seq);
+        w.sim_time(self.last_popped);
+        w.u64(self.next_seq);
+        w.usize(entries.len());
+        for e in entries {
+            w.sim_time(e.time);
+            w.u64(e.seq);
+            event(w, &e.event);
+        }
     }
 
-    /// Rebuild a queue from a snapshot.
+    /// Rebuild a queue from [`EventQueue::encode`] output, each event body
+    /// read by `event`.
     ///
     /// Re-inserts the recorded `(time, seq)` pairs directly (bypassing
     /// [`EventQueue::schedule`], which would re-assign sequence numbers);
     /// since pop order is a total order on `(time, seq)`, the restored
     /// queue delivers the exact remaining event sequence of the original.
-    pub fn from_snapshot(snap: EventQueueSnapshot<E>) -> Self {
+    /// An entry in the clock's past, or out of sequence order, is an error.
+    pub fn decode(
+        r: &mut BinReader<'_>,
+        mut event: impl FnMut(&mut BinReader<'_>) -> Result<E, CodecError>,
+    ) -> Result<Self, CodecError> {
         let mut q = EventQueue::new();
-        q.next_seq = snap.next_seq;
-        q.last_popped = snap.last_popped;
-        q.current_key = time_key(snap.last_popped);
-        for (time, seq, event) in snap.entries {
-            q.insert(Entry { key: time_key(time), seq, time, event });
+        q.last_popped = r.sim_time()?;
+        q.next_seq = r.u64()?;
+        q.current_key = time_key(q.last_popped);
+        let mut floor = 0;
+        for _ in 0..r.count(8 + 8)? {
+            let (time, seq) = (r.sim_time()?, r.u64()?);
+            if time < q.last_popped || seq < floor || seq >= q.next_seq {
+                return Err(CodecError(format!(
+                    "clock entry (time {time:?}, seq {seq}) does not fit a queue at {:?} with \
+                     sequence numbers {floor}..{}",
+                    q.last_popped, q.next_seq
+                )));
+            }
+            floor = seq + 1;
+            q.insert(Entry { key: time_key(time), seq, time, event: event(r)? });
         }
-        q
+        Ok(q)
     }
-}
-
-/// Serializable image of an [`EventQueue`]: the pending entries (in
-/// sequence-number order), the next sequence number to assign, and the
-/// frozen simulation clock.
-pub struct EventQueueSnapshot<E> {
-    /// Pending events as `(time, seq, event)`, sorted by `seq`.
-    pub entries: Vec<(SimTime, u64, E)>,
-    /// Sequence number the next `schedule` call will use.
-    pub next_seq: u64,
-    /// The simulation "now" at snapshot time.
-    pub last_popped: SimTime,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -396,17 +402,25 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
     }
 
+    /// Encode → decode with `u32` event bodies.
+    fn roundtrip(q: &EventQueue<u32>) -> EventQueue<u32> {
+        let mut w = BinWriter::new();
+        q.encode(&mut w, |w, &e| w.u32(e));
+        let bytes = w.into_bytes();
+        let mut r = BinReader::new(&bytes);
+        let back = EventQueue::decode(&mut r, |r| r.u32()).unwrap();
+        r.finish().unwrap();
+        back
+    }
+
     #[test]
-    fn snapshot_roundtrip_preserves_pop_order_and_clock() {
+    fn encode_roundtrip_preserves_pop_order_and_clock() {
         let mut q = EventQueue::new();
-        for (t, e) in [(4.0, "d"), (1.0, "a"), (2.0, "b"), (2.0, "b2"), (9.0, "e")] {
+        for (t, e) in [(4.0, 4), (1.0, 1), (2.0, 2), (2.0, 22), (9.0, 9)] {
             q.schedule(SimTime::from_secs(t), e);
         }
         q.pop(); // advance the clock to 1.0 so last_popped is non-trivial
-        let snap = q.snapshot();
-        assert_eq!(snap.entries.len(), 4);
-        assert!(snap.entries.windows(2).all(|w| w[0].1 < w[1].1), "entries not seq-sorted");
-        let mut restored = EventQueue::from_snapshot(snap);
+        let mut restored = roundtrip(&q);
         assert_eq!(restored.now(), q.now());
         assert_eq!(restored.len(), q.len());
         let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
@@ -415,16 +429,43 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_entries_that_do_not_fit_the_clock() {
+        let entry = |w: &mut BinWriter, t: f64, seq: u64| {
+            w.sim_time(SimTime::from_secs(t));
+            w.u64(seq);
+            w.u32(0);
+        };
+        // Clock at 2.0, next_seq 5; each case holds one offending entry.
+        for (entries, why) in [
+            (vec![(1.0, 0)], "in the clock's past"),
+            (vec![(3.0, 5)], "seq not below next_seq"),
+            (vec![(3.0, 2), (4.0, 2)], "seq repeated"),
+            (vec![(3.0, 3), (4.0, 1)], "seq descending"),
+        ] {
+            let mut w = BinWriter::new();
+            w.sim_time(SimTime::from_secs(2.0));
+            w.u64(5);
+            w.usize(entries.len());
+            for (t, seq) in entries {
+                entry(&mut w, t, seq);
+            }
+            let bytes = w.into_bytes();
+            let got = EventQueue::decode(&mut BinReader::new(&bytes), |r| r.u32());
+            assert!(got.is_err(), "accepted an entry {why}");
+        }
+    }
+
+    #[test]
     fn restored_queue_accepts_new_events_with_fresh_seqs() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(3.0);
         q.schedule(t, 0);
         q.schedule(t, 1);
-        let mut restored = EventQueue::from_snapshot(q.snapshot());
+        let mut restored = roundtrip(&q);
         // New events at the same timestamp must still sort after the
         // restored ones (next_seq carried over).
         restored.schedule(t, 2);
-        let order: Vec<i32> = std::iter::from_fn(|| restored.pop().map(|(_, e)| e)).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| restored.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 1, 2]);
     }
 
@@ -512,8 +553,8 @@ mod tests {
     }
 
     /// Interpret one op stream against both queues. `times` values index a
-    /// small palette to force equal-time bursts; `restore_at` snapshots and
-    /// restores the wheel mid-stream (the heap has no snapshot — identical
+    /// small palette to force equal-time bursts; `restore_at` encodes and
+    /// decodes the wheel mid-stream (the heap has no such form — identical
     /// replay after restore is exactly what's being proven).
     fn run_against_reference(ops: &[(u8, u8)], restore_at: Option<usize>) {
         let palette =
@@ -523,7 +564,7 @@ mod tests {
         let mut payload = 0u32;
         for (i, &(op, t)) in ops.iter().enumerate() {
             if Some(i) == restore_at {
-                wheel = EventQueue::from_snapshot(wheel.snapshot());
+                wheel = roundtrip(&wheel);
             }
             if op % 4 == 0 {
                 // Pop from both; results must match exactly.

@@ -23,6 +23,7 @@
 //! decision sequence of one device is therefore independent of every other
 //! device's schedule.
 
+use crate::bin::{BinReader, BinWriter, CodecError};
 use crate::rng::{stream_rng, streams, unit_from_counter};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -489,8 +490,8 @@ impl Default for AttackConfig {
 /// `(AttackConfig, num_devices, master_seed)` — each device consumes a fixed
 /// two draws from the `ATTACKS` stream — so it is rebuilt from config on
 /// resume. The replay memory is the only state a checkpoint must carry
-/// ([`replay_state`](AttackPlan::replay_state) /
-/// [`restore_replay_state`](AttackPlan::restore_replay_state)); the
+/// ([`encode_state`](AttackPlan::encode_state) /
+/// [`decode_state`](AttackPlan::decode_state)); the
 /// collusion target is a pure function of `(master_seed, dimension)` and
 /// regenerates on first use.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -626,22 +627,28 @@ impl AttackPlan {
         target
     }
 
-    /// The per-attacker replay memory — the plan's only checkpointed state.
-    /// Sparse: only attackers that have uploaded appear, in id order.
-    pub fn replay_state(&self) -> &std::collections::BTreeMap<u32, Vec<f32>> {
-        &self.replay
+    /// Serialize the per-attacker replay memory — the plan's only
+    /// checkpointed state. Sparse: only attackers that have uploaded
+    /// appear, in id order.
+    pub fn encode_state(&self, w: &mut BinWriter) {
+        w.usize(self.replay.len());
+        for (&k, prev) in &self.replay {
+            w.u32(k);
+            w.vec_f32(prev);
+        }
     }
 
-    /// Restore checkpointed replay memory into a freshly rebuilt plan.
-    pub fn restore_replay_state(&mut self, replay: std::collections::BTreeMap<u32, Vec<f32>>) {
-        if let Some((&k, _)) = replay.last_key_value() {
-            assert!(
-                (k as usize) < self.num_devices,
-                "replay-state device {k} outside fleet of {}",
-                self.num_devices
-            );
-        }
+    /// Restore replay memory written by
+    /// [`encode_state`](AttackPlan::encode_state) into a freshly rebuilt
+    /// plan; a device outside the fleet is an error.
+    pub fn decode_state(&mut self, r: &mut BinReader<'_>) -> Result<(), CodecError> {
+        let mut replay = std::collections::BTreeMap::new();
+        r.ascending_ids("replay memory", self.num_devices, |r, k| {
+            replay.insert(k, r.vec_f32()?);
+            Ok(())
+        })?;
         self.replay = replay;
+        Ok(())
     }
 }
 
@@ -963,11 +970,15 @@ mod tests {
         assert_eq!(second, vec![1.0, 2.0], "second upload replays the first");
 
         // Resume: rebuild + restore replay memory continues the sequence.
-        let saved = plan.replay_state().clone();
-        assert_eq!(saved.len(), 1, "only the attacker that uploaded holds replay memory");
+        let mut w = BinWriter::new();
+        plan.encode_state(&mut w);
+        let saved = w.into_bytes();
+        assert_eq!(plan.replay.len(), 1, "only the attacker that uploaded holds replay memory");
         let mut rebuilt = AttackPlan::none(2);
         rebuilt.assignments = vec![None, Some(AttackKind::StaleReplay)];
-        rebuilt.restore_replay_state(saved);
+        let mut r = BinReader::new(&saved);
+        rebuilt.decode_state(&mut r).unwrap();
+        r.finish().unwrap();
         let mut third_a = vec![5.0f32, 6.0];
         let mut third_b = third_a.clone();
         plan.apply(1, &mut third_a, &g);
@@ -977,12 +988,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "replay-state device")]
     fn replay_restore_rejects_out_of_range_device() {
-        let mut plan = AttackPlan::none(3);
-        let mut replay = std::collections::BTreeMap::new();
-        replay.insert(5u32, vec![1.0f32]);
-        plan.restore_replay_state(replay);
+        let mut w = BinWriter::new();
+        w.usize(1);
+        w.u32(5);
+        w.vec_f32(&[1.0]);
+        let bytes = w.into_bytes();
+        let e = AttackPlan::none(3).decode_state(&mut BinReader::new(&bytes)).unwrap_err();
+        assert!(e.0.contains("replay memory id 5 outside 0..3"), "{}", e.0);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! only time is simulated, so every experiment is exactly reproducible from
 //! a seed.
 
+pub mod bin;
 pub mod device;
 pub mod digest;
 pub mod event;
@@ -24,7 +25,7 @@ pub mod time;
 pub mod trace;
 
 pub use device::{DeviceProfile, Fleet, FleetConfig};
-pub use event::{EventQueue, EventQueueSnapshot, ScheduleError};
+pub use event::{EventQueue, ScheduleError};
 pub use faults::{
     AttackConfig, AttackKind, AttackPlan, ConfigError, CorruptionKind, DeviceFaults, FaultConfig,
     FaultPlan, SpeedSpike,

@@ -5,6 +5,7 @@
 //! component draws (e.g. adding an extra evaluation) never perturbs any
 //! other component — the classic counter-based reproducibility discipline.
 
+use crate::bin::{BinReader, BinWriter, CodecError};
 use rand::SeedableRng;
 
 /// The simulator's concrete RNG.
@@ -72,8 +73,8 @@ pub fn unit_from_counter(master_seed: u64, stream_id: u64, counter: u64) -> f64 
 /// client's stream needs no storage until someone draws from it (or writes a
 /// trained-ahead state back). The table keeps only the touched streams in a
 /// sorted map — at million-client scale that is the active cohort, not the
-/// fleet — and checkpointing walks [`touched`](LazyStreams::touched)
-/// instead of serializing N states. An untouched client's stream is always
+/// fleet — and [`encode`](LazyStreams::encode) writes only those instead
+/// of serializing N states. An untouched client's stream is always
 /// exactly `stream_rng(master_seed, base + k)`, bit-identical to the eager
 /// `Vec<SimRng>` table this replaces.
 #[derive(Clone, Debug)]
@@ -131,25 +132,31 @@ impl LazyStreams {
         self.touched.insert(k as u32, rng);
     }
 
-    /// The touched streams in ascending client order — the sparse
-    /// checkpoint payload.
-    pub fn touched(&self) -> impl Iterator<Item = (u32, &SimRng)> {
-        self.touched.iter().map(|(&k, rng)| (k, rng))
+    /// Serialize only the touched streams, ascending by client — an
+    /// untouched stream is a pure function of the master seed and costs
+    /// nothing on disk.
+    pub fn encode(&self, w: &mut BinWriter) {
+        w.usize(self.touched.len());
+        for (&k, rng) in &self.touched {
+            w.u32(k);
+            w.rng(rng);
+        }
     }
 
-    /// Rebuild from a sparse checkpoint record; every id must be in range.
-    pub fn restore(
+    /// Rebuild a family of `len` streams from [`LazyStreams::encode`]
+    /// output; every recorded id must be in range.
+    pub fn decode(
+        r: &mut BinReader<'_>,
         master_seed: u64,
         base: u64,
         len: usize,
-        entries: impl IntoIterator<Item = (u32, SimRng)>,
-    ) -> Self {
+    ) -> Result<Self, CodecError> {
         let mut t = LazyStreams::new(master_seed, base, len);
-        for (k, rng) in entries {
-            assert!((k as usize) < len, "restored stream index {k} out of {len}");
-            t.touched.insert(k, rng);
-        }
-        t
+        r.ascending_ids("RNG stream", len, |r, k| {
+            t.touched.insert(k, r.rng()?);
+            Ok(())
+        })?;
+        Ok(t)
     }
 }
 
@@ -280,12 +287,14 @@ mod tests {
         let mut expect = stream_rng(42, streams::CLIENT_BASE + 3);
         let _ = expect.gen::<u64>();
         assert_eq!(lazy.get_mut(3).gen::<u64>(), expect.gen::<u64>());
-        // Touched iteration is ascending by client id.
-        let ids: Vec<u32> = lazy.touched().map(|(k, _)| k).collect();
-        assert_eq!(ids, vec![3, 7]);
-        // Restore round-trips the sparse form.
-        let entries: Vec<(u32, SimRng)> = lazy.touched().map(|(k, r)| (k, r.clone())).collect();
-        let mut restored = LazyStreams::restore(42, streams::CLIENT_BASE, 16, entries);
+        // The sparse record round-trips: two streams (3 and 7), not 16.
+        let mut w = BinWriter::new();
+        lazy.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 2 * (4 + 32 + 8 + 16));
+        let mut r = BinReader::new(&bytes);
+        let mut restored = LazyStreams::decode(&mut r, 42, streams::CLIENT_BASE, 16).unwrap();
+        r.finish().unwrap();
         assert_eq!(restored.resident(), 2);
         assert_eq!(restored.get_mut(7).gen::<u64>(), lazy.get_mut(7).gen::<u64>());
         // Untouched entries in the restored table are fresh streams.
@@ -293,6 +302,24 @@ mod tests {
             restored.peek(0).gen::<u64>(),
             stream_rng(42, streams::CLIENT_BASE).gen::<u64>()
         );
+    }
+
+    #[test]
+    fn corrupt_stream_count_is_an_error_not_an_allocation() {
+        // A valid one-stream record whose count is blown up to u64::MAX:
+        // the decoder must refuse before reserving room for the entries.
+        let mut lazy = LazyStreams::new(7, streams::IDLE_BASE, 8);
+        lazy.get_mut(2);
+        let mut w = BinWriter::new();
+        lazy.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let e = LazyStreams::decode(&mut BinReader::new(&bytes), 7, streams::IDLE_BASE, 8);
+        assert!(e.unwrap_err().0.contains("implausible"));
+        // In range for the bytes but not for the fleet.
+        bytes[..8].copy_from_slice(&9u64.to_le_bytes());
+        let e = LazyStreams::decode(&mut BinReader::new(&bytes), 7, streams::IDLE_BASE, 8);
+        assert!(e.is_err());
     }
 
     #[test]

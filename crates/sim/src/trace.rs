@@ -1,5 +1,7 @@
 //! Structured event trace of a simulation run.
 
+use crate::bin::{BinReader, BinWriter, CodecError};
+use crate::faults::AttackKind;
 use crate::id::ClientId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -87,7 +89,7 @@ pub enum TraceEvent {
     Rejected { id: ClientId, cause: RejectCause },
     /// Adversarial device `id` tampered with the update it uploaded (fault
     /// injection; `kind` is the attack applied).
-    Attacked { id: ClientId, kind: crate::faults::AttackKind },
+    Attacked { id: ClientId, kind: AttackKind },
     /// Terminal event: why the run stopped, and how many updates were still
     /// sitting in the buffer at that point.
     Terminated { reason: TerminationReason, buffered: usize },
@@ -123,6 +125,159 @@ impl TraceEvent {
             TraceEvent::NetReconnect { .. } => "net_reconnect",
             TraceEvent::NetQuarantine { .. } => "net_quarantine",
         }
+    }
+
+    /// Write this event, tag-encoded.
+    pub fn encode(&self, w: &mut BinWriter) {
+        match *self {
+            TraceEvent::ClientStart { id, round } => {
+                w.u8(0);
+                w.client_id(id);
+                w.u64(round);
+            }
+            TraceEvent::Upload { id, born_round, epochs } => {
+                w.u8(1);
+                w.client_id(id);
+                w.u64(born_round);
+                w.usize(epochs);
+            }
+            TraceEvent::Notify { id } => {
+                w.u8(2);
+                w.client_id(id);
+            }
+            TraceEvent::Drop { id, staleness } => {
+                w.u8(3);
+                w.client_id(id);
+                w.u64(staleness);
+            }
+            TraceEvent::Aggregate { round, num_updates } => {
+                w.u8(4);
+                w.u64(round);
+                w.usize(num_updates);
+            }
+            TraceEvent::Eval { round, accuracy } => {
+                w.u8(5);
+                w.u64(round);
+                w.f64(accuracy);
+            }
+            TraceEvent::Crash { id } => {
+                w.u8(6);
+                w.client_id(id);
+            }
+            TraceEvent::UploadFailed { id, attempt } => {
+                w.u8(7);
+                w.client_id(id);
+                w.u32(attempt);
+            }
+            TraceEvent::Retry { id, attempt } => {
+                w.u8(8);
+                w.client_id(id);
+                w.u32(attempt);
+            }
+            TraceEvent::Timeout { id } => {
+                w.u8(9);
+                w.client_id(id);
+            }
+            TraceEvent::Quarantine { id } => {
+                w.u8(10);
+                w.client_id(id);
+            }
+            TraceEvent::Rejected { id, cause } => {
+                w.u8(11);
+                w.client_id(id);
+                w.u8(match cause {
+                    RejectCause::NonFinite => 0,
+                    RejectCause::NormExploded => 1,
+                    RejectCause::RobustScreened => 2,
+                });
+            }
+            TraceEvent::Attacked { id, kind } => {
+                w.u8(13);
+                w.client_id(id);
+                match kind {
+                    AttackKind::SignFlip => w.u8(0),
+                    AttackKind::ScaledBoost { lambda } => {
+                        w.u8(1);
+                        w.f32(lambda);
+                    }
+                    AttackKind::Collude => w.u8(2),
+                    AttackKind::StaleReplay => w.u8(3),
+                }
+            }
+            TraceEvent::NetReconnect { worker } => {
+                w.u8(14);
+                w.usize(worker);
+            }
+            TraceEvent::NetQuarantine { worker } => {
+                w.u8(15);
+                w.usize(worker);
+            }
+            TraceEvent::Terminated { reason, buffered } => {
+                w.u8(12);
+                w.u8(match reason {
+                    TerminationReason::TargetAccuracy => 0,
+                    TerminationReason::MaxRounds => 1,
+                    TerminationReason::MaxSimTime => 2,
+                    TerminationReason::QueueDrained => 3,
+                    TerminationReason::Starved => 4,
+                    TerminationReason::ServerCrash => 5,
+                });
+                w.usize(buffered);
+            }
+        }
+    }
+
+    /// Read one event written by [`TraceEvent::encode`].
+    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => TraceEvent::ClientStart { id: r.client_id()?, round: r.u64()? },
+            1 => {
+                TraceEvent::Upload { id: r.client_id()?, born_round: r.u64()?, epochs: r.usize()? }
+            }
+            2 => TraceEvent::Notify { id: r.client_id()? },
+            3 => TraceEvent::Drop { id: r.client_id()?, staleness: r.u64()? },
+            4 => TraceEvent::Aggregate { round: r.u64()?, num_updates: r.usize()? },
+            5 => TraceEvent::Eval { round: r.u64()?, accuracy: r.f64()? },
+            6 => TraceEvent::Crash { id: r.client_id()? },
+            7 => TraceEvent::UploadFailed { id: r.client_id()?, attempt: r.u32()? },
+            8 => TraceEvent::Retry { id: r.client_id()?, attempt: r.u32()? },
+            9 => TraceEvent::Timeout { id: r.client_id()? },
+            10 => TraceEvent::Quarantine { id: r.client_id()? },
+            11 => TraceEvent::Rejected {
+                id: r.client_id()?,
+                cause: match r.u8()? {
+                    0 => RejectCause::NonFinite,
+                    1 => RejectCause::NormExploded,
+                    2 => RejectCause::RobustScreened,
+                    b => return Err(CodecError(format!("invalid RejectCause tag {b}"))),
+                },
+            },
+            13 => TraceEvent::Attacked {
+                id: r.client_id()?,
+                kind: match r.u8()? {
+                    0 => AttackKind::SignFlip,
+                    1 => AttackKind::ScaledBoost { lambda: r.f32()? },
+                    2 => AttackKind::Collude,
+                    3 => AttackKind::StaleReplay,
+                    b => return Err(CodecError(format!("invalid AttackKind tag {b}"))),
+                },
+            },
+            14 => TraceEvent::NetReconnect { worker: r.usize()? },
+            15 => TraceEvent::NetQuarantine { worker: r.usize()? },
+            12 => TraceEvent::Terminated {
+                reason: match r.u8()? {
+                    0 => TerminationReason::TargetAccuracy,
+                    1 => TerminationReason::MaxRounds,
+                    2 => TerminationReason::MaxSimTime,
+                    3 => TerminationReason::QueueDrained,
+                    4 => TerminationReason::Starved,
+                    5 => TerminationReason::ServerCrash,
+                    b => return Err(CodecError(format!("invalid TerminationReason tag {b}"))),
+                },
+                buffered: r.usize()?,
+            },
+            b => return Err(CodecError(format!("invalid TraceEvent tag {b}"))),
+        })
     }
 }
 
@@ -161,51 +316,6 @@ impl TraceLog {
         self.entries.iter().filter(|(_, e)| pred(e)).count()
     }
 
-    /// Number of server aggregations.
-    pub fn num_aggregations(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Aggregate { .. }))
-    }
-
-    /// Number of staleness notifications sent (SEAFL²).
-    pub fn num_notifications(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Notify { .. }))
-    }
-
-    /// Number of updates discarded for staleness (drop policy).
-    pub fn num_drops(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Drop { .. }))
-    }
-
-    /// Number of permanent device crashes (fault injection).
-    pub fn num_crashes(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Crash { .. }))
-    }
-
-    /// Number of upload attempts lost in transit (fault injection).
-    pub fn num_upload_failures(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::UploadFailed { .. }))
-    }
-
-    /// Number of upload retries scheduled.
-    pub fn num_retries(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Retry { .. }))
-    }
-
-    /// Number of server session timeouts fired.
-    pub fn num_timeouts(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Timeout { .. }))
-    }
-
-    /// Number of updates the sanitizer or robust layer rejected.
-    pub fn num_rejections(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Rejected { .. }))
-    }
-
-    /// Number of uploads tampered with by adversarial devices.
-    pub fn num_attacked(&self) -> usize {
-        self.count(|e| matches!(e, TraceEvent::Attacked { .. }))
-    }
-
     /// Distinct client ids rejected with `cause`, sorted — e.g. the robust
     /// layer's detection set for precision/recall against the ground-truth
     /// attacker set.
@@ -221,6 +331,22 @@ impl TraceLog {
         ids.sort_unstable();
         ids.dedup();
         ids
+    }
+
+    /// Write the full trace: a count, then `(time, event)` per entry.
+    pub fn encode(&self, w: &mut BinWriter) {
+        w.usize(self.entries.len());
+        for (t, e) in &self.entries {
+            w.sim_time(*t);
+            e.encode(w);
+        }
+    }
+
+    /// Read a trace written by [`TraceLog::encode`].
+    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+        let n = r.count(8 + 1)?;
+        let entries = (0..n).map(|_| Ok((r.sim_time()?, TraceEvent::decode(r)?)));
+        Ok(TraceLog { entries: entries.collect::<Result<_, CodecError>>()? })
     }
 
     /// The terminal event's reason, if one was recorded.
@@ -287,8 +413,8 @@ mod tests {
         log.push(SimTime::from_secs(2.0), TraceEvent::Aggregate { round: 1, num_updates: 1 });
         log.push(SimTime::from_secs(2.5), TraceEvent::Eval { round: 1, accuracy: 0.5 });
         assert_eq!(log.len(), 4);
-        assert_eq!(log.num_aggregations(), 1);
-        assert_eq!(log.num_notifications(), 0);
+        assert_eq!(log.count(|e| matches!(e, TraceEvent::Aggregate { .. })), 1);
+        assert_eq!(log.count(|e| matches!(e, TraceEvent::Notify { .. })), 0);
         assert_eq!(log.accuracy_series(), vec![(2.5, 0.5)]);
     }
 
@@ -303,11 +429,10 @@ mod tests {
         log.push(t, TraceEvent::Rejected { id: cid(2), cause: RejectCause::NonFinite });
         assert_eq!(log.termination(), None);
         log.push(t, TraceEvent::Terminated { reason: TerminationReason::Starved, buffered: 2 });
-        assert_eq!(log.num_crashes(), 1);
-        assert_eq!(log.num_upload_failures(), 1);
-        assert_eq!(log.num_retries(), 1);
-        assert_eq!(log.num_timeouts(), 1);
-        assert_eq!(log.num_rejections(), 1);
+        assert_eq!(log.count(|e| matches!(e, TraceEvent::Crash { .. })), 1);
+        assert_eq!(log.count(|e| matches!(e, TraceEvent::Rejected { .. })), 1);
+        assert_eq!(log.rejected_clients(RejectCause::NonFinite), vec![2]);
+        assert_eq!(log.kind_counts().values().sum::<u64>(), 6);
         assert_eq!(log.termination(), Some(TerminationReason::Starved));
     }
 
@@ -356,5 +481,55 @@ mod tests {
         let s = log.accuracy_series();
         assert_eq!(s.len(), 3);
         assert!(s.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn every_trace_event_roundtrips() {
+        let mut log = TraceLog::new();
+        let t = SimTime::from_secs(2.0);
+        let events = vec![
+            TraceEvent::ClientStart { id: cid(1), round: 2 },
+            TraceEvent::Upload { id: cid(3), born_round: 1, epochs: 5 },
+            TraceEvent::Notify { id: cid(4) },
+            TraceEvent::Drop { id: cid(5), staleness: 9 },
+            TraceEvent::Aggregate { round: 3, num_updates: 4 },
+            TraceEvent::Eval { round: 3, accuracy: 0.625 },
+            TraceEvent::Crash { id: cid(6) },
+            TraceEvent::UploadFailed { id: cid(7), attempt: 0 },
+            TraceEvent::Retry { id: cid(7), attempt: 1 },
+            TraceEvent::Timeout { id: cid(8) },
+            TraceEvent::Quarantine { id: cid(8) },
+            TraceEvent::Rejected { id: cid(9), cause: RejectCause::NormExploded },
+            TraceEvent::Rejected { id: cid(10), cause: RejectCause::RobustScreened },
+            TraceEvent::Attacked { id: cid(11), kind: AttackKind::SignFlip },
+            TraceEvent::Attacked { id: cid(12), kind: AttackKind::ScaledBoost { lambda: 10.0 } },
+            TraceEvent::Attacked { id: cid(13), kind: AttackKind::Collude },
+            TraceEvent::Attacked { id: cid(14), kind: AttackKind::StaleReplay },
+            TraceEvent::NetReconnect { worker: 2 },
+            TraceEvent::NetQuarantine { worker: 3 },
+            TraceEvent::Terminated { reason: TerminationReason::ServerCrash, buffered: 2 },
+        ];
+        for e in &events {
+            log.push(t, e.clone());
+        }
+        let mut w = BinWriter::new();
+        log.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = BinReader::new(&bytes);
+        let back = TraceLog::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.entries(), log.entries());
+        assert_eq!(back.digest(), log.digest());
+    }
+
+    #[test]
+    fn bad_tags_are_errors() {
+        let mut w = BinWriter::new();
+        w.usize(1);
+        w.f64(1.0); // time
+        w.u8(99); // bogus event tag
+        let bytes = w.into_bytes();
+        let e = TraceLog::decode(&mut BinReader::new(&bytes)).unwrap_err();
+        assert!(e.0.contains("invalid TraceEvent tag"), "{}", e.0);
     }
 }

@@ -7,6 +7,7 @@
 //! at load (falling back to the previous valid one), and state from a
 //! different experiment is never restored.
 
+use seafl::core::test_support::{apply_attack_overlay, fixture_cases};
 use seafl::core::{
     resume_experiment, run_experiment, Algorithm, CheckpointError, ExperimentConfig, RunResult,
 };
@@ -72,6 +73,11 @@ fn assert_identical(a: &RunResult, b: &RunResult, what: &str) {
     assert_eq!(a.timeouts, b.timeouts, "{what}: timeout count diverged");
     assert_eq!(a.quarantined, b.quarantined, "{what}: quarantine count diverged");
     assert_eq!(a.rejected_updates, b.rejected_updates, "{what}: rejections diverged");
+    assert_eq!(a.rejected_nonfinite, b.rejected_nonfinite, "{what}: non-finite split diverged");
+    assert_eq!(a.rejected_norm, b.rejected_norm, "{what}: norm split diverged");
+    assert_eq!(a.screened_updates, b.screened_updates, "{what}: screened diverged");
+    assert_eq!(a.clipped_updates, b.clipped_updates, "{what}: clipped diverged");
+    assert_eq!(a.attacked_updates, b.attacked_updates, "{what}: attacked diverged");
     assert_eq!(a.superseded_uploads, b.superseded_uploads, "{what}: superseded diverged");
     assert_eq!(a.termination, b.termination, "{what}: termination reason diverged");
     assert_eq!(a.model_digest, b.model_digest, "{what}: final model diverged");
@@ -139,6 +145,39 @@ fn resume_across_thread_counts() {
         assert_identical(&resumed, &reference, &format!("threads {from}->{to}"));
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// The run counters and the accuracy curve are read off the trace when a run
+/// ends, so a resumed run reports them from the *restored* trace: for every
+/// digest-fixture case under the attack overlay (every fault channel, every
+/// attack kind, a robust rule), crash + resume reports what the uninterrupted
+/// run reports.
+#[test]
+fn resumed_run_reports_the_uninterrupted_counters_for_every_fixture_case() {
+    let mut attacked = 0;
+    for case in fixture_cases() {
+        let what = case.key();
+        let dir = tmp_dir(&format!("ledger-{}-{}", case.label, case.variant));
+        let mut reference = case.cfg;
+        apply_attack_overlay(&mut reference);
+        reference.max_rounds = 8;
+        let mut crash = reference.clone();
+        crash.faults.server_crash_prob = 1.0;
+        crash.faults.server_crash_window = (3, 4);
+        crash.checkpoint_every = Some(1);
+        crash.keep_last = 2;
+        crash.checkpoint_dir = Some(dir.clone());
+
+        let crashed = run_experiment(&crash);
+        assert_eq!(crashed.termination, TerminationReason::ServerCrash, "{what}: did not crash");
+        let reference = run_experiment(&reference);
+        attacked += reference.attacked_updates;
+        let resumed =
+            resume_experiment(&crash, &dir).unwrap_or_else(|e| panic!("{what}: resume: {e}"));
+        assert_identical(&resumed, &reference, &what);
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert!(attacked > 0, "the overlay attacked nothing in any case");
 }
 
 /// Return the retained snapshot files, oldest first.
