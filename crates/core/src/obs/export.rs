@@ -41,14 +41,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Render an `f64` as a JSON value: Rust's shortest-roundtrip `Display`
-/// form for finite values (deterministic, parses back bit-exactly), `null`
-/// for NaN/±∞ (JSON has no non-finite numbers).
+/// Render an `f64` as a JSON value: Rust's shortest-roundtrip form for
+/// finite values (deterministic, parses back bit-exactly) — plain `Display`
+/// for zero and `1e-5 <= |v| < 1e16`, exponent notation outside, since
+/// `Display` never uses an exponent and would spell `1e300` with 301
+/// digits — and `null` for NaN/±∞ (JSON has no non-finite numbers).
 pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v == 0.0 || (1e-5..1e16).contains(&v.abs()) {
         format!("{v}")
     } else {
-        "null".to_string()
+        format!("{v:e}")
     }
 }
 
@@ -315,7 +319,7 @@ mod tests {
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(f64::INFINITY), "null");
         // Shortest-roundtrip: parsing the rendering recovers the exact bits.
-        for v in [0.1, 1.0 / 3.0, 123456.789, f64::MIN_POSITIVE] {
+        for v in [0.1, 1.0 / 3.0, 123456.789, f64::MIN_POSITIVE, 2.5e21, -9.9e-6, 1e16] {
             let s = fmt_f64(v);
             assert_eq!(s.parse::<f64>().unwrap().to_bits(), v.to_bits(), "{s}");
         }

@@ -8,17 +8,17 @@
 //! state to reproduce the exact training the server's local pool would
 //! have run. Outcomes travel back bit-exactly; determinism is end-to-end.
 //!
-//! Loss handling: all application traffic rides the sequenced link, so a
-//! dropped connection at *any* point — including mid-model-chunk — is
-//! recovered by reconnecting with the same worker token and replaying
-//! from the peer's acked offset. Outgoing frames are stamped into the
-//! replay history even while the transport is down, which is what makes
-//! "train, then fail to upload, then reconnect" indistinguishable from a
-//! clean run to the layers above.
+//! Loss handling: all application traffic rides one [`Link`], so a
+//! dropped connection at *any* point — including between two fragments of
+//! a model — is recovered by reconnecting with the same worker token and
+//! replaying from the peer's acked offset. The loop is "reconnect if
+//! down, retransmit if due, poll, handle"; messages pushed while the link
+//! is down wait in its replay history, which is what makes "train, then
+//! fail to upload, then reconnect" indistinguishable from a clean run to
+//! the layers above.
 
 use crate::frame::{Frame, FrameKind, PROTOCOL_VERSION};
-use crate::link::{RecvLink, SendLink};
-use crate::lossy::LossyTransport;
+use crate::link::{Link, ReplayGap};
 use crate::msg::{self, Msg};
 use crate::transport::{Endpoint, StreamTransport, Transport};
 use crate::NetError;
@@ -27,19 +27,14 @@ use seafl_core::{build_codec, ExperimentConfig, TrainJob, UpdateCodec};
 use seafl_sim::rng::{rng_from_state, rng_state};
 use std::time::{Duration, Instant};
 
-enum Step {
-    Continue,
-    Finished,
-}
-
 /// One worker process's protocol state machine.
 pub struct NetClient {
     cfg: ExperimentConfig,
     endpoint: Endpoint,
-    link: u64,
+    /// This worker's loss-stream id (also its label in logs).
+    loss_link: u64,
     env: Environment,
-    send: SendLink,
-    recv: RecvLink,
+    link: Link,
     worker: u64,
     /// The one-shot injected disconnect has been spent (it must not
     /// re-arm on the replacement connection).
@@ -49,13 +44,7 @@ pub struct NetClient {
     /// quarantine.
     die_after_assigns: Option<u64>,
     assigns_seen: u64,
-    rto: f64,
-    rto_deadline: Option<Instant>,
-    /// Reassembly of the in-flight model transfer.
-    model_gen: u64,
-    model_parts: Vec<Option<Vec<u8>>>,
-    model_got: usize,
-    /// The last fully received global model.
+    /// The last received global model.
     global: Vec<f32>,
     global_gen: u64,
     /// Wire codec, armed exactly when the server's is
@@ -87,25 +76,17 @@ impl NetClient {
             }
         };
         let env = Environment::build(&cfg);
-        let rto = cfg.transport.rto_base;
-        let replay = cfg.transport.replay_history;
         let codec = cfg.codec.wire_active().then(|| build_codec(&cfg.codec));
         Ok(NetClient {
-            cfg,
             endpoint,
-            link,
+            loss_link: link,
             env,
-            send: SendLink::new(replay),
-            recv: RecvLink::new(),
+            link: Link::new(&cfg.transport),
+            cfg,
             worker: 0,
             disconnect_spent: false,
             die_after_assigns,
             assigns_seen: 0,
-            rto,
-            rto_deadline: None,
-            model_gen: 0,
-            model_parts: Vec::new(),
-            model_got: 0,
             global: Vec::new(),
             global_gen: 0,
             codec,
@@ -113,28 +94,40 @@ impl NetClient {
     }
 
     /// Serve assignments until the server says `Done` (or the
-    /// die-after-assigns hook fires). Reconnects with resume on any
-    /// transport failure; only exhausted retries or a handshake rejection
-    /// give up.
+    /// die-after-assigns hook fires). Reconnects with resume whenever the
+    /// link is down; only exhausted retries, a handshake rejection or a
+    /// server message past the size cap give up.
     pub fn run(&mut self) -> Result<(), NetError> {
-        let mut transport = self.connect_with_retry()?;
         loop {
-            match self.step(&mut transport) {
-                Ok(Step::Continue) => {}
-                Ok(Step::Finished) => return Ok(()),
-                Err(NetError::Rejected { peer, reason }) => {
-                    return Err(NetError::Rejected { peer, reason })
-                }
-                Err(e) => {
-                    eprintln!("seafl-client[{}]: link failed ({e}), reconnecting", self.link);
-                    transport = self.connect_with_retry()?;
+            if !self.link.is_up() {
+                self.connect_with_retry()?;
+            }
+            self.link.retransmit_due(Instant::now());
+            let polled = self
+                .link
+                .poll(Duration::from_millis(20))
+                .map_err(|source| NetError::Frame { peer: self.endpoint.to_string(), source })?;
+            // Every message handed up MUST be handled even if the link
+            // has died since: the receive side already advanced past it,
+            // so the server will never replay it. What handling pushes
+            // lands in the replay history and survives the reconnect.
+            for payload in polled.messages {
+                match Msg::decode(&payload) {
+                    Ok(message) => {
+                        if self.handle(message) {
+                            return Ok(());
+                        }
+                    }
+                    Err(e) => {
+                        eprintln!("seafl-client[{}]: undecodable message: {e}", self.loss_link)
+                    }
                 }
             }
         }
     }
 
     /// Capped-exponential-backoff connect + handshake loop.
-    fn connect_with_retry(&mut self) -> Result<Box<dyn Transport>, NetError> {
+    fn connect_with_retry(&mut self) -> Result<(), NetError> {
         let retries = self.cfg.transport.connect_retries;
         let mut last: Option<NetError> = None;
         for attempt in 0..=retries {
@@ -145,7 +138,7 @@ impl NetClient {
                 std::thread::sleep(Duration::from_secs_f64(backoff));
             }
             match self.try_connect() {
-                Ok(t) => return Ok(t),
+                Ok(()) => return Ok(()),
                 // A rejection is a verdict, not a transient: stop retrying.
                 Err(e @ NetError::Rejected { .. }) => return Err(e),
                 Err(e) => last = Some(e),
@@ -160,15 +153,15 @@ impl NetClient {
         }
     }
 
-    /// One connect + Hello/Welcome handshake + replay of our unacked
-    /// frames from the server's acked offset.
-    fn try_connect(&mut self) -> Result<Box<dyn Transport>, NetError> {
+    /// One connect + Hello/Welcome handshake, then the link takes the
+    /// stream and replays our unacked frames from the server's offset.
+    fn try_connect(&mut self) -> Result<(), NetError> {
         let mut t = StreamTransport::connect(&self.endpoint)?;
         let hello = Msg::Hello {
             protocol: PROTOCOL_VERSION,
             config_hash: self.cfg.state_hash(),
             worker: self.worker,
-            recv_next: self.recv.cumulative_ack(),
+            recv_next: self.link.recv_next(),
         };
         t.send(&Frame::new(FrameKind::Hello, 0, hello.encode()))?;
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -189,19 +182,20 @@ impl NetClient {
         let peer = t.peer().to_string();
         match (frame.kind, Msg::decode(&frame.payload)) {
             (FrameKind::Welcome, Ok(Msg::Welcome { worker, resume_from })) => {
+                if let Some(ReplayGap { requested, oldest }) = self.link.replay_gap(resume_from) {
+                    return Err(NetError::ResumeGap { peer, requested, oldest });
+                }
                 self.worker = worker;
-                let replay = self.send.replay_from(resume_from).map_err(|gap| {
-                    NetError::ResumeGap { peer, requested: gap.requested, oldest: gap.oldest }
-                })?;
-                let mut out = self.wrap_loss(t);
-                for f in &replay {
-                    out.send(f)?;
+                // The forced disconnect arms only on the first lossy
+                // connection — a reconnect must not re-trip it, or the
+                // run would never finish.
+                let mut loss = self.cfg.transport.loss;
+                if self.disconnect_spent {
+                    loss.disconnect_after = None;
                 }
-                if self.send.in_flight() > 0 {
-                    self.rto = self.cfg.transport.rto_base;
-                    self.rto_deadline = Some(Instant::now() + secs(self.rto));
-                }
-                Ok(out)
+                self.disconnect_spent |= loss.disconnect_after.is_some();
+                self.link.attach(t, loss, self.cfg.seed, self.loss_link, resume_from);
+                Ok(())
             }
             (FrameKind::Reject, Ok(Msg::Reject { reason })) => {
                 Err(NetError::Rejected { peer, reason })
@@ -213,197 +207,52 @@ impl NetClient {
         }
     }
 
-    /// Apply the configured loss model to a fresh connection. The forced
-    /// disconnect arms only on the first lossy connection — a reconnect
-    /// must not re-trip it, or the run would never finish.
-    fn wrap_loss(&mut self, t: StreamTransport) -> Box<dyn Transport> {
-        let mut loss = self.cfg.transport.loss;
-        if self.disconnect_spent {
-            loss.disconnect_after = None;
-        } else if loss.disconnect_after.is_some() {
-            self.disconnect_spent = true;
-        }
-        if loss.is_noop() {
-            Box::new(t)
-        } else {
-            Box::new(LossyTransport::new(t, loss, self.cfg.seed, self.link))
-        }
-    }
-
-    /// Stamp a sequenced message and attempt to put it on the wire.
-    /// Returns whether the transport is still healthy — the frame is in
-    /// the replay history either way, so a `false` only means "reconnect
-    /// soon", never "data lost".
-    fn queue_msg(&mut self, t: &mut Box<dyn Transport>, message: &Msg) -> bool {
-        let frame = self.send.stamp(message.encode());
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(Instant::now() + secs(self.rto));
-        }
-        t.send(&frame).is_ok()
-    }
-
-    /// Go-back-N retransmit of our unacked frames once the RTO expires.
-    fn service_retransmit(&mut self, t: &mut Box<dyn Transport>) {
-        if self.send.in_flight() == 0 {
-            self.rto_deadline = None;
-            return;
-        }
-        let now = Instant::now();
-        let Some(deadline) = self.rto_deadline else {
-            self.rto_deadline = Some(now + secs(self.rto));
-            return;
-        };
-        if now < deadline {
-            return;
-        }
-        let frames: Vec<Frame> = self.send.unacked().cloned().collect();
-        for f in &frames {
-            if t.send(f).is_err() {
-                break; // recv will surface the failure and reconnect
-            }
-        }
-        self.rto = (self.rto * 2.0).min(self.cfg.transport.rto_cap);
-        self.rto_deadline = Some(now + secs(self.rto));
-    }
-
-    /// One poll step: retransmit if due, receive one frame, process it.
-    fn step(&mut self, t: &mut Box<dyn Transport>) -> Result<Step, NetError> {
-        self.service_retransmit(t);
-        let frame = match t.recv(Duration::from_millis(20))? {
-            Some(f) => f,
-            None => return Ok(Step::Continue),
-        };
-        match frame.kind {
-            FrameKind::Ack => {
-                if self.send.on_ack(frame.offset) {
-                    self.rto = self.cfg.transport.rto_base;
-                    self.rto_deadline =
-                        (self.send.in_flight() > 0).then(|| Instant::now() + secs(self.rto));
-                }
-                Ok(Step::Continue)
-            }
-            FrameKind::Data => {
-                let (ready, _dup) = self.recv.accept(frame);
-                // Ack every data frame, duplicates included — the ack the
-                // peer missed is exactly why it retransmitted.
-                let mut healthy = t
-                    .send(&Frame::new(FrameKind::Ack, self.recv.cumulative_ack(), Vec::new()))
-                    .is_ok();
-                let mut finished = false;
-                // Every ready frame MUST be processed even once the
-                // transport dies mid-batch: the receive link already
-                // advanced past them, so the server will never replay
-                // them. Outgoing traffic they generate lands in the
-                // replay history and survives the reconnect.
-                for f in ready {
-                    match Msg::decode(&f.payload) {
-                        Ok(message) => {
-                            let (ok, fin) = self.handle(t, message);
-                            healthy &= ok;
-                            finished |= fin;
-                        }
-                        Err(e) => {
-                            eprintln!("seafl-client[{}]: undecodable message: {e}", self.link)
-                        }
-                    }
-                }
-                if finished {
-                    return Ok(Step::Finished);
-                }
-                if healthy {
-                    Ok(Step::Continue)
-                } else {
-                    Err(NetError::Disconnected { peer: t.peer().to_string() })
-                }
-            }
-            FrameKind::Hello | FrameKind::Welcome | FrameKind::Reject => Ok(Step::Continue),
-        }
-    }
-
-    /// Process one delivered message. Returns `(transport_healthy,
-    /// finished)`.
-    fn handle(&mut self, t: &mut Box<dyn Transport>, message: Msg) -> (bool, bool) {
+    /// Process one delivered message; `true` means the run is over.
+    fn handle(&mut self, message: Msg) -> bool {
         match message {
-            Msg::ModelChunk { generation, index, total, bytes } => {
-                self.on_model_chunk(generation, index, total, bytes);
-                (true, false)
+            Msg::Model { generation, params } => {
+                self.global = params;
+                self.global_gen = generation;
             }
             Msg::Assign { generation, client_id, epochs, keep_snapshots, rng } => {
                 self.assigns_seen += 1;
                 if self.die_after_assigns.is_some_and(|n| self.assigns_seen >= n) {
                     eprintln!(
                         "seafl-client[{}]: dying on assign #{} as instructed",
-                        self.link, self.assigns_seen
+                        self.loss_link, self.assigns_seen
                     );
-                    return (true, true);
+                    return true;
                 }
-                let ok =
-                    self.train_and_upload(t, generation, client_id, epochs, keep_snapshots, rng);
-                (ok, false)
+                self.train_and_upload(generation, client_id, epochs, keep_snapshots, rng);
             }
-            Msg::Done => (true, true),
-            other => {
-                eprintln!("seafl-client[{}]: unexpected {other:?}", self.link);
-                (true, false)
-            }
+            Msg::Done => return true,
+            other => eprintln!("seafl-client[{}]: unexpected {other:?}", self.loss_link),
         }
-    }
-
-    fn on_model_chunk(&mut self, generation: u64, index: u32, total: u32, bytes: Vec<u8>) {
-        if total == 0 || index >= total || total > (1 << 16) {
-            eprintln!("seafl-client[{}]: implausible model chunk header, ignoring", self.link);
-            return;
-        }
-        if generation != self.model_gen || self.model_parts.len() != total as usize {
-            self.model_gen = generation;
-            self.model_parts = vec![None; total as usize];
-            self.model_got = 0;
-        }
-        if self.model_parts[index as usize].is_none() {
-            self.model_parts[index as usize] = Some(bytes);
-            self.model_got += 1;
-        }
-        if self.model_got < self.model_parts.len() {
-            return;
-        }
-        let blob: Vec<u8> = std::mem::take(&mut self.model_parts)
-            .into_iter()
-            .map(|p| p.expect("all parts present"))
-            .collect::<Vec<_>>()
-            .concat();
-        self.model_got = 0;
-        match msg::params_from_bytes(&blob) {
-            Ok(params) => {
-                self.global = params;
-                self.global_gen = generation;
-            }
-            Err(e) => eprintln!("seafl-client[{}]: model reassembly failed: {e}", self.link),
-        }
+        false
     }
 
     fn train_and_upload(
         &mut self,
-        t: &mut Box<dyn Transport>,
         generation: u64,
         client_id: u64,
         epochs: u32,
         keep_snapshots: bool,
         rng: seafl_sim::rng::SimRngState,
-    ) -> bool {
+    ) {
         if generation != self.global_gen {
-            // Cannot happen on a healthy sequenced link (chunks precede
-            // the assign); drop the job and let the server's timeout
-            // logic reassign it.
+            // Cannot happen on a healthy sequenced link (the model
+            // precedes the assign); drop the job and let the server's
+            // timeout logic reassign it.
             eprintln!(
                 "seafl-client[{}]: assign for generation {generation} but model is {}, skipping",
-                self.link, self.global_gen
+                self.loss_link, self.global_gen
             );
-            return true;
+            return;
         }
         let k = client_id as usize;
         if k >= self.env.client_data.len() {
-            eprintln!("seafl-client[{}]: assign for unknown client {k}, skipping", self.link);
-            return true;
+            eprintln!("seafl-client[{}]: assign for unknown client {k}, skipping", self.loss_link);
+            return;
         }
         let job = TrainJob {
             client_id: k,
@@ -420,24 +269,6 @@ impl NetClient {
             }
             None => msg::encode_outcome(&outcome, rng_state(&rng_after)),
         };
-        let chunk_bytes = self.cfg.transport.chunk_bytes.max(1);
-        let chunks: Vec<&[u8]> = blob.chunks(chunk_bytes).collect();
-        let total = chunks.len() as u32;
-        let mut healthy = true;
-        for (ci, c) in chunks.iter().enumerate() {
-            let message = Msg::OutcomeChunk {
-                generation,
-                client_id,
-                index: ci as u32,
-                total,
-                bytes: c.to_vec(),
-            };
-            healthy &= self.queue_msg(t, &message);
-        }
-        healthy
+        self.link.push(&Msg::Outcome { generation, client_id, blob }.encode());
     }
-}
-
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s.max(0.001))
 }

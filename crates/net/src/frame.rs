@@ -6,8 +6,8 @@
 //! offset  size  field
 //!      0     4  magic     b"SFW1" (protocol + wire-format version)
 //!      4     1  kind      frame kind discriminant
-//!      5     8  offset    u64 LE — sequence number (Data), cumulative
-//!                         ack (Ack), 0 otherwise
+//!      5     8  offset    u64 LE — sequence number (Data, Part),
+//!                         cumulative ack (Ack), 0 otherwise
 //!     13     4  len       u32 LE — payload length in bytes
 //!     17     8  checksum  u64 LE — FNV-1a 64 over kind ‖ offset ‖ len
 //!                         ‖ payload
@@ -31,7 +31,7 @@ pub const HEADER_LEN: usize = 25;
 
 /// Wire-protocol version carried in the `Hello` handshake. Bump on any
 /// incompatible change to frames or messages.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Largest payload a decoder accepts by default (8 MiB). A length prefix
 /// beyond the limit is treated as corruption, not as an allocation request.
@@ -44,13 +44,18 @@ pub enum FrameKind {
     Hello,
     /// Server → client handshake accept.
     Welcome,
-    /// Sequenced message bytes (`offset` is the sequence number).
+    /// Sequenced message bytes (`offset` is the sequence number): the
+    /// final — or only — fragment of a message.
     Data,
     /// Cumulative acknowledgement (`offset` is the receiver's next
     /// expected sequence number; everything below it is delivered).
     Ack,
     /// Handshake rejection; payload is a UTF-8 reason.
     Reject,
+    /// Sequenced like `Data`, but a non-final fragment: the message
+    /// continues in the next offset ([`crate::link::Link`] splits and
+    /// reassembles).
+    Part,
 }
 
 impl FrameKind {
@@ -61,6 +66,7 @@ impl FrameKind {
             FrameKind::Data => 2,
             FrameKind::Ack => 3,
             FrameKind::Reject => 4,
+            FrameKind::Part => 5,
         }
     }
 
@@ -71,6 +77,7 @@ impl FrameKind {
             2 => Some(FrameKind::Data),
             3 => Some(FrameKind::Ack),
             4 => Some(FrameKind::Reject),
+            5 => Some(FrameKind::Part),
             _ => None,
         }
     }
@@ -81,7 +88,7 @@ impl FrameKind {
 pub struct Frame {
     /// Frame kind.
     pub kind: FrameKind,
-    /// Sequence number (Data), cumulative ack (Ack), or 0.
+    /// Sequence number (Data, Part), cumulative ack (Ack), or 0.
     pub offset: u64,
     /// Message bytes.
     pub payload: Vec<u8>,
@@ -130,11 +137,12 @@ pub enum FrameError {
     BadMagic([u8; 4]),
     /// Unknown frame-kind discriminant.
     BadKind(u8),
-    /// The length prefix exceeds the decoder's payload cap.
+    /// A frame's length prefix exceeds the decoder's payload cap, or the
+    /// fragments of one message add up past [`crate::link::MAX_MESSAGE`].
     Oversized {
-        /// Length the header claimed.
+        /// Length the header claimed (the fragments would have reached).
         len: u32,
-        /// The decoder's cap.
+        /// The cap it broke.
         max: usize,
     },
     /// The stored checksum does not match the recomputed one.
@@ -152,7 +160,7 @@ impl std::fmt::Display for FrameError {
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             FrameError::Oversized { len, max } => {
-                write!(f, "frame payload length {len} exceeds cap {max}")
+                write!(f, "payload length {len} exceeds cap {max}")
             }
             FrameError::Checksum { stored, computed } => {
                 write!(
@@ -249,6 +257,7 @@ mod tests {
             Frame::new(FrameKind::Data, u64::MAX, vec![0; 1000]),
             Frame::new(FrameKind::Ack, 7, Vec::new()),
             Frame::new(FrameKind::Reject, 0, b"nope".to_vec()),
+            Frame::new(FrameKind::Part, 8, vec![3; 64]),
         ];
         let mut dec = FrameDecoder::new();
         for f in &frames {

@@ -21,11 +21,12 @@
 //! * [`frame`] — length-prefixed, FNV-checksummed frames over a byte
 //!   stream; hostile input (torn, corrupt, oversized) is detected, never
 //!   trusted.
-//! * [`link`] — offset-numbered frames, cumulative acks, a bounded
-//!   sender-side replay history and a deduplicating receiver: exactly-once
-//!   in-order delivery plus resume-after-reconnect.
-//! * [`msg`] — the application messages (handshake, model chunks,
-//!   assignments, outcome chunks), encoded with the checkpoint codec.
+//! * [`link`] — the one sequenced endpoint both peers hold: offset-numbered
+//!   frames, cumulative acks, RTO retransmit, a bounded replay history, a
+//!   deduplicating receiver and message fragmentation — exactly-once
+//!   in-order delivery of whole messages plus resume-after-reconnect.
+//! * [`msg`] — the application messages (handshake, model, assignment,
+//!   outcome), encoded with the checkpoint codec.
 //! * [`transport`] — the [`transport::Transport`] seam: blocking
 //!   frame-granular send/recv over TCP or UDS.
 //! * [`lossy`] — deterministic, seeded fault injection (drop / duplicate /
@@ -46,7 +47,7 @@ pub mod transport;
 
 pub use client::NetClient;
 pub use frame::{Frame, FrameDecoder, FrameError, FrameKind, PROTOCOL_VERSION};
-pub use link::{RecvLink, ReplayGap, SendLink};
+pub use link::{Link, RecvLink, ReplayGap, SendLink, MAX_MESSAGE};
 pub use lossy::LossyTransport;
 pub use msg::Msg;
 pub use server::{NetServer, NetStats};

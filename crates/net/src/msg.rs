@@ -2,10 +2,12 @@
 //!
 //! Handshake messages (`Hello`/`Welcome`/`Reject`) ride unsequenced
 //! frames of the matching [`crate::frame::FrameKind`]; everything else is
-//! a sequenced `Data` frame, so model downloads, assignments and outcome
-//! uploads all inherit the link layer's exactly-once in-order delivery —
-//! and its resume-after-reconnect replay — with no per-message-type
-//! recovery logic.
+//! pushed whole through a [`crate::link::Link`], so model downloads,
+//! assignments and outcome uploads all inherit the link layer's
+//! exactly-once in-order delivery, its resume-after-reconnect replay and
+//! its fragmentation — a message here is never split, indexed or
+//! reassembled, however large, and there is no per-message-type recovery
+//! logic.
 //!
 //! Encoding reuses the checkpoint codec ([`BinWriter`]/[`BinReader`]):
 //! little-endian, length-prefixed, NaN-exact floats, so a training outcome
@@ -46,16 +48,12 @@ pub enum Msg {
         /// Human-readable cause.
         reason: String,
     },
-    /// Server → client: one chunk of the round's global model.
-    ModelChunk {
+    /// Server → client: the round's global model.
+    Model {
         /// Aggregation generation this model belongs to.
         generation: u64,
-        /// Chunk index, `0..total`.
-        index: u32,
-        /// Total chunks in this model transfer.
-        total: u32,
-        /// Raw little-endian `f32` bytes.
-        bytes: Vec<u8>,
+        /// The flat parameter vector, bit-exact.
+        params: Vec<f32>,
     },
     /// Server → client: train one client shard.
     Assign {
@@ -70,18 +68,15 @@ pub enum Msg {
         /// The client's batch-shuffle RNG state at dispatch.
         rng: SimRngState,
     },
-    /// Client → server: one chunk of a serialized training outcome.
-    OutcomeChunk {
+    /// Client → server: a serialized training outcome.
+    Outcome {
         /// Generation echoed from the `Assign`.
         generation: u64,
         /// Client echoed from the `Assign`.
         client_id: u64,
-        /// Chunk index, `0..total`.
-        index: u32,
-        /// Total chunks in this outcome transfer.
-        total: u32,
-        /// Raw outcome-blob bytes (see [`encode_outcome`]).
-        bytes: Vec<u8>,
+        /// The outcome blob ([`encode_outcome`] or, with a wire codec
+        /// armed, [`encode_outcome_coded`]).
+        blob: Vec<u8>,
     },
     /// Server → client: the run is over; exit cleanly.
     Done,
@@ -108,12 +103,10 @@ impl Msg {
                 w.u8(2);
                 w.section(reason.as_bytes());
             }
-            Msg::ModelChunk { generation, index, total, bytes } => {
+            Msg::Model { generation, params } => {
                 w.u8(3);
                 w.u64(*generation);
-                w.u32(*index);
-                w.u32(*total);
-                w.section(bytes);
+                w.vec_f32(params);
             }
             Msg::Assign { generation, client_id, epochs, keep_snapshots, rng } => {
                 w.u8(4);
@@ -123,13 +116,11 @@ impl Msg {
                 w.bool(*keep_snapshots);
                 w.rng_state(*rng);
             }
-            Msg::OutcomeChunk { generation, client_id, index, total, bytes } => {
+            Msg::Outcome { generation, client_id, blob } => {
                 w.u8(5);
                 w.u64(*generation);
                 w.u64(*client_id);
-                w.u32(*index);
-                w.u32(*total);
-                w.section(bytes);
+                w.section(blob);
             }
             Msg::Done => w.u8(6),
         }
@@ -148,12 +139,7 @@ impl Msg {
             },
             1 => Msg::Welcome { worker: r.u64()?, resume_from: r.u64()? },
             2 => Msg::Reject { reason: String::from_utf8_lossy(r.section()?).into_owned() },
-            3 => Msg::ModelChunk {
-                generation: r.u64()?,
-                index: r.u32()?,
-                total: r.u32()?,
-                bytes: r.section()?.to_vec(),
-            },
+            3 => Msg::Model { generation: r.u64()?, params: r.vec_f32()? },
             4 => Msg::Assign {
                 generation: r.u64()?,
                 client_id: r.u64()?,
@@ -161,12 +147,10 @@ impl Msg {
                 keep_snapshots: r.bool()?,
                 rng: r.rng_state()?,
             },
-            5 => Msg::OutcomeChunk {
+            5 => Msg::Outcome {
                 generation: r.u64()?,
                 client_id: r.u64()?,
-                index: r.u32()?,
-                total: r.u32()?,
-                bytes: r.section()?.to_vec(),
+                blob: r.section()?.to_vec(),
             },
             6 => Msg::Done,
             t => return Err(CodecError(format!("unknown message tag {t}"))),
@@ -247,27 +231,6 @@ pub fn decode_outcome_coded(
     Ok((TrainOutcome { snapshots, epoch_losses }, rng, raw, encoded))
 }
 
-/// Split a model's parameters into little-endian byte chunks of at most
-/// `chunk_bytes` each (at least one chunk, even for an empty model).
-pub fn params_to_chunks(params: &[f32], chunk_bytes: usize) -> Vec<Vec<u8>> {
-    let mut bytes = Vec::with_capacity(params.len() * 4);
-    for &p in params {
-        bytes.extend_from_slice(&p.to_le_bytes());
-    }
-    if bytes.is_empty() {
-        return vec![Vec::new()];
-    }
-    bytes.chunks(chunk_bytes.max(1)).map(|c| c.to_vec()).collect()
-}
-
-/// Reassemble parameters from concatenated chunk bytes.
-pub fn params_from_bytes(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
-    if bytes.len() % 4 != 0 {
-        return Err(CodecError(format!("model byte length {} not a multiple of 4", bytes.len())));
-    }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +245,7 @@ mod tests {
             Msg::Hello { protocol: 1, config_hash: 0xdead_beef, worker: 0, recv_next: 0 },
             Msg::Welcome { worker: 3, resume_from: 17 },
             Msg::Reject { reason: "config hash mismatch".into() },
-            Msg::ModelChunk { generation: 2, index: 1, total: 7, bytes: vec![1, 2, 3] },
+            Msg::Model { generation: 2, params: vec![1.5, -0.0, f32::MIN_POSITIVE] },
             Msg::Assign {
                 generation: 2,
                 client_id: 5,
@@ -290,13 +253,7 @@ mod tests {
                 keep_snapshots: true,
                 rng: rng_sample(),
             },
-            Msg::OutcomeChunk {
-                generation: 2,
-                client_id: 5,
-                index: 0,
-                total: 1,
-                bytes: vec![9; 40],
-            },
+            Msg::Outcome { generation: 2, client_id: 5, blob: vec![9; 40] },
             Msg::Done,
         ];
         for m in msgs {
@@ -361,20 +318,5 @@ mod tests {
         // packed mode, not a silent wrong answer.
         let blob = encode_outcome_coded(&outcome, rng_sample(), &GenDelta, &reference);
         assert!(decode_outcome_coded(&blob, &GenDelta, &reference[..3]).is_err());
-    }
-
-    #[test]
-    fn params_chunk_and_reassemble() {
-        let params: Vec<f32> = (0..1000).map(|i| i as f32 * 0.25).collect();
-        let chunks = params_to_chunks(&params, 128);
-        assert!(chunks.len() > 1);
-        assert!(chunks.iter().all(|c| c.len() <= 128));
-        let bytes: Vec<u8> = chunks.concat();
-        assert_eq!(params_from_bytes(&bytes).unwrap(), params);
-    }
-
-    #[test]
-    fn ragged_model_bytes_rejected() {
-        assert!(params_from_bytes(&[1, 2, 3]).is_err());
     }
 }

@@ -3,18 +3,19 @@
 //!
 //! The engine's event loop never knows it is networked — it calls
 //! [`CohortTrainer::train_cohort`] with a cohort and gets outcomes back.
-//! Inside, the server chunks the round's global model to each worker that
-//! needs it, sends one `Assign` per job, and pumps a single-threaded poll
-//! loop: accepting (re)connections, acking uploads, retransmitting
-//! unacked frames on a capped-exponential RTO, and reassembling outcome
-//! chunks. A worker silent past the idle timeout is **quarantined** — its
-//! unserved jobs move to the remaining live workers, or come back as
-//! `None` slots for the engine's local-pool fallback — so a dead process
-//! degrades wall-clock, never correctness.
+//! Inside, the server pushes the round's global model to each worker that
+//! needs it and one `Assign` per job, each down that worker's [`Link`]
+//! (which fragments, acks, retransmits and replays — none of that lives
+//! here), and pumps a single-threaded poll loop: accepting
+//! (re)connections, polling every link, decoding the outcomes they hand
+//! up. A worker that owes work and has been silent past the idle timeout
+//! — counted from the moment it was handed work while owing none — is
+//! **quarantined**: its unserved jobs move to the remaining live workers,
+//! or come back as `None` slots for the engine's local-pool fallback, so
+//! a dead process degrades wall-clock, never correctness.
 
 use crate::frame::{Frame, FrameKind, PROTOCOL_VERSION};
-use crate::link::{RecvLink, SendLink};
-use crate::lossy::LossyTransport;
+use crate::link::Link;
 use crate::msg::{self, Msg};
 use crate::transport::{Endpoint, NetListener, StreamTransport, Transport};
 use crate::NetError;
@@ -47,25 +48,41 @@ pub struct NetStats {
     pub workers_quarantined: u64,
 }
 
-/// Per-(generation, client) reassembly buffer for a chunked upload.
-struct ChunkBuf {
-    parts: Vec<Option<Vec<u8>>>,
-    got: usize,
-}
-
 struct Worker {
     id: u64,
-    /// `None` while disconnected (may resume) or after quarantine.
-    transport: Option<Box<dyn Transport>>,
-    send: SendLink,
-    recv: RecvLink,
+    /// Down while disconnected (may resume) and for good after quarantine.
+    link: Link,
+    /// Last frame heard, or the later moment it was handed work while
+    /// owing none: the start of the silence the idle timeout measures.
     last_heard: Instant,
-    rto: f64,
-    rto_deadline: Option<Instant>,
     /// Highest model generation already shipped to this worker.
     has_generation: u64,
     quarantined: bool,
-    chunks: HashMap<(u64, u64), ChunkBuf>,
+}
+
+impl Worker {
+    /// Write `Welcome` on the raw stream, then adopt it as this worker's
+    /// connection, replaying from `peer_next`. Returns the bytes written,
+    /// or `None` if the Welcome itself could not be (nothing changed).
+    fn welcome(
+        &mut self,
+        mut t: StreamTransport,
+        peer_next: u64,
+        knobs: &TransportConfig,
+        seed: u64,
+    ) -> Option<u64> {
+        let msg = Msg::Welcome { worker: self.id, resume_from: self.link.recv_next() };
+        let frame = Frame::new(FrameKind::Welcome, 0, msg.encode());
+        t.send(&frame).ok()?;
+        self.last_heard = Instant::now();
+        let replayed = self.link.attach(t, knobs.loss, seed, SERVER_LINK_BASE + self.id, peer_next);
+        Some(frame.wire_len() as u64 + replayed)
+    }
+}
+
+/// Whether worker `id` holds a job it has not answered.
+fn owes(id: u64, assigned_to: &[Option<u64>], results: &[Slot]) -> bool {
+    assigned_to.iter().zip(results).any(|(a, r)| *a == Some(id) && r.is_none())
 }
 
 /// The networked cohort trainer (see module docs).
@@ -75,7 +92,6 @@ pub struct NetServer {
     config_hash: u64,
     seed: u64,
     workers: Vec<Worker>,
-    next_worker: u64,
     stats: Arc<Mutex<NetStats>>,
     incidents: Vec<NetIncident>,
     generation: u64,
@@ -110,7 +126,6 @@ impl NetServer {
             config_hash: cfg.state_hash(),
             seed: cfg.seed,
             workers: Vec::new(),
-            next_worker: 1,
             stats,
             incidents: Vec::new(),
             generation: 0,
@@ -147,8 +162,8 @@ impl NetServer {
         }
     }
 
-    fn note_sent(&self, frame: &Frame) {
-        self.stats.lock().unwrap().bytes_sent += frame.wire_len() as u64;
+    fn note_sent(&self, bytes: u64) {
+        self.stats.lock().unwrap().bytes_sent += bytes;
     }
 
     /// Accept pending connections and run their handshakes. Connections
@@ -169,7 +184,7 @@ impl NetServer {
     fn reject(&self, mut t: StreamTransport, reason: &str) {
         let frame =
             Frame::new(FrameKind::Reject, 0, Msg::Reject { reason: reason.into() }.encode());
-        self.note_sent(&frame);
+        self.note_sent(frame.wire_len() as u64);
         let _ = t.send(&frame);
     }
 
@@ -204,38 +219,21 @@ impl NetServer {
         }
     }
 
-    fn wrap_loss(&self, t: StreamTransport, link: u64) -> Box<dyn Transport> {
-        if self.knobs.loss.is_noop() {
-            Box::new(t)
-        } else {
-            Box::new(LossyTransport::new(t, self.knobs.loss, self.seed, link))
-        }
-    }
-
-    fn admit_new(&mut self, mut t: StreamTransport) {
-        let id = self.next_worker;
-        self.next_worker += 1;
-        let welcome =
-            Frame::new(FrameKind::Welcome, 0, Msg::Welcome { worker: id, resume_from: 0 }.encode());
-        self.note_sent(&welcome);
-        if t.send(&welcome).is_err() {
-            return;
-        }
-        self.workers.push(Worker {
-            id,
-            transport: Some(self.wrap_loss(t, SERVER_LINK_BASE + id)),
-            send: SendLink::new(self.knobs.replay_history),
-            recv: RecvLink::new(),
+    fn admit_new(&mut self, t: StreamTransport) {
+        let mut w = Worker {
+            id: self.workers.len() as u64 + 1,
+            link: Link::new(&self.knobs),
             last_heard: Instant::now(),
-            rto: self.knobs.rto_base,
-            rto_deadline: None,
             has_generation: 0,
             quarantined: false,
-            chunks: HashMap::new(),
-        });
+        };
+        if let Some(sent) = w.welcome(t, 0, &self.knobs, self.seed) {
+            self.note_sent(sent);
+            self.workers.push(w);
+        }
     }
 
-    fn resume(&mut self, mut t: StreamTransport, worker: u64, recv_next: u64) {
+    fn resume(&mut self, t: StreamTransport, worker: u64, recv_next: u64) {
         let Some(widx) = self.workers.iter().position(|w| w.id == worker) else {
             self.reject(t, &format!("unknown worker token {worker}"));
             return;
@@ -244,142 +242,79 @@ impl NetServer {
             self.reject(t, "worker was quarantined; rejoin as a fresh worker");
             return;
         }
-        let replay = match self.workers[widx].send.replay_from(recv_next) {
-            Ok(frames) => frames,
-            Err(gap) => {
-                self.reject(
-                    t,
-                    &format!(
-                        "resume gap: wanted offset {}, replay history starts at {}",
-                        gap.requested, gap.oldest
-                    ),
-                );
-                return;
-            }
-        };
-        let resume_from = self.workers[widx].recv.cumulative_ack();
-        let welcome =
-            Frame::new(FrameKind::Welcome, 0, Msg::Welcome { worker, resume_from }.encode());
-        self.note_sent(&welcome);
-        if t.send(&welcome).is_err() {
+        if let Some(gap) = self.workers[widx].link.replay_gap(recv_next) {
+            self.reject(
+                t,
+                &format!(
+                    "resume gap: wanted offset {}, replay history starts at {}",
+                    gap.requested, gap.oldest
+                ),
+            );
             return;
         }
-        let mut bt = self.wrap_loss(t, SERVER_LINK_BASE + worker);
-        let mut alive = true;
-        for f in &replay {
-            self.note_sent(f);
-            if bt.send(f).is_err() {
-                alive = false;
-                break;
-            }
-        }
-        {
-            let w = &mut self.workers[widx];
-            w.transport = alive.then_some(bt);
-            w.last_heard = Instant::now();
-            w.rto = self.knobs.rto_base;
-            w.rto_deadline =
-                (w.send.in_flight() > 0).then(|| Instant::now() + secs(self.knobs.rto_base));
-        }
+        let Some(sent) = self.workers[widx].welcome(t, recv_next, &self.knobs, self.seed) else {
+            return;
+        };
+        self.note_sent(sent);
         self.stats.lock().unwrap().reconnects += 1;
         self.incidents.push(NetIncident::Reconnect { worker: worker as usize });
     }
 
-    /// Stamp `msg` onto worker `widx`'s sequenced link and try to send it.
-    /// Send failures flip the worker to disconnected; the frame stays in
-    /// the replay history for the resume.
-    fn push_to_worker(&mut self, widx: usize, msg: &Msg) {
-        let frame = self.workers[widx].send.stamp(msg.encode());
-        self.note_sent(&frame);
+    /// Indices of the workers that can be handed work right now.
+    fn live(&self) -> Vec<usize> {
+        (0..self.workers.len())
+            .filter(|&i| !self.workers[i].quarantined && self.workers[i].link.is_up())
+            .collect()
+    }
+
+    /// Push the encoded `model` message for `gen` (if this worker does not
+    /// have it yet) and one `Assign` for `job`. `owes` says whether the
+    /// worker already holds an unanswered job: if not, its silence starts
+    /// counting now — it had every right to be quiet until this moment.
+    fn dispatch_job(&mut self, widx: usize, gen: u64, job: &RemoteJob, model: &[u8], owes: bool) {
         let w = &mut self.workers[widx];
-        if let Some(t) = w.transport.as_mut() {
-            if t.send(&frame).is_err() {
-                w.transport = None;
-            }
+        if !owes {
+            w.last_heard = Instant::now();
         }
-        if w.rto_deadline.is_none() {
-            w.rto_deadline = Some(Instant::now() + secs(w.rto));
+        let mut sent = 0;
+        if w.has_generation < gen {
+            w.has_generation = gen;
+            sent += w.link.push(model);
         }
+        let assign = Msg::Assign {
+            generation: gen,
+            client_id: job.client_id as u64,
+            epochs: job.epochs as u32,
+            keep_snapshots: job.keep_snapshots,
+            rng: job.rng,
+        };
+        sent += w.link.push(&assign.encode());
+        self.note_sent(sent);
     }
 
-    /// Ship the model for `gen` (if this worker does not have it yet) and
-    /// one `Assign` for `job`.
-    fn dispatch_job(&mut self, widx: usize, gen: u64, job: &RemoteJob, chunks: &[Vec<u8>]) {
-        if self.workers[widx].has_generation < gen {
-            self.workers[widx].has_generation = gen;
-            let total = chunks.len() as u32;
-            for (ci, c) in chunks.iter().enumerate() {
-                self.push_to_worker(
-                    widx,
-                    &Msg::ModelChunk { generation: gen, index: ci as u32, total, bytes: c.clone() },
-                );
-            }
-        }
-        self.push_to_worker(
-            widx,
-            &Msg::Assign {
-                generation: gen,
-                client_id: job.client_id as u64,
-                epochs: job.epochs as u32,
-                keep_snapshots: job.keep_snapshots,
-                rng: job.rng,
-            },
-        );
-    }
-
-    /// Drain worker `widx`'s socket: ack data, apply acks, reassemble
-    /// outcome chunks into `results`.
+    /// Drain worker `widx`'s link, decoding the outcomes it hands up into
+    /// `results`.
     fn pump_worker(&mut self, widx: usize, results: &mut [Slot], index_of: &HashMap<u64, usize>) {
         loop {
-            let frame = {
-                let w = &mut self.workers[widx];
-                let Some(t) = w.transport.as_mut() else { return };
-                match t.recv(Duration::from_millis(1)) {
-                    Ok(Some(f)) => f,
-                    Ok(None) => return,
-                    Err(_) => {
-                        w.transport = None;
-                        return;
-                    }
+            let w = &mut self.workers[widx];
+            let polled = match w.link.poll(Duration::from_millis(1)) {
+                Ok(p) if p.received > 0 => p,
+                Ok(_) => return,
+                Err(e) => {
+                    eprintln!("seafl-server: worker {}: {e}; connection dropped", w.id);
+                    return;
                 }
             };
-            self.stats.lock().unwrap().bytes_received += frame.wire_len() as u64;
-            let mut deliveries = Vec::new();
+            w.last_heard = Instant::now();
             {
-                let w = &mut self.workers[widx];
-                w.last_heard = Instant::now();
-                match frame.kind {
-                    FrameKind::Ack => {
-                        if w.send.on_ack(frame.offset) {
-                            w.rto = self.knobs.rto_base;
-                            w.rto_deadline =
-                                (w.send.in_flight() > 0).then(|| Instant::now() + secs(w.rto));
-                        }
-                        continue;
-                    }
-                    FrameKind::Data => {
-                        let (ready, _dup) = w.recv.accept(frame);
-                        deliveries = ready;
-                        // Always re-advertise the cumulative ack — the one
-                        // covering a duplicate may itself have been lost.
-                        let ack = Frame::new(FrameKind::Ack, w.recv.cumulative_ack(), Vec::new());
-                        self.stats.lock().unwrap().bytes_sent += ack.wire_len() as u64;
-                        if let Some(t) = w.transport.as_mut() {
-                            if t.send(&ack).is_err() {
-                                w.transport = None;
-                            }
-                        }
-                    }
-                    // Handshake frames are meaningless mid-session.
-                    FrameKind::Hello | FrameKind::Welcome | FrameKind::Reject => continue,
-                }
+                let mut s = self.stats.lock().unwrap();
+                s.bytes_received += polled.received;
+                s.bytes_sent += polled.sent;
             }
-            for f in deliveries {
-                match Msg::decode(&f.payload) {
-                    Ok(Msg::OutcomeChunk { generation, client_id, index, total, bytes }) => {
-                        self.on_outcome_chunk(
-                            widx, generation, client_id, index, total, bytes, results, index_of,
-                        );
+            for payload in polled.messages {
+                match Msg::decode(&payload) {
+                    Ok(Msg::Outcome { generation, client_id, blob }) => {
+                        self.on_outcome(generation, client_id, &blob, results, index_of);
                     }
                     Ok(other) => {
                         eprintln!(
@@ -398,48 +333,21 @@ impl NetServer {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_outcome_chunk(
+    fn on_outcome(
         &mut self,
-        widx: usize,
         generation: u64,
         client_id: u64,
-        index: u32,
-        total: u32,
-        bytes: Vec<u8>,
+        blob: &[u8],
         results: &mut [Slot],
         index_of: &HashMap<u64, usize>,
     ) {
-        // Stale round, malformed header, or an implausible chunk count
-        // (a hostile `total` must not size an allocation) — ignore.
-        if generation != self.generation || total == 0 || index >= total || total > (1 << 16) {
-            return;
+        if generation != self.generation {
+            return; // stale round
         }
         let Some(&slot) = index_of.get(&client_id) else { return };
         if results[slot].is_some() {
             return; // already served (reassignment race) — ignore
         }
-        let buf = self.workers[widx]
-            .chunks
-            .entry((generation, client_id))
-            .or_insert_with(|| ChunkBuf { parts: vec![None; total as usize], got: 0 });
-        if buf.parts.len() != total as usize {
-            return;
-        }
-        if buf.parts[index as usize].is_none() {
-            buf.parts[index as usize] = Some(bytes);
-            buf.got += 1;
-        }
-        if buf.got < buf.parts.len() {
-            return;
-        }
-        let buf = self.workers[widx].chunks.remove(&(generation, client_id)).expect("buf exists");
-        let blob: Vec<u8> = buf
-            .parts
-            .into_iter()
-            .map(|p| p.expect("all parts present"))
-            .collect::<Vec<_>>()
-            .concat();
         if let Some(codec) = self.codec.as_deref() {
             // The decode against the generation's model IS the codec's
             // lossy projection — this slot must not be re-projected at
@@ -448,7 +356,7 @@ impl NetServer {
                 eprintln!("seafl-server: no model for generation {generation}, dropping outcome");
                 return;
             };
-            match msg::decode_outcome_coded(&blob, codec, reference) {
+            match msg::decode_outcome_coded(blob, codec, reference) {
                 Ok((outcome, rng, raw, encoded)) => {
                     results[slot] = Some((outcome, rng));
                     if let Some(c) = self.codec_stats.coded.get_mut(slot) {
@@ -463,7 +371,7 @@ impl NetServer {
             }
             return;
         }
-        match msg::decode_outcome(&blob) {
+        match msg::decode_outcome(blob) {
             Ok((outcome, rng)) => results[slot] = Some((outcome, rng)),
             Err(e) => {
                 eprintln!("seafl-server: outcome for client {client_id} failed to decode: {e}")
@@ -471,81 +379,46 @@ impl NetServer {
         }
     }
 
-    /// Go-back-N: resend every unacked frame of any worker whose RTO
-    /// expired, doubling its RTO up to the cap.
+    /// Let every link whose RTO expired resend its unacked frames.
     fn service_retransmits(&mut self) {
         let now = Instant::now();
         for w in &mut self.workers {
-            if w.transport.is_none() || w.send.in_flight() == 0 {
-                continue;
+            let (frames, bytes) = w.link.retransmit_due(now);
+            if frames > 0 {
+                let mut s = self.stats.lock().unwrap();
+                s.bytes_sent += bytes;
+                s.retransmits += frames;
             }
-            let Some(deadline) = w.rto_deadline else {
-                w.rto_deadline = Some(now + secs(w.rto));
-                continue;
-            };
-            if now < deadline {
-                continue;
-            }
-            let frames: Vec<Frame> = w.send.unacked().cloned().collect();
-            let mut sent_bytes = 0u64;
-            let mut resent = 0u64;
-            if let Some(t) = w.transport.as_mut() {
-                for f in &frames {
-                    sent_bytes += f.wire_len() as u64;
-                    resent += 1;
-                    if t.send(f).is_err() {
-                        w.transport = None;
-                        break;
-                    }
-                }
-            }
-            let mut s = self.stats.lock().unwrap();
-            s.bytes_sent += sent_bytes;
-            s.retransmits += resent;
-            drop(s);
-            w.rto = (w.rto * 2.0).min(self.knobs.rto_cap);
-            w.rto_deadline = Some(now + secs(w.rto));
         }
     }
 
-    /// Quarantine workers silent past the idle timeout while owning
-    /// unserved jobs, moving those jobs to live workers (or to `None`,
-    /// i.e. the engine's local fallback) and recording the incident.
+    /// Quarantine workers that owe a job and have been silent past the idle
+    /// timeout, moving their jobs to live workers (or to `None`, i.e. the
+    /// engine's local fallback) and recording the incident.
     fn service_timeouts(
         &mut self,
         gen: u64,
         jobs: &[RemoteJob],
-        chunks: &[Vec<u8>],
+        model: &[u8],
         assigned_to: &mut [Option<u64>],
         results: &[Slot],
     ) {
-        let idle = secs(self.knobs.idle_timeout);
+        let idle = Duration::from_secs_f64(self.knobs.idle_timeout);
         loop {
             let victim = self.workers.iter().position(|w| {
-                !w.quarantined
-                    && w.last_heard.elapsed() > idle
-                    && assigned_to.iter().zip(results).any(|(a, r)| *a == Some(w.id) && r.is_none())
+                !w.quarantined && w.last_heard.elapsed() > idle && owes(w.id, assigned_to, results)
             });
             let Some(widx) = victim else { return };
             let id = self.workers[widx].id;
-            {
-                let w = &mut self.workers[widx];
-                w.quarantined = true;
-                w.transport = None;
-            }
+            self.workers[widx].quarantined = true;
+            self.workers[widx].link.detach();
             self.stats.lock().unwrap().workers_quarantined += 1;
             self.incidents.push(NetIncident::Quarantine { worker: id as usize });
             eprintln!(
                 "seafl-server: worker {id} idle past {:.1}s, quarantined",
                 self.knobs.idle_timeout
             );
-            let live: Vec<usize> = self
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| !w.quarantined && w.transport.is_some())
-                .map(|(i, _)| i)
-                .collect();
+            let live = self.live();
             let mut rr = 0usize;
             for (i, job) in jobs.iter().enumerate() {
                 if assigned_to[i] != Some(id) || results[i].is_some() {
@@ -557,8 +430,9 @@ impl NetServer {
                 }
                 let target = live[rr % live.len()];
                 rr += 1;
-                self.dispatch_job(target, gen, job, chunks);
-                assigned_to[i] = Some(self.workers[target].id);
+                let target_id = self.workers[target].id;
+                self.dispatch_job(target, gen, job, model, owes(target_id, assigned_to, results));
+                assigned_to[i] = Some(target_id);
             }
         }
     }
@@ -577,28 +451,20 @@ impl CohortTrainer for NetServer {
         if self.codec.is_some() {
             self.ring.push(gen, global.to_vec());
         }
-        for w in &mut self.workers {
-            w.chunks.clear();
-        }
         self.poll_accept();
         let index_of: HashMap<u64, usize> =
             jobs.iter().enumerate().map(|(i, j)| (j.client_id as u64, i)).collect();
-        let chunks = msg::params_to_chunks(global, self.knobs.chunk_bytes);
-        let live: Vec<usize> = self
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.quarantined && w.transport.is_some())
-            .map(|(i, _)| i)
-            .collect();
+        let live = self.live();
         if live.is_empty() {
             return results; // nobody to serve: the engine trains locally
         }
+        let model = Msg::Model { generation: gen, params: global.to_vec() }.encode();
         let mut assigned_to: Vec<Option<u64>> = vec![None; jobs.len()];
         for (i, job) in jobs.iter().enumerate() {
             let widx = live[i % live.len()];
-            self.dispatch_job(widx, gen, job, &chunks);
-            assigned_to[i] = Some(self.workers[widx].id);
+            let id = self.workers[widx].id;
+            self.dispatch_job(widx, gen, job, &model, owes(id, &assigned_to, &results));
+            assigned_to[i] = Some(id);
         }
         loop {
             if results.iter().all(|r| r.is_some()) {
@@ -615,7 +481,7 @@ impl CohortTrainer for NetServer {
                 self.pump_worker(widx, &mut results, &index_of);
             }
             self.service_retransmits();
-            self.service_timeouts(gen, jobs, &chunks, &mut assigned_to, &results);
+            self.service_timeouts(gen, jobs, &model, &mut assigned_to, &results);
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -629,18 +495,17 @@ impl CohortTrainer for NetServer {
     }
 
     fn shutdown(&mut self) {
-        for widx in 0..self.workers.len() {
-            if self.workers[widx].quarantined || self.workers[widx].transport.is_none() {
-                continue;
-            }
-            self.push_to_worker(widx, &Msg::Done);
+        let done = Msg::Done.encode();
+        for widx in self.live() {
+            let sent = self.workers[widx].link.push(&done);
+            self.note_sent(sent);
         }
         // Short grace pump so Done frames flush, retransmit if needed,
         // and get acked before the sockets drop.
         let deadline = Instant::now() + Duration::from_millis(800);
         let no_results: HashMap<u64, usize> = HashMap::new();
         while Instant::now() < deadline {
-            if self.workers.iter().all(|w| w.transport.is_none() || w.send.in_flight() == 0) {
+            if self.workers.iter().all(|w| !w.link.is_up() || w.link.in_flight() == 0) {
                 break;
             }
             for widx in 0..self.workers.len() {
@@ -652,6 +517,30 @@ impl CohortTrainer for NetServer {
     }
 }
 
-fn secs(s: f64) -> Duration {
-    Duration::from_secs_f64(s.max(0.001))
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn v1_hello_is_refused_with_the_version_reason() {
+        let cfg = crate::preset::loopback_config(1, "seafl");
+        let ep = Endpoint::parse("tcp://127.0.0.1:0").unwrap();
+        let mut server = NetServer::bind(&ep, &cfg, Default::default()).unwrap();
+        let mut t = StreamTransport::connect(server.local_endpoint()).unwrap();
+        let hello =
+            Msg::Hello { protocol: 1, config_hash: cfg.state_hash(), worker: 0, recv_next: 0 };
+        t.send(&Frame::new(FrameKind::Hello, 0, hello.encode())).unwrap();
+        let frame = loop {
+            server.poll_accept(); // non-blocking: the connection may not be queued yet
+            if let Some(f) = t.recv(Duration::from_secs(1)).unwrap() {
+                break f;
+            }
+        };
+        assert_eq!(frame.kind, FrameKind::Reject);
+        let Ok(Msg::Reject { reason }) = Msg::decode(&frame.payload) else {
+            panic!("Reject frame must carry a Reject message");
+        };
+        assert!(reason.contains("protocol version mismatch (server 2, client 1)"), "{reason}");
+        assert!(server.workers.is_empty(), "a refused peer is not a worker");
+    }
 }
