@@ -56,8 +56,10 @@ pub const MAGIC: [u8; 8] = *b"SEAFLCKP";
 /// counters the trace already records are no longer stored beside it) and
 /// every client id is a `u32`; 6 = the payload checksum is XXH64 instead of
 /// FNV-1a (same layout, so a v5 file would fail its checksum — the version
-/// check names the real cause first).
-pub const FORMAT_VERSION: u32 = 6;
+/// check names the real cause first); 7 = the robust layer's section and
+/// the fleet table's per-row session counter are gone (a session's
+/// dispatch generation identifies it).
+pub const FORMAT_VERSION: u32 = 7;
 /// Engine tag for the unified event-driven engine. The legacy tags (0 =
 /// sync, 1 = semi-async) died with format version 1.
 pub const ENGINE_UNIFIED: u8 = 2;
@@ -420,14 +422,15 @@ mod tests {
     #[test]
     fn previous_format_version_rejected_not_guessed_at() {
         let store = tmp_store("oldversion", 1);
-        // A v5 file has this layout under another checksum: the version is
-        // what rejects it, before its checksum is ever looked at.
-        let path = store.save(ENGINE_UNIFIED, 5, 1, b"a v5 payload").unwrap();
+        // A v6 file has this header and checksum over another payload
+        // layout: the version is what rejects it, before the payload is
+        // ever decoded.
+        let path = store.save(ENGINE_UNIFIED, 5, 1, b"a v6 payload").unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&6u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         let err = store.load_latest(ENGINE_UNIFIED, 5).unwrap_err();
-        assert!(err.to_string().contains("unsupported format version 5"), "unexpected: {err}");
+        assert!(err.to_string().contains("unsupported format version 6"), "unexpected: {err}");
         fs::remove_dir_all(&store.dir).ok();
     }
 

@@ -49,7 +49,7 @@ pub use quant::QuantInt8;
 pub use topk::TopK;
 
 use crate::checkpoint::CodecError;
-use seafl_sim::faults::ConfigError;
+use seafl_sim::faults::{ensure, ConfigError};
 use std::collections::VecDeque;
 
 /// One update-compression codec: encodes an update vector against a
@@ -200,9 +200,7 @@ impl CodecConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         for stage in &self.stages {
             if let CodecStage::TopK { k } = stage {
-                if *k == 0 {
-                    return Err(ConfigError::new("config: codec TopK k must be >= 1"));
-                }
+                ensure(*k >= 1, || "config: codec TopK k must be >= 1".into())?;
             }
         }
         Ok(())

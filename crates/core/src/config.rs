@@ -6,7 +6,7 @@ use crate::robust::RobustConfig;
 use crate::weighting::ImportanceMode;
 use seafl_data::SyntheticSpec;
 use seafl_nn::ModelKind;
-use seafl_sim::faults::ConfigError;
+use seafl_sim::faults::{ensure, ConfigError};
 use seafl_sim::{AttackConfig, FaultConfig, FleetConfig, LossConfig};
 
 /// How the server handles in-flight clients whose staleness reaches the
@@ -342,13 +342,6 @@ impl Default for TransportConfig {
 impl TransportConfig {
     /// Check invariants (called from [`ExperimentConfig::validate`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), ConfigError> {
-            if cond {
-                Ok(())
-            } else {
-                Err(ConfigError::new(msg()))
-            }
-        }
         ensure(self.chunk_bytes >= 1, || "config: transport.chunk_bytes must be >= 1".into())?;
         ensure(self.replay_history >= 1, || {
             "config: transport.replay_history must be >= 1".into()

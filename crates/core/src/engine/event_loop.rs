@@ -86,7 +86,7 @@ use crate::config::StalenessPolicy;
 use crate::engine::setup::Environment;
 use crate::engine::RunResult;
 use crate::fleet::{ClientPhase, FleetTable, Session};
-use crate::obs::{bounds, export, names, Obs, Phase};
+use crate::obs::{bounds, export, names, Obs, ObsSummary, Phase};
 use crate::policy::{
     weighted_average, Admission, DispatchCtx, DrainCtx, InFlight, ServerPolicy, ServerView,
 };
@@ -99,6 +99,7 @@ use seafl_sim::{
     AttackPlan, ClientId, EventQueue, FaultPlan, LazyStreams, RejectCause, SimRng, SimTime,
     TerminationReason, TraceEvent, TraceLog,
 };
+use std::collections::BTreeMap;
 
 /// Events on the virtual clock.
 #[derive(Debug, Clone, Copy)]
@@ -107,9 +108,9 @@ enum Ev {
     /// (a notification reschedules the upload; the original event is
     /// ignored when popped); `attempt` counts transit retries.
     Upload { client: ClientId, generation: u64, attempt: u32 },
-    /// Server-side session timeout: if the session `session_seq` is still
-    /// in flight when this pops, it is reclaimed.
-    Timeout { client: ClientId, session_seq: u64 },
+    /// Server-side session timeout: if the session dispatched under
+    /// `generation` is still in flight when this pops, it is reclaimed.
+    Timeout { client: ClientId, generation: u64 },
     /// A device's permanent crash instant (fault injection), materialized
     /// on the clock so the trace records it.
     Crash { client: ClientId },
@@ -124,10 +125,10 @@ impl Ev {
                 w.u64(generation);
                 w.u32(attempt);
             }
-            Ev::Timeout { client, session_seq } => {
+            Ev::Timeout { client, generation } => {
                 w.u8(1);
                 w.client_id(client);
-                w.u64(session_seq);
+                w.u64(generation);
             }
             Ev::Crash { client } => {
                 w.u8(2);
@@ -147,7 +148,7 @@ impl Ev {
         }
         Ok(match tag {
             0 => Ev::Upload { client, generation: r.u64()?, attempt: r.u32()? },
-            1 => Ev::Timeout { client, session_seq: r.u64()? },
+            1 => Ev::Timeout { client, generation: r.u64()? },
             2 => Ev::Crash { client },
             b => return Err(CodecError(format!("invalid clock event tag {b}"))),
         })
@@ -206,7 +207,6 @@ pub(crate) fn drive(
         let span = st.obs.span_start();
         let acc0 = env.evaluate(&st.global);
         st.obs.span_end(Phase::Eval, span);
-        st.obs.count(names::EVALS);
         st.obs.emit(move || export::eval_record(0.0, 0, acc0));
         st.bytes_curve.push((st.codec_bytes_raw, st.codec_bytes_encoded));
         st.trace.push(SimTime::ZERO, TraceEvent::Eval { round: 0, accuracy: acc0 });
@@ -258,13 +258,10 @@ pub(crate) fn drive(
             Ev::Upload { client, generation, attempt } => {
                 st.on_upload(cfg, env, now, client, generation, attempt);
             }
-            Ev::Timeout { client, session_seq } => {
-                st.on_timeout(cfg, env, now, client, session_seq);
+            Ev::Timeout { client, generation } => {
+                st.on_timeout(cfg, env, now, client, generation);
             }
-            Ev::Crash { client } => {
-                st.obs.count(names::DEVICE_CRASHES);
-                st.trace.push(now, TraceEvent::Crash { id: client });
-            }
+            Ev::Crash { client } => st.trace.push(now, TraceEvent::Crash { id: client }),
         }
         st.try_aggregate(cfg, env, now);
         // Round-boundary snapshot. Never taken in the reached-target state:
@@ -308,10 +305,6 @@ pub(crate) fn drive(
 
     let end = st.queue.now();
     st.trace.push(end, TraceEvent::Terminated { reason: termination, buffered: st.buffer.len() });
-    let obs_summary = {
-        let counts = st.trace.kind_counts();
-        st.obs.finish(end.as_secs(), st.round, &counts)
-    };
     // The trace is the run's only event ledger: every counter an event
     // records is read off it here, when the run ends, instead of being
     // tallied (and checkpointed) a second time beside it.
@@ -320,7 +313,7 @@ pub(crate) fn drive(
     };
     let (rejected_nonfinite, rejected_norm) =
         (rejected(RejectCause::NonFinite), rejected(RejectCause::NormExploded));
-    Ok(RunResult {
+    let mut result = RunResult {
         algorithm: st.policy.name(),
         accuracy: st.trace.accuracy_series(),
         grad_norms: st.grad_norms,
@@ -351,9 +344,52 @@ pub(crate) fn drive(
         bytes_curve: st.bytes_curve,
         model_digest: seafl_sim::digest::digest_f32(&st.global),
         sim_time_end: end.as_secs(),
-        obs: obs_summary,
+        obs: ObsSummary::default(),
         trace: st.trace,
-    })
+    };
+    let kinds = result.trace.kind_counts();
+    let ledger = ledger_counters(&result, &kinds, env.model_bytes as u64);
+    result.obs = st.obs.finish(end.as_secs(), result.rounds, &kinds, &ledger);
+    Ok(result)
+}
+
+/// The obs counters that restate the run's ledger, read off the finished
+/// result: they cover the whole run, the part before a resume included.
+/// The byte counters are the modeled protocol traffic, one model download
+/// per dispatched session and one upload per received update;
+/// real-transport runs overwrite them with measured wire bytes.
+fn ledger_counters(
+    r: &RunResult,
+    kinds: &BTreeMap<&'static str, u64>,
+    model_bytes: u64,
+) -> [(&'static str, u64); 23] {
+    let kind = |k| kinds.get(k).copied().unwrap_or(0);
+    let n = |v: usize| v as u64;
+    [
+        (names::UPDATES_RECEIVED, n(r.total_updates)),
+        (names::UPDATES_PARTIAL, n(r.partial_updates)),
+        (names::UPDATES_SUPERSEDED, n(r.superseded_uploads)),
+        (names::UPDATES_REJECTED_NONFINITE, n(r.rejected_nonfinite)),
+        (names::UPDATES_REJECTED_NORM, n(r.rejected_norm)),
+        (names::UPDATES_SCREENED_ROBUST, n(r.screened_updates)),
+        (names::UPDATES_CLIPPED_ROBUST, n(r.clipped_updates)),
+        (names::UPDATES_ATTACKED, n(r.attacked_updates)),
+        (names::UPLOAD_FAILURES, n(r.upload_failures)),
+        (names::UPLOAD_RETRIES, n(r.retries)),
+        (names::SESSIONS_DISPATCHED, kind("client_start")),
+        (names::SESSION_TIMEOUTS, n(r.timeouts)),
+        (names::CLIENTS_QUARANTINED, n(r.quarantined)),
+        (names::DEVICE_CRASHES, n(r.crashes)),
+        (names::AGGREGATIONS, r.rounds),
+        (names::EVALS, n(r.accuracy.len())),
+        (names::NOTIFICATIONS_SENT, n(r.notifications)),
+        (names::NET_BYTES_SENT, kind("client_start") * model_bytes),
+        (names::NET_BYTES_RECEIVED, n(r.total_updates) * model_bytes),
+        (names::NET_RECONNECTS, kind("net_reconnect")),
+        (names::NET_WORKERS_QUARANTINED, kind("net_quarantine")),
+        (names::CODEC_BYTES_RAW, r.codec_bytes_raw),
+        (names::CODEC_BYTES_ENCODED, r.codec_bytes_encoded),
+    ]
 }
 
 struct State {
@@ -371,6 +407,7 @@ struct State {
     attack: AttackPlan,
     /// Byzantine-robust screening/combination between sanitizer and
     /// weighting. `Mean` (the default) is a bit-identical pass-through.
+    /// Stateless, so not checkpointed.
     robust: RobustLayer,
     sel_rng: SimRng,
     /// The run's event ledger. Every `RunResult` counter an event records
@@ -453,10 +490,10 @@ impl State {
     /// Encode the complete engine state (plus the environment's per-client
     /// RNG streams, which advance during refills) into a checkpoint payload:
     /// an ordered list of parts, each written by the type that owns it
-    /// (DESIGN.md §7c lists them). The robust layer, the policy and the
-    /// codec state ride in length-prefixed sections, so a rule, a policy or
-    /// a codec stage can grow state without touching this list. Written
-    /// over `buf`'s allocation (the previous snapshot's).
+    /// (DESIGN.md §7c lists them). The policy and the codec state ride in
+    /// length-prefixed sections, so a policy or a codec stage can grow
+    /// state without touching this list. Written over `buf`'s allocation
+    /// (the previous snapshot's).
     fn encode(&self, env: &Environment, buf: Vec<u8>) -> Vec<u8> {
         let mut w = BinWriter::reusing(buf);
         w.vec_f32(&self.global);
@@ -470,7 +507,6 @@ impl State {
         w.usize(self.clipped_updates);
         w.usize(self.superseded_uploads);
         self.attack.encode_state(&mut w);
-        w.section_with(|w| self.robust.encode_state(w));
         env.client_rngs.encode(&mut w);
         env.idle_rngs.encode(&mut w);
         w.section_with(|w| self.policy.encode_state(w));
@@ -527,7 +563,6 @@ impl State {
         st.clipped_updates = r.usize()?;
         st.superseded_uploads = r.usize()?;
         st.attack.decode_state(&mut r)?;
-        r.section_with("robust section", |r| st.robust.decode_state(r))?;
         let client_rngs = LazyStreams::decode(&mut r, cfg.seed, streams::CLIENT_BASE, n)?;
         let idle_rngs = LazyStreams::decode(&mut r, cfg.seed, streams::IDLE_BASE, n)?;
         let policy_section = format!("{} policy section", st.policy.name());
@@ -647,7 +682,6 @@ impl State {
         }
 
         let generation = self.table.bump_generation(cid);
-        let seq = self.table.bump_session_seq(cid);
 
         let upload_at = epoch_ends[cfg.local_epochs - 1].after(device.upload_time(env.model_bytes));
         self.obs.observe(
@@ -657,14 +691,14 @@ impl State {
         );
         self.schedule_upload(now, cid, upload_at, generation, 0);
         if let Some(timeout) = cfg.resilience.session_timeout {
-            self.queue.schedule(now.after(timeout), Ev::Timeout { client: cid, session_seq: seq });
+            self.queue.schedule(now.after(timeout), Ev::Timeout { client: cid, generation });
         }
 
         self.table.insert_session(
             cid,
             Session {
                 born_round: self.round,
-                seq,
+                seq: generation,
                 generation,
                 epoch_ends,
                 outcome,
@@ -718,13 +752,12 @@ impl State {
             let cid = ClientId::new(k);
             env.client_rngs.set(k, rng);
             let generation = self.table.bump_generation(cid);
-            let seq = self.table.bump_session_seq(cid);
             self.queue.schedule(barrier, Ev::Upload { client: cid, generation, attempt: 0 });
             self.table.insert_session(
                 cid,
                 Session {
                     born_round: self.round,
-                    seq,
+                    seq: generation,
                     generation,
                     epoch_ends: Vec::new(),
                     outcome,
@@ -749,16 +782,10 @@ impl State {
         attempt: u32,
     ) {
         let k = client.index();
-        let Some(session) = self.table.session(client) else {
-            // Session already consumed or reclaimed.
+        if self.table.session(client).is_none_or(|s| s.generation != generation) {
+            // Session already consumed or reclaimed, or superseded by a
+            // notification reschedule.
             self.superseded_uploads += 1;
-            self.obs.count(names::UPDATES_SUPERSEDED);
-            return;
-        };
-        if session.generation != generation {
-            // Superseded by a notification reschedule.
-            self.superseded_uploads += 1;
-            self.obs.count(names::UPDATES_SUPERSEDED);
             return;
         }
 
@@ -767,14 +794,12 @@ impl State {
         // retries with capped exponential backoff, then gives up. Lockstep
         // rounds skip the channel entirely (see module docs).
         if !lockstep && self.upload_attempt_fails(client) {
-            self.obs.count(names::UPLOAD_FAILURES);
             self.trace.push(now, TraceEvent::UploadFailed { id: client, attempt });
             if attempt < cfg.resilience.max_upload_retries {
                 let backoff = (cfg.resilience.retry_backoff_base * 2f64.powi(attempt as i32))
                     .min(cfg.resilience.retry_backoff_cap);
                 let arrival =
                     now.after(backoff + env.fleet.profile(client).upload_time(env.model_bytes));
-                self.obs.count(names::UPLOAD_RETRIES);
                 self.trace.push(now, TraceEvent::Retry { id: client, attempt: attempt + 1 });
                 self.schedule_upload(now, client, arrival, generation, attempt + 1);
             } else {
@@ -802,7 +827,6 @@ impl State {
         if !lockstep {
             if let Some(kind) = self.attack.apply(k, &mut params, &self.global) {
                 attacked = true;
-                self.obs.count(names::UPDATES_ATTACKED);
                 self.trace.push(now, TraceEvent::Attacked { id: client, kind });
             }
         }
@@ -818,11 +842,6 @@ impl State {
         let born = session.born_round;
         self.table.remove_session(client);
         self.table.reset_timeouts(client);
-        self.obs.count(names::UPDATES_RECEIVED);
-        self.obs.count_n(names::NET_BYTES_RECEIVED, env.model_bytes as u64);
-        if epochs < cfg.local_epochs {
-            self.obs.count(names::UPDATES_PARTIAL);
-        }
         self.trace.push(now, TraceEvent::Upload { id: client, born_round: born, epochs });
         let span = self.obs.span_start();
         let verdict = self.policy.on_update_received(&update, self.round);
@@ -866,23 +885,21 @@ impl State {
         env: &mut Environment,
         now: SimTime,
         client: ClientId,
-        session_seq: u64,
+        generation: u64,
     ) {
         let Some(session) = self.table.session(client) else {
             return; // session reported (or was reclaimed) in time
         };
-        if session.seq != session_seq {
+        if session.seq != generation {
             return; // timer from an older session
         }
         // Reclaim: the client stops blocking staleness scans and its slot
         // is refilled. A late upload from this session is ignored (its
         // generation can never match a later session).
         self.table.remove_session(client);
-        self.obs.count(names::SESSION_TIMEOUTS);
         self.trace.push(now, TraceEvent::Timeout { id: client });
         if self.table.record_timeout(client) >= cfg.resilience.quarantine_after {
             self.table.set_phase(client, ClientPhase::Quarantined);
-            self.obs.count(names::CLIENTS_QUARANTINED);
             self.trace.push(now, TraceEvent::Quarantine { id: client });
         } else {
             self.table.set_phase(client, ClientPhase::Idle);
@@ -915,17 +932,6 @@ impl State {
         let (clean, rejected) = sanitize::sanitize_updates(updates, &self.global, &cfg.resilience);
         self.obs.span_end(Phase::Sanitize, span);
         for (id, cause) in rejected {
-            match cause {
-                RejectCause::NonFinite => {
-                    self.obs.count(names::UPDATES_REJECTED_NONFINITE);
-                }
-                RejectCause::NormExploded => {
-                    self.obs.count(names::UPDATES_REJECTED_NORM);
-                }
-                // The sanitizer never produces this cause; it belongs to the
-                // robust layer below.
-                RejectCause::RobustScreened => unreachable!("sanitizer emitted RobustScreened"),
-            }
             self.trace.push(now, TraceEvent::Rejected { id: ClientId::new(id), cause });
         }
         if clean.is_empty() {
@@ -944,7 +950,6 @@ impl State {
             let outcome = self.robust.screen(&mut clean, &self.global);
             self.obs.span_end(Phase::Robust, span);
             for &id in &outcome.screened {
-                self.obs.count(names::UPDATES_SCREENED_ROBUST);
                 self.trace.push(
                     now,
                     TraceEvent::Rejected {
@@ -953,10 +958,7 @@ impl State {
                     },
                 );
             }
-            if outcome.clipped > 0 {
-                self.clipped_updates += outcome.clipped;
-                self.obs.count_n(names::UPDATES_CLIPPED_ROBUST, outcome.clipped as u64);
-            }
+            self.clipped_updates += outcome.clipped;
             if clean.is_empty() {
                 // The whole buffer was screened as suspect; like an
                 // all-garbage buffer, the clients are idle again and
@@ -1035,7 +1037,6 @@ impl State {
         self.round += 1;
         self.trace
             .push(now, TraceEvent::Aggregate { round: self.round, num_updates: updates.len() });
-        self.obs.count(names::AGGREGATIONS);
         for &s in &stalenesses {
             self.obs.observe(names::STALENESS_ROUNDS, bounds::STALENESS_ROUNDS, s as f64);
         }
@@ -1066,7 +1067,6 @@ impl State {
             let span = self.obs.span_start();
             let acc = env.evaluate(&self.global);
             self.obs.span_end(Phase::Eval, span);
-            self.obs.count(names::EVALS);
             {
                 let (t, round) = (now.as_secs(), self.round);
                 self.obs.emit(move || export::eval_record(t, round, acc));
@@ -1117,7 +1117,6 @@ impl State {
             session.generation = generation;
             session.scheduled_epochs = epoch_idx + 1;
             self.schedule_upload(now, cid, upload_at, generation, 0);
-            self.obs.count(names::NOTIFICATIONS_SENT);
             self.trace.push(now, TraceEvent::Notify { id: cid });
         }
     }
@@ -1148,12 +1147,7 @@ impl State {
         if picked.is_empty() {
             return;
         }
-        self.obs.count_n(names::SESSIONS_DISPATCHED, picked.len() as u64);
         self.obs.observe(names::COHORT_SIZE, bounds::COHORT, picked.len() as f64);
-        // Modeled protocol traffic: every dispatched session implies one
-        // model download. Real-transport runs overwrite these counters with
-        // measured wire bytes (retransmits included) after the run.
-        self.obs.count_n(names::NET_BYTES_SENT, (picked.len() * env.model_bytes) as u64);
         if self.policy.lockstep() {
             let span = self.obs.span_start();
             self.begin_lockstep_round(cfg, env, &picked, now);
@@ -1199,7 +1193,6 @@ impl State {
         outcomes: &mut [(TrainOutcome, SimRng)],
         wire: &CodecTransferStats,
     ) {
-        let before = (self.codec_bytes_raw, self.codec_bytes_encoded);
         self.codec_bytes_raw += wire.bytes_raw;
         self.codec_bytes_encoded += wire.bytes_encoded;
         if self.codec_identity {
@@ -1244,24 +1237,17 @@ impl State {
             }
             self.obs.span_end(Phase::Codec, span);
         }
-        self.obs.count_n(names::CODEC_BYTES_RAW, self.codec_bytes_raw - before.0);
-        self.obs.count_n(names::CODEC_BYTES_ENCODED, self.codec_bytes_encoded - before.1);
     }
 
-    /// Fold transport-layer incidents (never present in pure simulation)
-    /// into the trace and counters at the current virtual time.
+    /// Record transport-layer incidents (never present in pure simulation)
+    /// in the trace at the current virtual time.
     fn record_incidents(&mut self, now: SimTime, incidents: Vec<NetIncident>) {
         for incident in incidents {
-            match incident {
-                NetIncident::Reconnect { worker } => {
-                    self.obs.count(names::NET_RECONNECTS);
-                    self.trace.push(now, TraceEvent::NetReconnect { worker });
-                }
-                NetIncident::Quarantine { worker } => {
-                    self.obs.count(names::NET_WORKERS_QUARANTINED);
-                    self.trace.push(now, TraceEvent::NetQuarantine { worker });
-                }
-            }
+            let event = match incident {
+                NetIncident::Reconnect { worker } => TraceEvent::NetReconnect { worker },
+                NetIncident::Quarantine { worker } => TraceEvent::NetQuarantine { worker },
+            };
+            self.trace.push(now, event);
         }
     }
 }

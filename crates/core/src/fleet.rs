@@ -8,7 +8,7 @@
 //! one table keyed by [`ClientId`]:
 //!
 //! * **Dense columns** for the cheap monotone counters, one cache-friendly
-//!   array per field (~30 bytes/client all-in), instead of per-client
+//!   array per field (~21 bytes/client all-in), instead of per-client
 //!   heap objects.
 //! * **Bitsets** for the booleans: `idle` mirrors `phase == Idle` so the
 //!   refill scan walks 64 clients per word instead of one enum per client,
@@ -34,7 +34,8 @@ use std::collections::BTreeMap;
 pub struct Session {
     /// Round the session was dispatched in (staleness anchor).
     pub born_round: u64,
-    /// Per-client monotonic session counter (timeout matching).
+    /// The generation the session was dispatched with: unique to this
+    /// session among the client's sessions, it matches timeouts to it.
     pub seq: u64,
     /// Currently valid upload generation. Per-client monotonic across
     /// sessions, so an upload event from a reclaimed session can never be
@@ -128,8 +129,6 @@ pub struct FleetTable {
     /// dangling upload event from a consumed or reclaimed session can never
     /// collide with a later session's generation (the double-consume bug).
     next_generation: Vec<u64>,
-    /// Per-client monotonic session counters (timeout matching).
-    next_session_seq: Vec<u64>,
     /// Consecutive session timeouts per client (quarantine trigger; reset
     /// on any successful upload).
     consecutive_timeouts: Vec<u32>,
@@ -205,7 +204,6 @@ impl FleetTable {
             len: n,
             phase: vec![ClientPhase::Idle; n],
             next_generation: vec![0; n],
-            next_session_seq: vec![0; n],
             consecutive_timeouts: vec![0; n],
             fault_attempts: vec![0; n],
             crash_scheduled: vec![0; words],
@@ -299,15 +297,6 @@ impl FleetTable {
         g
     }
 
-    /// Client `id`'s next session sequence number (pre-increment value).
-    pub fn bump_session_seq(&mut self, id: ClientId) -> u64 {
-        let k = self.check(id);
-        self.touch(k);
-        let s = self.next_session_seq[k];
-        self.next_session_seq[k] += 1;
-        s
-    }
-
     /// Consecutive-timeout streak after recording one more (post-increment).
     pub fn record_timeout(&mut self, id: ClientId) -> u32 {
         let k = self.check(id);
@@ -391,7 +380,6 @@ impl FleetTable {
             w.u32(k as u32);
             w.u8(self.phase[k].tag());
             w.u64(self.next_generation[k]);
-            w.u64(self.next_session_seq[k]);
             w.u32(self.consecutive_timeouts[k]);
             w.u64(self.fault_attempts[k]);
             w.bool(bit_get(&self.crash_scheduled, k));
@@ -420,7 +408,6 @@ impl FleetTable {
                 .ok_or_else(|| CodecError(format!("invalid client phase for row {raw}")))?;
             table.set_phase(ClientId::from_raw(raw), phase);
             table.next_generation[k] = r.u64()?;
-            table.next_session_seq[k] = r.u64()?;
             table.consecutive_timeouts[k] = r.u32()?;
             table.fault_attempts[k] = r.u64()?;
             bit_set(&mut table.crash_scheduled, k, r.bool()?);
@@ -475,7 +462,6 @@ mod tests {
         assert_eq!(t.bump_generation(cid(2)), 0);
         assert_eq!(t.bump_generation(cid(2)), 1);
         assert_eq!(t.bump_generation(cid(3)), 0);
-        assert_eq!(t.bump_session_seq(cid(2)), 0);
         assert_eq!(t.record_timeout(cid(5)), 1);
         assert_eq!(t.record_timeout(cid(5)), 2);
         t.reset_timeouts(cid(5));
@@ -534,7 +520,6 @@ mod tests {
         let mut t = FleetTable::new(1000);
         t.set_phase(cid(7), ClientPhase::Training);
         t.bump_generation(cid(7));
-        t.bump_session_seq(cid(7));
         t.record_timeout(cid(400));
         t.take_fault_attempt(cid(999));
         t.mark_crash_scheduled(cid(999));
@@ -557,7 +542,7 @@ mod tests {
         t.encode(&mut w);
         let bytes = w.into_bytes();
         // Sparse: 3 touched rows out of 1000; the payload must not scale
-        // with the fleet (3 rows ≈ 34 bytes each plus one session).
+        // with the fleet (3 rows ≈ 26 bytes each plus one session).
         assert!(bytes.len() < 300, "payload {} bytes is not sparse", bytes.len());
         let mut r = BinReader::new(&bytes);
         let back = FleetTable::decode(&mut r, 1000).unwrap();
@@ -565,7 +550,6 @@ mod tests {
         assert_eq!(back.resident_records(), 3);
         assert_eq!(back.phase(cid(7)), ClientPhase::Training);
         assert_eq!(back.next_generation[7], 1);
-        assert_eq!(back.next_session_seq[7], 1);
         assert_eq!(back.consecutive_timeouts[400], 1);
         assert_eq!(back.fault_attempts[999], 1);
         assert!(back.crash_scheduled(cid(999)));

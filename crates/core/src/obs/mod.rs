@@ -20,9 +20,7 @@
 //!    attached.
 //!
 //! The JSONL schema (one record per line, `"v": 1`) is rendered by
-//! [`export`] and documented field-by-field in `OBSERVABILITY.md`; the
-//! `report` binary in `seafl-bench` turns streams back into per-policy
-//! comparison tables.
+//! [`export`] and documented field-by-field in `OBSERVABILITY.md`.
 //!
 //! # Examples
 //!
@@ -319,13 +317,6 @@ impl Obs {
         }
     }
 
-    /// Add `n` to counter `name` (no-op when disabled).
-    pub fn count_n(&mut self, name: &'static str, n: u64) {
-        if self.enabled() {
-            self.registry.add(name, n);
-        }
-    }
-
     /// Observe `v` into histogram `name` (no-op when disabled).
     pub fn observe(&mut self, name: &'static str, bounds: &'static [f64], v: f64) {
         if self.enabled() {
@@ -386,27 +377,29 @@ impl Obs {
         self.last_aggregate_secs = Some(now_secs);
     }
 
-    /// The live registry (what `tests/obs.rs` digests mid-run).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Terminal real-time phase totals so far.
     pub fn phases(&self) -> &PhaseTable {
         &self.phases
     }
 
-    /// Finish the run: emit the JSONL summary record, flush the stream and
-    /// snapshot everything into an [`ObsSummary`]. `trace_counts` is the
-    /// per-kind tally from `TraceLog::kind_counts`.
+    /// Finish the run: add the `ledger` counters, emit the JSONL summary
+    /// record, flush the stream and snapshot everything into an
+    /// [`ObsSummary`]. `trace_counts` is the per-kind tally from
+    /// `TraceLog::kind_counts`; `ledger` holds the counters the run's
+    /// result already records. Like a live counter, which exists only once
+    /// it fires, a ledger counter is added only when nonzero.
     pub fn finish(
         &mut self,
         t_end: f64,
         rounds: u64,
         trace_counts: &BTreeMap<&'static str, u64>,
+        ledger: &[(&'static str, u64)],
     ) -> ObsSummary {
         if !self.enabled() {
             return ObsSummary::default();
+        }
+        for &(name, v) in ledger.iter().filter(|&&(_, v)| v != 0) {
+            self.registry.add(name, v);
         }
         let record = export::summary_record(t_end, rounds, trace_counts, &self.registry);
         self.emit(move || record);
@@ -503,15 +496,13 @@ mod tests {
         assert!(!obs.enabled());
         assert!(!obs.streaming());
         obs.count(names::EVALS);
-        obs.count_n(names::SESSIONS_DISPATCHED, 5);
         obs.observe(names::COHORT_SIZE, bounds::COHORT, 5.0);
         obs.gauge(names::IN_FLIGHT, 3.0);
         obs.round_interval(10.0);
         let span = obs.span_start();
         assert!(span.is_none());
         obs.span_end(Phase::Train, span);
-        let summary = obs.finish(100.0, 3, &BTreeMap::new());
-        assert!(obs.registry().is_empty());
+        let summary = obs.finish(100.0, 3, &BTreeMap::new(), &[(names::AGGREGATIONS, 3)]);
         assert!(!summary.enabled);
         assert!(summary.counters.is_empty());
     }
@@ -521,7 +512,7 @@ mod tests {
         let mut obs = Obs::new(&ObsConfig::default());
         assert!(obs.enabled());
         assert!(!obs.streaming());
-        obs.count(names::AGGREGATIONS);
+        obs.count(names::CHECKPOINTS_SAVED);
         obs.round_interval(10.0);
         obs.round_interval(25.0);
         obs.round_interval(100.0);
@@ -531,9 +522,11 @@ mod tests {
         obs.emit(|| unreachable!("no stream attached"));
         let mut traces = BTreeMap::new();
         traces.insert("aggregate", 3u64);
-        let s = obs.finish(100.0, 3, &traces);
+        let s = obs.finish(100.0, 3, &traces, &[(names::AGGREGATIONS, 3), (names::EVALS, 0)]);
         assert!(s.enabled);
-        assert_eq!(s.counters[names::AGGREGATIONS], 1);
+        assert_eq!(s.counters[names::CHECKPOINTS_SAVED], 1);
+        assert_eq!(s.counters[names::AGGREGATIONS], 3);
+        assert!(!s.counters.contains_key(names::EVALS), "zero ledger counters stay absent");
         let intervals = &s.histograms[names::ROUND_INTERVAL_SIM_SECS];
         assert_eq!(intervals.count, 2); // first call only sets the baseline
         assert_eq!(intervals.sum, 90.0);

@@ -33,7 +33,6 @@ mod distance;
 
 pub use distance::DistanceMetric;
 
-use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use crate::policy::weighted_average;
 use crate::update::ModelUpdate;
 use seafl_sim::ConfigError;
@@ -157,28 +156,19 @@ pub struct ScreenOutcome {
     pub clipped: usize,
 }
 
-/// The engine-resident robust layer: a rule plus its lifetime counters.
-///
-/// Counters survive checkpoints through
-/// [`encode_state`](RobustLayer::encode_state) /
-/// [`decode_state`](RobustLayer::decode_state) (the engine frames them in
-/// an opaque section, like policy state), so a killed-and-resumed run
-/// reports the same totals as an uninterrupted one.
+/// The engine-resident robust layer: the configured rule and nothing
+/// more. It keeps no state, so checkpoints carry none for it; what it did
+/// lands in the run's trace (`Rejected { cause: RobustScreened }`) and in
+/// the engine's clipped-update count.
 #[derive(Clone, Debug)]
 pub struct RobustLayer {
     cfg: RobustConfig,
-    /// Updates screened out across the run.
-    pub screened_total: u64,
-    /// Updates norm-clipped across the run.
-    pub clipped_total: u64,
-    /// Summed drift-norm excess removed by clipping (diagnostic).
-    pub clip_excess_sum: f64,
 }
 
 impl RobustLayer {
-    /// Layer for `cfg`, counters at zero.
+    /// Layer for `cfg`.
     pub fn new(cfg: RobustConfig) -> Self {
-        RobustLayer { cfg, screened_total: 0, clipped_total: 0, clip_excess_sum: 0.0 }
+        RobustLayer { cfg }
     }
 
     /// The configured rule.
@@ -203,7 +193,7 @@ impl RobustLayer {
     /// it. Krum removes suspected outliers from `updates`; NormClip caps
     /// each update's drift from `global`; every other rule leaves the
     /// buffer untouched.
-    pub fn screen(&mut self, updates: &mut Vec<ModelUpdate>, global: &[f32]) -> ScreenOutcome {
+    pub fn screen(&self, updates: &mut Vec<ModelUpdate>, global: &[f32]) -> ScreenOutcome {
         match self.cfg.rule {
             RobustAggregator::NormClip { tau } => {
                 let limit = tau as f64 * (seafl_tensor::l2_norm(global) as f64).max(1.0);
@@ -216,8 +206,6 @@ impl RobustLayer {
                             *p = g + (*p - g) * scale;
                         }
                         out.clipped += 1;
-                        self.clipped_total += 1;
-                        self.clip_excess_sum += d - limit;
                     }
                 }
                 out
@@ -260,7 +248,6 @@ impl RobustLayer {
                     idx += 1;
                     if !kept {
                         out.screened.push(u.client_id);
-                        self.screened_total += 1;
                     }
                     kept
                 });
@@ -290,21 +277,6 @@ impl RobustLayer {
                 trimmed_mean(updates, weights, k)
             }
         }
-    }
-
-    /// Encode the layer's counters (checkpoint opaque section).
-    pub fn encode_state(&self, w: &mut BinWriter) {
-        w.u64(self.screened_total);
-        w.u64(self.clipped_total);
-        w.f64(self.clip_excess_sum);
-    }
-
-    /// Restore counters written by [`encode_state`](RobustLayer::encode_state).
-    pub fn decode_state(&mut self, r: &mut BinReader) -> Result<(), CodecError> {
-        self.screened_total = r.u64()?;
-        self.clipped_total = r.u64()?;
-        self.clip_excess_sum = r.f64()?;
-        Ok(())
     }
 }
 
@@ -509,7 +481,7 @@ mod tests {
             upd(0, vec![0.5, 0.0]),  // inside the cap
             upd(1, vec![0.0, 10.0]), // 10× over a tau=1 cap (‖g‖<1 ⇒ limit=1)
         ];
-        let mut layer = RobustLayer::new(RobustConfig {
+        let layer = RobustLayer::new(RobustConfig {
             rule: RobustAggregator::NormClip { tau: 1.0 },
             ..Default::default()
         });
@@ -520,8 +492,6 @@ mod tests {
         assert_eq!(updates[0].params, vec![0.5, 0.0]);
         let clipped_norm = seafl_tensor::l2_norm(&updates[1].params);
         assert!((clipped_norm - 1.0).abs() < 1e-5, "clipped to the boundary, got {clipped_norm}");
-        assert_eq!(layer.clipped_total, 1);
-        assert!((layer.clip_excess_sum - 9.0).abs() < 1e-4);
     }
 
     #[test]
@@ -535,13 +505,12 @@ mod tests {
             upd(2, vec![-50.0, 40.0]), // attacker
             upd(3, vec![0.9, 1.1]),
         ];
-        let mut layer = RobustLayer::new(RobustConfig {
+        let layer = RobustLayer::new(RobustConfig {
             rule: RobustAggregator::Krum { f: 1, multi: 3 },
             ..Default::default()
         });
         let out = layer.screen(&mut updates, &global);
         assert_eq!(out.screened, vec![2]);
-        assert_eq!(layer.screened_total, 1);
         let kept: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
         assert_eq!(kept, vec![0, 1, 3], "survivors keep buffer order");
     }
@@ -551,7 +520,7 @@ mod tests {
         let global = vec![0.0f32; 2];
         let mut updates =
             vec![upd(0, vec![1.0, 0.0]), upd(1, vec![0.0, 1.0]), upd(2, vec![-9.0, 9.0])];
-        let mut layer = RobustLayer::new(RobustConfig {
+        let layer = RobustLayer::new(RobustConfig {
             rule: RobustAggregator::Krum { f: 1, multi: 1 },
             ..Default::default()
         });
@@ -559,7 +528,6 @@ mod tests {
         let out = layer.screen(&mut updates, &global);
         assert_eq!(out, ScreenOutcome::default());
         assert_eq!(updates.len(), 3);
-        assert_eq!(layer.screened_total, 0);
     }
 
     #[test]
@@ -568,37 +536,13 @@ mod tests {
         let mut updates: Vec<ModelUpdate> = (0..6)
             .map(|i| upd(i, vec![if i < 2 { 100.0 + i as f32 } else { i as f32 * 0.01 }]))
             .collect();
-        let mut layer = RobustLayer::new(RobustConfig {
+        let layer = RobustLayer::new(RobustConfig {
             rule: RobustAggregator::Krum { f: 2, multi: 4 },
             ..Default::default()
         });
         let out = layer.screen(&mut updates, &global);
         assert_eq!(out.screened, vec![0, 1]);
         assert_eq!(updates.len(), 4);
-    }
-
-    #[test]
-    fn layer_state_round_trips_through_codec() {
-        let mut layer = RobustLayer::new(RobustConfig {
-            rule: RobustAggregator::NormClip { tau: 2.0 },
-            ..Default::default()
-        });
-        layer.screened_total = 7;
-        layer.clipped_total = 3;
-        layer.clip_excess_sum = 12.5;
-        let mut w = BinWriter::new();
-        layer.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = RobustLayer::new(RobustConfig {
-            rule: RobustAggregator::NormClip { tau: 2.0 },
-            ..Default::default()
-        });
-        let mut r = BinReader::new(&bytes);
-        restored.decode_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(restored.screened_total, 7);
-        assert_eq!(restored.clipped_total, 3);
-        assert_eq!(restored.clip_excess_sum, 12.5);
     }
 
     #[test]

@@ -41,9 +41,11 @@ pub struct FixtureCase {
     /// Algorithm label, matches `RunResult::algorithm`.
     pub label: &'static str,
     /// Overlay applied on top of the tiny config: `"clean"` (none),
-    /// `"faults"` (fault injection + resilience knobs), `"attack"`
-    /// (adversarial clients + the coordinate median) or `"attack-clip"`
-    /// (adversarial clients + norm clipping).
+    /// `"faults"` (fault injection + resilience knobs), `"server-crash"`
+    /// (FedAvg's faulty case: the server dies at round 12, the one fault a
+    /// lockstep round consults), `"attack"` (adversarial clients + the
+    /// coordinate median) or `"attack-clip"` (adversarial clients + norm
+    /// clipping).
     pub variant: &'static str,
     /// The fully specified experiment config the fixture pins.
     pub cfg: ExperimentConfig,
@@ -105,11 +107,19 @@ pub fn fixture_cases() -> Vec<FixtureCase> {
     ];
     let mut cases = Vec::new();
     for (label, algorithm) in algorithms {
-        for variant in ["clean", "faults"] {
+        // Lockstep rounds skip every per-device fault channel, so the
+        // device overlay would pin FedAvg's clean digests again.
+        let faulty = if label == "fedavg" { "server-crash" } else { "faults" };
+        for variant in ["clean", faulty] {
             let mut cfg = tiny_cfg(42, algorithm);
             cfg.stop_at_accuracy = None;
-            if variant == "faults" {
-                apply_fault_overlay(&mut cfg);
+            match variant {
+                "faults" => apply_fault_overlay(&mut cfg),
+                "server-crash" => {
+                    cfg.faults.server_crash_prob = 1.0;
+                    cfg.faults.server_crash_window = (12, 12);
+                }
+                _ => {}
             }
             cases.push(FixtureCase { label, variant, cfg });
         }

@@ -4,7 +4,7 @@
 //! staleness accounting and aggregation, and treats local training as a
 //! black box that maps `(global model, job)` → `(outcome, advanced RNG)`.
 //! That box is exactly what can move across a wire. A [`CohortTrainer`]
-//! installed on the [`Environment`](crate::engine::Environment) receives
+//! installed on the [`Environment`](crate::engine::setup::Environment) receives
 //! each cohort's jobs — client id, epoch budget and the client's *exact*
 //! RNG position — and returns outcomes computed anywhere (remote worker
 //! processes in `seafl-net`'s case). Because workers rebuild the identical

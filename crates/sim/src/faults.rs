@@ -51,7 +51,8 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// `Ok(())` when `cond` holds, else a [`ConfigError`] with `msg`'s output.
-pub(crate) fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), ConfigError> {
+/// The one check every `validate` in the workspace is written with.
+pub fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), ConfigError> {
     if cond {
         Ok(())
     } else {

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 /// stream mid-flight and resume it bit-exactly, which the opaque `StdRng`
 /// wrapper does not expose. Both types share `SeedableRng::seed_from_u64`'s
 /// default seed expansion, so every historical stream is unchanged — pinned
-/// by [`tests::simrng_is_bit_identical_to_stdrng`].
+/// by the unit test `simrng_is_bit_identical_to_stdrng`.
 pub type SimRng = rand_chacha::ChaCha12Rng;
 
 /// Fully describes a [`SimRng`]'s position: `(seed, stream, word_pos)`.

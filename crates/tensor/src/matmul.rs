@@ -3,7 +3,7 @@
 //! The hot path of every dense and convolutional layer. All entry points —
 //! [`matmul`], [`matmul_at_b`], [`matmul_a_bt`], [`matmul_into`] and the
 //! convolution GEMMs in [`crate::conv`] — route through one driver
-//! ([`gemm`]) that packs cache-sized panels of its operands into per-thread
+//! (`gemm`) that packs cache-sized panels of its operands into per-thread
 //! scratch ([`crate::pack`]) and runs the register-blocked micro-kernel in
 //! [`crate::microkernel`] over them.
 //!

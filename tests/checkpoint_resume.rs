@@ -7,6 +7,7 @@
 //! at load (falling back to the previous valid one), and state from a
 //! different experiment is never restored.
 
+use seafl::core::obs::names;
 use seafl::core::test_support::{apply_attack_overlay, fixture_cases};
 use seafl::core::{
     resume_experiment, run_experiment, Algorithm, CheckpointError, ExperimentConfig, RunResult,
@@ -151,9 +152,21 @@ fn resume_across_thread_counts() {
 /// ends, so a resumed run reports them from the *restored* trace: for every
 /// digest-fixture case under the attack overlay (every fault channel, every
 /// attack kind, a robust rule), crash + resume reports what the uninterrupted
-/// run reports.
+/// run reports. The obs counters that restate the ledger follow it; only
+/// the four live ones count the resumed process alone.
 #[test]
 fn resumed_run_reports_the_uninterrupted_counters_for_every_fixture_case() {
+    let live = [
+        names::UPDATES_ADMITTED,
+        names::UPDATES_DROPPED_ARRIVAL,
+        names::UPDATES_DROPPED_STALE,
+        names::CHECKPOINTS_SAVED,
+    ];
+    let ledger = |r: &RunResult| {
+        let mut counters = r.obs.counters.clone();
+        counters.retain(|name, _| !live.contains(&name.as_str()));
+        counters
+    };
     let mut attacked = 0;
     for case in fixture_cases() {
         let what = case.key();
@@ -175,6 +188,13 @@ fn resumed_run_reports_the_uninterrupted_counters_for_every_fixture_case() {
         let resumed =
             resume_experiment(&crash, &dir).unwrap_or_else(|e| panic!("{what}: resume: {e}"));
         assert_identical(&resumed, &reference, &what);
+        assert_eq!(ledger(&resumed), ledger(&reference), "{what}: obs counters diverged");
+        assert_eq!(resumed.obs.counters[names::AGGREGATIONS], resumed.rounds, "{what}");
+        assert_eq!(
+            resumed.obs.counters[names::UPDATES_RECEIVED],
+            resumed.total_updates as u64,
+            "{what}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
     assert!(attacked > 0, "the overlay attacked nothing in any case");
