@@ -502,8 +502,8 @@ fn codec_sweep(workload: Workload, scale: Scale) -> Row {
         .hook(report::bytes_to_target)
 }
 
-/// The chaos bench: the four asynchronous algorithms on a healthy and a
-/// faulty fleet ([`chaos_overlay`]).
+/// The chaos bench: the four asynchronous algorithms and synchronous
+/// FedAvg on a healthy and a faulty fleet ([`chaos_overlay`]).
 fn chaos(scale: Scale) -> Row {
     let (m, k) = m_k(scale);
     let mut arms = Vec::new();
@@ -512,6 +512,7 @@ fn chaos(scale: Scale) -> Row {
         Algorithm::seafl2(m, k, BETA),
         Algorithm::fedbuff(m, k),
         Algorithm::fedasync(m),
+        Algorithm::FedAvg { clients_per_round: m },
     ] {
         let healthy = insights_config(SEED, alg, scale);
         let mut faulty = healthy.clone();
@@ -591,6 +592,22 @@ mod tests {
         let arms = fig5_arms(Workload::Emnist, Scale::Smoke);
         let names: Vec<&str> = arms.iter().map(|a| a.config.algorithm.name()).collect();
         assert_eq!(names, vec!["seafl", "seafl", "fedbuff", "fedasync", "fedavg", "fedstale"]);
+    }
+
+    #[test]
+    fn chaos_arms_pair_every_algorithm() {
+        let row = chaos(Scale::Smoke);
+        let labels: Vec<&str> = row.arms.iter().map(|a| a.label.as_str()).collect();
+        let mut want = Vec::new();
+        for name in ["seafl", "seafl2", "fedbuff", "fedasync", "fedavg"] {
+            want.push(format!("{name} (healthy)"));
+            want.push(format!("{name} (faulty)"));
+        }
+        assert_eq!(labels, want);
+        for pair in row.arms.chunks(2) {
+            assert!(pair[0].config.faults.is_noop(), "{}", pair[0].label);
+            assert!(!pair[1].config.faults.is_noop(), "{}", pair[1].label);
+        }
     }
 
     #[test]

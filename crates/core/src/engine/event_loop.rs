@@ -22,9 +22,9 @@
 //!   update) instead of finishing all E epochs.
 //! * SAFA-style drop — discard over-limit updates at aggregation time
 //!   ([`ServerPolicy::partition_stale`]).
-//! * FedAvg ([`ServerPolicy::lockstep`]) — dispatch a full cohort at a
-//!   synchronous barrier; every upload lands at the cohort's slowest
-//!   completion time and the round aggregates when all have reported.
+//! * FedAvg — dispatch a full cohort only when nothing is in flight or
+//!   buffered, and aggregate once every session of it has resolved: the
+//!   round lasts as long as its slowest member.
 //!
 //! After aggregating, the server evaluates (every `eval_every` rounds),
 //! hands the consumed devices back to the idle pool and refills the training
@@ -60,11 +60,6 @@
 //! paths draw randomness or alter arithmetic, so runs are bit-identical to
 //! the fault-free engine.
 //!
-//! Lockstep policies skip the per-device fault channels (transit loss,
-//! corruption, device crashes, straggler spikes) and session timeouts —
-//! they model protocol behaviours a synchronous barrier round does not
-//! exhibit. Only the server-crash round applies.
-//!
 //! ## Simplification vs. Algorithm 2
 //!
 //! Algorithm 2 lets a notified device "continue training remaining epochs"
@@ -87,9 +82,7 @@ use crate::engine::setup::Environment;
 use crate::engine::RunResult;
 use crate::fleet::{ClientPhase, FleetTable, Session};
 use crate::obs::{bounds, export, names, Obs, ObsSummary, Phase};
-use crate::policy::{
-    weighted_average, Admission, DispatchCtx, DrainCtx, InFlight, ServerPolicy, ServerView,
-};
+use crate::policy::{weighted_average, Admission, DispatchCtx, InFlight, ServerPolicy, ServerView};
 use crate::robust::RobustLayer;
 use crate::sanitize;
 use crate::trainer::{CodecTransferStats, NetIncident};
@@ -190,7 +183,6 @@ pub(crate) fn drive(
     // The server-crash fault models the original process dying; a resumed
     // run is a restarted server, so `decode` cleared its crash round.
     st.crash_round = st.plan.server_crash_round();
-    let lockstep = st.policy.lockstep();
     let config_hash = cfg.state_hash();
 
     // Observability is installed here, not in `fresh`/`decode`: it is pure
@@ -213,16 +205,6 @@ pub(crate) fn drive(
 
         // Kick off the initial cohort.
         st.refill(cfg, env, SimTime::ZERO);
-    } else if lockstep && st.queue.is_empty() {
-        // A lockstep snapshot's queue is empty exactly when the dispatch
-        // guard declined at save time (crash fired, or a budget ran out).
-        // The restarted server never re-crashes, so ask the policy again —
-        // the guard returned before any selection draw, so the saved RNG is
-        // positioned for exactly this dispatch. Event-driven snapshots
-        // always carry their in-flight uploads instead, and their refill
-        // already consumed its selection draw before the save — refilling
-        // them here would double-draw.
-        st.refill(cfg, env, st.queue.now());
     }
 
     let every = cfg.checkpoint_every.unwrap_or(1);
@@ -233,26 +215,21 @@ pub(crate) fn drive(
 
     let mut termination = None;
     while let Some((now, ev)) = st.queue.pop() {
-        // A lockstep round runs to its barrier unconditionally (the old
-        // synchronous loop checked its budgets only between rounds, at
-        // dispatch time — the policy's dispatch guard does that here).
-        if !lockstep {
-            if st.crash_round.is_some_and(|cr| st.round >= cr) {
-                termination = Some(TerminationReason::ServerCrash);
-                break;
-            }
-            if now.as_secs() > cfg.max_sim_time {
-                termination = Some(TerminationReason::MaxSimTime);
-                break;
-            }
-            if st.round >= cfg.max_rounds {
-                termination = Some(TerminationReason::MaxRounds);
-                break;
-            }
-            if st.reached_target {
-                termination = Some(TerminationReason::TargetAccuracy);
-                break;
-            }
+        if st.crash_round.is_some_and(|cr| st.round >= cr) {
+            termination = Some(TerminationReason::ServerCrash);
+            break;
+        }
+        if now.as_secs() > cfg.max_sim_time {
+            termination = Some(TerminationReason::MaxSimTime);
+            break;
+        }
+        if st.round >= cfg.max_rounds {
+            termination = Some(TerminationReason::MaxRounds);
+            break;
+        }
+        if st.reached_target {
+            termination = Some(TerminationReason::TargetAccuracy);
+            break;
         }
         match ev {
             Ev::Upload { client, generation, attempt } => {
@@ -279,28 +256,16 @@ pub(crate) fn drive(
             }
         }
     }
-    let termination = termination.unwrap_or_else(|| {
-        // The clock ran dry. Let the policy name the reason its protocol
-        // implies (lockstep's closed-form round loop does); otherwise fall
-        // back to the generic event-driven classification.
-        let drain = DrainCtx {
-            round: st.round,
-            now_secs: st.queue.now().as_secs(),
-            max_rounds: cfg.max_rounds,
-            max_sim_time: cfg.max_sim_time,
-            crash_round: st.crash_round,
-            reached_target: st.reached_target,
-        };
-        st.policy.drained_termination(&drain).unwrap_or(if st.reached_target {
-            TerminationReason::TargetAccuracy
-        } else if st.buffer.is_empty() {
-            TerminationReason::QueueDrained
-        } else {
-            // The clock ran out of events while updates sat below the
-            // trigger: the engine starved (e.g. remaining in-flight devices
-            // all crashed, or a staleness wait could never be satisfied).
-            TerminationReason::Starved
-        })
+    // The clock ran dry before any stop check fired.
+    let termination = termination.unwrap_or(if st.reached_target {
+        TerminationReason::TargetAccuracy
+    } else if st.buffer.is_empty() {
+        TerminationReason::QueueDrained
+    } else {
+        // The clock ran out of events while updates sat below the trigger:
+        // the engine starved (e.g. remaining in-flight devices all crashed,
+        // or a staleness wait could never be satisfied).
+        TerminationReason::Starved
     });
 
     let end = st.queue.now();
@@ -710,65 +675,6 @@ impl State {
         self.trace.push(now, TraceEvent::ClientStart { id: cid, round: self.round });
     }
 
-    /// Lockstep dispatch: train the whole cohort, advance the clock by the
-    /// slowest member's `download + Σ(compute + idle) + upload`, and land
-    /// every upload at that barrier (in selection order — the queue breaks
-    /// time ties FIFO). No per-device fault channels, no session timeouts:
-    /// a synchronous round either completes or the server crashes between
-    /// rounds.
-    fn begin_lockstep_round(
-        &mut self,
-        cfg: &ExperimentConfig,
-        env: &mut Environment,
-        picked: &[usize],
-        now: SimTime,
-    ) {
-        let mut round_duration = 0.0f64;
-        for &k in picked {
-            let cid = ClientId::new(k);
-            debug_assert_eq!(self.table.phase(cid), ClientPhase::Idle);
-            self.trace.push(now, TraceEvent::ClientStart { id: cid, round: self.round });
-            let device = env.fleet.profile(cid);
-            let batches = env.pool.batches_per_epoch(env.client_data[k].len());
-
-            let mut elapsed = device.download_time(env.model_bytes);
-            for _ in 0..cfg.local_epochs {
-                elapsed += device.epoch_compute_time(batches, cfg.fleet.base_batch_time);
-                if device.idle.is_some() {
-                    elapsed += device.idle_time(env.idle_rngs.get_mut(k));
-                }
-            }
-            elapsed += device.upload_time(env.model_bytes);
-            self.obs.observe(names::SESSION_SIM_SECS, bounds::SIM_SECS, elapsed);
-            round_duration = round_duration.max(elapsed);
-        }
-
-        let (mut outcomes, incidents, codec_stats) =
-            env.train_cohort(&self.global, picked, cfg.local_epochs, false);
-        self.record_incidents(now, incidents);
-        self.apply_codec(picked, &mut outcomes, &codec_stats);
-        let barrier = now.after(round_duration);
-        for (&k, (outcome, rng)) in picked.iter().zip(outcomes) {
-            let cid = ClientId::new(k);
-            env.client_rngs.set(k, rng);
-            let generation = self.table.bump_generation(cid);
-            self.queue.schedule(barrier, Ev::Upload { client: cid, generation, attempt: 0 });
-            self.table.insert_session(
-                cid,
-                Session {
-                    born_round: self.round,
-                    seq: generation,
-                    generation,
-                    epoch_ends: Vec::new(),
-                    outcome,
-                    scheduled_epochs: cfg.local_epochs,
-                    notified: false,
-                },
-            );
-            self.table.set_phase(cid, ClientPhase::Training);
-        }
-    }
-
     /// Handle an upload arrival (ignoring superseded generations, injecting
     /// transit loss and retries, applying Byzantine corruption, consulting
     /// the policy's admission verdict).
@@ -789,11 +695,9 @@ impl State {
             return;
         }
 
-        let lockstep = self.policy.lockstep();
         // Transient transit loss: the client notices the failed upload and
-        // retries with capped exponential backoff, then gives up. Lockstep
-        // rounds skip the channel entirely (see module docs).
-        if !lockstep && self.upload_attempt_fails(client) {
+        // retries with capped exponential backoff, then gives up.
+        if self.upload_attempt_fails(client) {
             self.trace.push(now, TraceEvent::UploadFailed { id: client, attempt });
             if attempt < cfg.resilience.max_upload_retries {
                 let backoff = (cfg.resilience.retry_backoff_base * 2f64.powi(attempt as i32))
@@ -816,19 +720,14 @@ impl State {
         let epochs = session.scheduled_epochs;
         let mut params = session.outcome.state_after(epochs).to_vec();
         // Byzantine/buggy devices corrupt what they send.
-        if !lockstep {
-            self.plan.corrupt(k, &mut params);
-        }
+        self.plan.corrupt(k, &mut params);
         // Adversarial devices tamper deliberately (after accidental
         // corruption, mirroring a malicious client that controls its final
-        // payload). Lockstep rounds skip the channel like the other
-        // per-device fault channels.
+        // payload).
         let mut attacked = false;
-        if !lockstep {
-            if let Some(kind) = self.attack.apply(k, &mut params, &self.global) {
-                attacked = true;
-                self.trace.push(now, TraceEvent::Attacked { id: client, kind });
-            }
+        if let Some(kind) = self.attack.apply(k, &mut params, &self.global) {
+            attacked = true;
+            self.trace.push(now, TraceEvent::Attacked { id: client, kind });
         }
         let session = self.table.session(client).expect("session checked above");
         let update = ModelUpdate {
@@ -1134,12 +1033,8 @@ impl State {
         };
         let ctx = DispatchCtx {
             round: self.round,
-            now_secs: now.as_secs(),
             active: self.active(),
-            max_rounds: cfg.max_rounds,
-            max_sim_time: cfg.max_sim_time,
-            crash_round: self.crash_round,
-            reached_target: self.reached_target,
+            buffered: self.buffer.len(),
             selection: cfg.selection,
         };
         let picked = self.policy.select_cohort(&ctx, &idle, &env.fleet, &mut self.sel_rng);
@@ -1148,12 +1043,6 @@ impl State {
             return;
         }
         self.obs.observe(names::COHORT_SIZE, bounds::COHORT, picked.len() as f64);
-        if self.policy.lockstep() {
-            let span = self.obs.span_start();
-            self.begin_lockstep_round(cfg, env, &picked, now);
-            self.obs.span_end(Phase::Train, span);
-            return;
-        }
         // Train the whole picked cohort before anything is put on the
         // clock — through the transport seam when a remote trainer is
         // installed, the local pool otherwise. Jobs carry the per-client

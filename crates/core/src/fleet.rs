@@ -41,8 +41,7 @@ pub struct Session {
     /// sessions, so an upload event from a reclaimed session can never be
     /// mistaken for a later session's upload.
     pub generation: u64,
-    /// Absolute completion time of each local epoch (empty for lockstep
-    /// sessions — the barrier carries the timing).
+    /// Absolute completion time of each local epoch.
     pub epoch_ends: Vec<SimTime>,
     /// Pre-computed training result (per-epoch snapshots iff partial
     /// training can interrupt this session).

@@ -19,7 +19,7 @@
 //! | Algorithm 2 (SEAFL², partial training) | [`policy::SeaflPolicy`] with [`StalenessPolicy::NotifyPartial`] |
 //! | FedBuff baseline | [`policy::FedBuffPolicy`] (uniform 1/K weights, β = ∞) |
 //! | FedAsync baseline | [`policy::FedAsyncPolicy`] (K = 1, polynomial staleness mixing) |
-//! | FedAvg baseline | [`policy::FedAvgPolicy`] (lockstep barrier rounds) |
+//! | FedAvg baseline | [`policy::FedAvgPolicy`] (barrier rounds: a cohort only when nothing is in flight) |
 //! | FedStaleWeight-style fairness | [`policy::FedStaleWeightPolicy`] (staleness-boosted weights) |
 //!
 //! Every run can additionally record structured telemetry — phase timing,

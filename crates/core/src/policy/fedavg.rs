@@ -1,28 +1,28 @@
 //! Synchronous FedAvg as a [`ServerPolicy`] (Eq. 3).
 
-use crate::policy::{Admission, DispatchCtx, DrainCtx, ServerPolicy, ServerView};
+use crate::policy::{DispatchCtx, ServerPolicy, ServerView};
 use crate::update::ModelUpdate;
 use crate::SelectionPolicy;
 use rand::seq::SliceRandom;
-use seafl_sim::{Fleet, SimRng, TerminationReason};
+use seafl_sim::{Fleet, SimRng};
 
-/// FedAvg: dispatch a full cohort at a synchronous barrier, aggregate when
-/// every member has reported, replace the global model with the data-size
-/// weighted average. The straggler effect the paper's Fig. 1 illustrates
-/// falls out of the engine's lockstep barrier (round duration = slowest
-/// cohort member).
+/// FedAvg: dispatch a full cohort once the previous round has closed,
+/// aggregate when every member's session has resolved, replace the global
+/// model with the data-size weighted average. The round is a barrier on
+/// the ordinary event-driven engine, so it lasts as long as its slowest
+/// member — the straggler effect the paper's Fig. 1 illustrates — and a
+/// member that crashes, loses its upload or times out holds the round up
+/// exactly as long as it would hold up any other policy's session.
+/// Stateless: the engine's in-flight sessions and buffer are the round.
 pub struct FedAvgPolicy {
     /// Cohort size C sampled at each synchronous barrier.
     pub clients_per_round: usize,
-    /// Size of the cohort currently in flight — the aggregation trigger
-    /// (a round completes when the whole cohort has reported).
-    dispatched: usize,
 }
 
 impl FedAvgPolicy {
     /// FedAvg over cohorts of `clients_per_round` devices.
     pub fn new(clients_per_round: usize) -> Self {
-        FedAvgPolicy { clients_per_round, dispatched: 0 }
+        FedAvgPolicy { clients_per_round }
     }
 }
 
@@ -35,10 +35,6 @@ impl ServerPolicy for FedAvgPolicy {
         self.clients_per_round
     }
 
-    fn lockstep(&self) -> bool {
-        true
-    }
-
     fn select_cohort(
         &mut self,
         ctx: &DispatchCtx,
@@ -46,39 +42,27 @@ impl ServerPolicy for FedAvgPolicy {
         fleet: &Fleet,
         rng: &mut SimRng,
     ) -> Vec<usize> {
-        // The synchronous round loop's continuation condition: stop
-        // dispatching once any budget is exhausted, the target is reached,
-        // or the injected server crash has fired. A cohort already in
-        // flight means the barrier has not completed — never overlap.
-        if ctx.reached_target
-            || ctx.round >= ctx.max_rounds
-            || ctx.now_secs >= ctx.max_sim_time
-            || ctx.crash_round.is_some_and(|cr| ctx.round >= cr)
-            || ctx.active > 0
-        {
+        // The barrier: a new cohort only once the last one has fully
+        // resolved and been aggregated — never overlap rounds.
+        if ctx.active > 0 || ctx.buffered > 0 {
             return Vec::new();
         }
         // Uniform keeps the historical `choose_multiple` draw so recorded
-        // FedAvg schedules stay bit-reproducible across versions (in
-        // lockstep the idle pool is always the full ascending client list).
-        let picked: Vec<usize> = match ctx.selection {
+        // FedAvg cohorts stay bit-reproducible across versions.
+        match ctx.selection {
             SelectionPolicy::Uniform => {
                 idle.choose_multiple(rng, self.clients_per_round).copied().collect()
             }
             policy => {
                 crate::selection::select_clients(policy, idle, fleet, self.clients_per_round, rng)
             }
-        };
-        self.dispatched = picked.len();
-        picked
-    }
-
-    fn on_update_received(&mut self, _update: &ModelUpdate, _round: u64) -> Admission {
-        Admission::Admit
+        }
     }
 
     fn should_aggregate(&self, view: &ServerView) -> bool {
-        self.dispatched > 0 && view.buffer_len >= self.dispatched
+        // Every session of the cohort has resolved: uploaded, dropped, timed
+        // out, reclaimed or given up.
+        view.in_flight.is_empty() && view.buffer_len > 0
     }
 
     fn weights_for_buffer(
@@ -100,43 +84,12 @@ impl ServerPolicy for FedAvgPolicy {
         // Eq. 3 replaces the global model outright — no ϑ-mixing.
         avg.to_vec()
     }
-
-    fn drained_termination(&self, ctx: &DrainCtx) -> Option<TerminationReason> {
-        // Name the reason the synchronous round loop stopped, in the loop's
-        // own precedence: the crash check ran only while both budgets still
-        // held (and a reached target exited before it).
-        Some(if ctx.reached_target {
-            TerminationReason::TargetAccuracy
-        } else if ctx.crash_round.is_some_and(|cr| ctx.round >= cr)
-            && ctx.round < ctx.max_rounds
-            && ctx.now_secs < ctx.max_sim_time
-        {
-            TerminationReason::ServerCrash
-        } else if ctx.round >= ctx.max_rounds {
-            TerminationReason::MaxRounds
-        } else {
-            TerminationReason::MaxSimTime
-        })
-    }
-
-    fn encode_state(&self, w: &mut crate::checkpoint::BinWriter) {
-        // `dispatched` is the open round's aggregation trigger; a resumed
-        // run must keep waiting for exactly that cohort.
-        w.usize(self.dispatched);
-    }
-
-    fn decode_state(
-        &mut self,
-        r: &mut crate::checkpoint::BinReader,
-    ) -> Result<(), crate::checkpoint::CodecError> {
-        self.dispatched = r.usize()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::InFlight;
 
     fn upd(client: usize, born: u64, samples: usize, params: Vec<f32>) -> ModelUpdate {
         ModelUpdate {
@@ -159,43 +112,16 @@ mod tests {
 
     #[test]
     fn waits_for_the_whole_cohort() {
-        let mut p = FedAvgPolicy::new(3);
-        p.dispatched = 3;
-        let view = |n| ServerView { round: 0, buffer_len: n, in_flight: &[] };
-        assert!(!p.should_aggregate(&view(2)));
-        assert!(p.should_aggregate(&view(3)));
-        // Nothing dispatched yet ⇒ nothing to wait for, nothing to do.
-        p.dispatched = 0;
-        assert!(!p.should_aggregate(&view(0)));
-    }
-
-    #[test]
-    fn termination_precedence_matches_round_loop() {
-        let ctx = |round, now, crash, reached| DrainCtx {
-            round,
-            now_secs: now,
-            max_rounds: 10,
-            max_sim_time: 100.0,
-            crash_round: crash,
-            reached_target: reached,
-        };
-        let p = FedAvgPolicy::new(2);
-        assert_eq!(
-            p.drained_termination(&ctx(3, 50.0, Some(3), false)),
-            Some(TerminationReason::ServerCrash)
-        );
-        // Budget exhaustion wins over a crash round that never got checked.
-        assert_eq!(
-            p.drained_termination(&ctx(10, 50.0, Some(3), false)),
-            Some(TerminationReason::MaxRounds)
-        );
-        assert_eq!(
-            p.drained_termination(&ctx(3, 100.0, Some(3), false)),
-            Some(TerminationReason::MaxSimTime)
-        );
-        assert_eq!(
-            p.drained_termination(&ctx(3, 50.0, Some(3), true)),
-            Some(TerminationReason::TargetAccuracy)
-        );
+        let p = FedAvgPolicy::new(3);
+        let straggler = [InFlight { client: 2, born_round: 0, notified: false }];
+        let view = |buffer_len, in_flight| ServerView { round: 0, buffer_len, in_flight };
+        // Two members uploaded, the third is still training.
+        assert!(!p.should_aggregate(&view(2, &straggler)));
+        // Every session resolved — whatever reached the buffer aggregates,
+        // even when a member's session was lost on the way.
+        assert!(p.should_aggregate(&view(3, &[])));
+        assert!(p.should_aggregate(&view(2, &[])));
+        // Nothing in flight and nothing buffered ⇒ nothing to do.
+        assert!(!p.should_aggregate(&view(0, &[])));
     }
 }

@@ -35,18 +35,10 @@ use seafl_sim::{Fleet, SimRng, TerminationReason};
 pub struct DispatchCtx {
     /// Server round counter (completed aggregations).
     pub round: u64,
-    /// Virtual-clock time of the dispatch, seconds.
-    pub now_secs: f64,
     /// Clients currently training.
     pub active: usize,
-    /// The experiment's round budget.
-    pub max_rounds: u64,
-    /// The experiment's virtual-time budget, seconds.
-    pub max_sim_time: f64,
-    /// Round at which the injected server crash fires (`None` = never).
-    pub crash_round: Option<u64>,
-    /// Whether `stop_at_accuracy` has been reached.
-    pub reached_target: bool,
+    /// Updates waiting in the buffer for the next aggregation.
+    pub buffered: usize,
     /// The experiment's client-selection policy.
     pub selection: SelectionPolicy,
 }
@@ -84,8 +76,8 @@ pub enum Admission {
     Drop,
 }
 
-/// State the engine exposes when the event queue ran dry, so a policy can
-/// name the termination reason its protocol implies.
+/// The argument of the deprecated [`ServerPolicy::drained_termination`]; the
+/// engine never builds one.
 pub struct DrainCtx {
     /// Server round counter (completed aggregations).
     pub round: u64,
@@ -123,11 +115,10 @@ pub trait ServerPolicy: Send {
         1
     }
 
-    /// Lockstep protocols (FedAvg) dispatch whole cohorts at a synchronous
-    /// barrier: the engine then skips the per-device fault channels and
-    /// session timeouts (which model behaviours a synchronous round does
-    /// not exhibit) and schedules every upload at the cohort's slowest
-    /// completion time.
+    /// Ignored by the engine: every policy runs on the event-driven path.
+    #[deprecated(
+        note = "ignored by the engine; removed with the harness's forwards, ROADMAP item 1"
+    )]
     fn lockstep(&self) -> bool {
         false
     }
@@ -222,9 +213,10 @@ pub trait ServerPolicy: Send {
         Vec::new()
     }
 
-    /// Termination reason when the event queue drained. `None` defers to
-    /// the engine's generic drained/starved classification; lockstep
-    /// policies name the reason their round-loop semantics imply.
+    /// Ignored by the engine, which classifies a drained queue itself.
+    #[deprecated(
+        note = "ignored by the engine; removed with the harness's forwards, ROADMAP item 1"
+    )]
     fn drained_termination(&self, _ctx: &DrainCtx) -> Option<TerminationReason> {
         None
     }

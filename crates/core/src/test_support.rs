@@ -18,7 +18,9 @@ use seafl_sim::{AttackKind, CorruptionKind, FleetConfig};
 ///
 /// Epoch 2: packed tiled-GEMM matmul + im2col-free convolution (KC-slab
 /// accumulation order replaced the naive k-loop).
-pub const NUMERIC_EPOCH: u32 = 2;
+/// Epoch 3: FedAvg on the event-driven path (uploads land at their own
+/// arrival times, the buffer is in arrival order, every fault applies).
+pub const NUMERIC_EPOCH: u32 = 3;
 
 /// The small-but-real experiment config the engine tests run: 12 Pareto
 /// devices, a thin MLP, 30 rounds. Heavy enough to exercise staleness and
@@ -41,11 +43,9 @@ pub struct FixtureCase {
     /// Algorithm label, matches `RunResult::algorithm`.
     pub label: &'static str,
     /// Overlay applied on top of the tiny config: `"clean"` (none),
-    /// `"faults"` (fault injection + resilience knobs), `"server-crash"`
-    /// (FedAvg's faulty case: the server dies at round 12, the one fault a
-    /// lockstep round consults), `"attack"` (adversarial clients + the
-    /// coordinate median) or `"attack-clip"` (adversarial clients + norm
-    /// clipping).
+    /// `"faults"` (fault injection + resilience knobs), `"attack"`
+    /// (adversarial clients + the coordinate median) or `"attack-clip"`
+    /// (adversarial clients + norm clipping).
     pub variant: &'static str,
     /// The fully specified experiment config the fixture pins.
     pub cfg: ExperimentConfig,
@@ -107,19 +107,11 @@ pub fn fixture_cases() -> Vec<FixtureCase> {
     ];
     let mut cases = Vec::new();
     for (label, algorithm) in algorithms {
-        // Lockstep rounds skip every per-device fault channel, so the
-        // device overlay would pin FedAvg's clean digests again.
-        let faulty = if label == "fedavg" { "server-crash" } else { "faults" };
-        for variant in ["clean", faulty] {
+        for variant in ["clean", "faults"] {
             let mut cfg = tiny_cfg(42, algorithm);
             cfg.stop_at_accuracy = None;
-            match variant {
-                "faults" => apply_fault_overlay(&mut cfg),
-                "server-crash" => {
-                    cfg.faults.server_crash_prob = 1.0;
-                    cfg.faults.server_crash_window = (12, 12);
-                }
-                _ => {}
+            if variant == "faults" {
+                apply_fault_overlay(&mut cfg);
             }
             cases.push(FixtureCase { label, variant, cfg });
         }

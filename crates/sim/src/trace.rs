@@ -280,10 +280,25 @@ impl TraceEvent {
     }
 }
 
+/// One trace record: the virtual time of an event and the event.
+pub type Entry = (SimTime, TraceEvent);
+
+/// Where two traces first disagree: the index of the first differing entry
+/// and each trace's entry there (`None` past a trace's end), or `None` when
+/// the traces are equal. Names the event behind two differing
+/// [`TraceLog::digest`]s.
+pub fn first_divergence<'a>(
+    a: &'a [Entry],
+    b: &'a [Entry],
+) -> Option<(usize, Option<&'a Entry>, Option<&'a Entry>)> {
+    let i = a.iter().zip(b).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()));
+    (i < a.len().max(b.len())).then(|| (i, a.get(i), b.get(i)))
+}
+
 /// Time-stamped append-only trace.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    entries: Vec<(SimTime, TraceEvent)>,
+    entries: Vec<Entry>,
 }
 
 impl TraceLog {
@@ -298,7 +313,7 @@ impl TraceLog {
         self.entries.push((time, ev));
     }
 
-    pub fn entries(&self) -> &[(SimTime, TraceEvent)] {
+    pub fn entries(&self) -> &[Entry] {
         &self.entries
     }
 
@@ -433,6 +448,27 @@ mod tests {
         assert_eq!(log.rejected_clients(RejectCause::NonFinite), vec![2]);
         assert_eq!(log.kind_counts().values().sum::<u64>(), 6);
         assert_eq!(log.termination(), Some(TerminationReason::Starved));
+    }
+
+    #[test]
+    fn first_divergence_names_the_first_differing_entry() {
+        let t = |s| SimTime::from_secs(s);
+        let start = |k| TraceEvent::ClientStart { id: cid(k), round: 0 };
+        let a = [(t(1.0), start(0)), (t(1.0), start(1)), (t(2.0), start(2))];
+        assert_eq!(first_divergence(&a, &a), None);
+        assert_eq!(first_divergence(&[], &[]), None);
+        // Same event, different time.
+        let mut b = a.clone();
+        b[1].0 = t(1.5);
+        assert_eq!(first_divergence(&a, &b), Some((1, Some(&a[1]), Some(&b[1]))));
+        // Same time, different event; only the first difference is named.
+        let mut c = a.clone();
+        c[0].1 = start(5);
+        c[2].1 = start(6);
+        assert_eq!(first_divergence(&a, &c), Some((0, Some(&a[0]), Some(&c[0]))));
+        // One trace is a prefix of the other.
+        assert_eq!(first_divergence(&a, &a[..2]), Some((2, Some(&a[2]), None)));
+        assert_eq!(first_divergence(&a[..0], &a), Some((0, None, Some(&a[0]))));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use seafl::core::{
     resume_experiment, run_experiment, Algorithm, CheckpointError, ExperimentConfig, RunResult,
 };
 use seafl::nn::ModelKind;
+use seafl::sim::trace::first_divergence;
 use seafl::sim::{FleetConfig, TerminationReason};
 use std::fs;
 use std::path::PathBuf;
@@ -83,7 +84,9 @@ fn assert_identical(a: &RunResult, b: &RunResult, what: &str) {
     assert_eq!(a.termination, b.termination, "{what}: termination reason diverged");
     assert_eq!(a.model_digest, b.model_digest, "{what}: final model diverged");
     assert_eq!(a.sim_time_end, b.sim_time_end, "{what}: end time diverged");
-    assert_eq!(a.trace.entries(), b.trace.entries(), "{what}: event trace diverged");
+    if let Some((i, x, y)) = first_divergence(a.trace.entries(), b.trace.entries()) {
+        panic!("{what}: event trace diverged at entry {i}: {x:?} vs {y:?}");
+    }
 }
 
 fn all_algorithms() -> [Algorithm; 6] {

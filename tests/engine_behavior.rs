@@ -8,7 +8,7 @@
 //! and share their config builder with the digest fixtures through
 //! `seafl::core::test_support`.
 
-use seafl::core::test_support::tiny_cfg;
+use seafl::core::test_support::{fixture_cases, tiny_cfg};
 use seafl::core::{
     run_experiment, run_with_policy, Admission, Algorithm, ModelUpdate, ServerPolicy,
 };
@@ -296,6 +296,54 @@ fn faulty_runs_are_deterministic() {
     assert_eq!(a.timeouts, b.timeouts);
     assert_eq!(a.rejected_updates, b.rejected_updates);
     assert_eq!(a.trace.entries(), b.trace.entries());
+}
+
+/// FedAvg's rounds are barriers on the event-driven engine: a cohort starts
+/// together, at the aggregation that closed the previous round (t = 0 for
+/// the first), and its round closes at its last upload with every member's
+/// update in it.
+#[test]
+fn fedavg_rounds_are_barriers() {
+    let c = 6;
+    let r = run_experiment(&tiny_cfg(0, Algorithm::FedAvg { clients_per_round: c }));
+    assert_eq!(r.rounds, 30);
+    let (mut barrier, mut last_upload) = (0.0, None);
+    let (mut starts, mut uploads) = (0, 0);
+    for (t, ev) in r.trace.entries() {
+        let t = t.as_secs();
+        match ev {
+            TraceEvent::ClientStart { .. } => {
+                assert_eq!(t, barrier, "a cohort member started off the barrier");
+                starts += 1;
+            }
+            TraceEvent::Upload { .. } => {
+                last_upload = Some(t);
+                uploads += 1;
+            }
+            TraceEvent::Aggregate { round, num_updates } => {
+                assert_eq!((*num_updates, starts, uploads), (c, c, c), "round {round}");
+                assert_eq!(Some(t), last_upload, "round {round} closed off its last upload");
+                (barrier, starts, uploads) = (t, 0, 0);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Under the shared fault overlay FedAvg's devices crash, lose uploads and
+/// time out like every other policy's, and the run leaves the clean one.
+#[test]
+fn fedavg_pays_the_fault_tax() {
+    let run = |key: &str| {
+        let case = fixture_cases().into_iter().find(|c| c.key() == key);
+        run_experiment(&case.unwrap_or_else(|| panic!("no fixture case {key}")).cfg)
+    };
+    let (clean, faulty) = (run("fedavg/clean"), run("fedavg/faults"));
+    assert!(faulty.crashes > 0, "no device crashed");
+    assert!(faulty.timeouts > 0, "no session timed out");
+    assert!(faulty.upload_failures > 0, "no upload was lost");
+    assert_ne!(faulty.model_digest, clean.model_digest, "faults left the model untouched");
+    assert_ne!(faulty.trace.digest(), clean.trace.digest(), "faults left the trace untouched");
 }
 
 // ---- the custom-policy seam ----
