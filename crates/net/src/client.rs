@@ -263,12 +263,9 @@ impl NetClient {
         };
         let mut out = self.env.pool.train_cohort(&self.global, vec![job]);
         let (outcome, rng_after) = out.pop().expect("one job in, one outcome out");
-        let blob = match self.codec.as_deref() {
-            Some(codec) => {
-                msg::encode_outcome_coded(&outcome, rng_state(&rng_after), codec, &self.global)
-            }
-            None => msg::encode_outcome(&outcome, rng_state(&rng_after)),
-        };
-        self.link.push(&Msg::Outcome { generation, client_id, blob }.encode());
+        let codec = self.codec.as_deref().map(|c| (c, self.global.as_slice()));
+        let message =
+            msg::encode_outcome_msg(generation, client_id, &outcome, rng_state(&rng_after), codec);
+        self.link.push(&message);
     }
 }

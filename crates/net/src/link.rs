@@ -162,7 +162,7 @@ impl RecvLink {
 /// before the buffer grows.
 pub const MAX_MESSAGE: usize = 64 << 20;
 
-/// What one [`Link::poll`] saw.
+/// What one [`Link::poll`] or [`Link::on_frame`] saw.
 #[derive(Debug, Default)]
 pub struct Polled {
     /// Wire bytes of the frame read (0: the wait elapsed, or the link is
@@ -310,30 +310,36 @@ impl Link {
         sent
     }
 
-    /// Wait up to `wait` for one frame and process it. An ack advances the
-    /// sender (resetting the RTO if it confirmed something); a sequenced
-    /// frame is accepted, **always** re-acked — the ack covering a
-    /// duplicate may itself have been lost — and what it makes deliverable
-    /// is appended to the message under reassembly, handed up when its
-    /// `Data` frame lands. A peer whose fragments outgrow [`MAX_MESSAGE`]
-    /// is cut off — connection and partial message dropped — before any
-    /// growth past the cap.
+    /// Wait up to `wait` for one frame on the attached connection and
+    /// process it ([`Link::on_frame`]). A failed read drops the
+    /// connection; a down link hears nothing.
     pub fn poll(&mut self, wait: Duration) -> Result<Polled, FrameError> {
-        let mut out = Polled::default();
-        let Some(t) = self.transport.as_mut() else { return Ok(out) };
-        let frame = match t.recv(wait) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Ok(out),
+        let Some(t) = self.transport.as_mut() else { return Ok(Polled::default()) };
+        match t.recv(wait) {
+            Ok(Some(frame)) => self.on_frame(frame),
+            Ok(None) => Ok(Polled::default()),
             Err(e) => {
                 // A peer closing is how every run ends; a fault earns a line.
                 if !matches!(e, NetError::Disconnected { .. }) {
                     eprintln!("seafl-net: {e}");
                 }
                 self.transport = None;
-                return Ok(out);
+                Ok(Polled::default())
             }
-        };
-        out.received = frame.wire_len() as u64;
+        }
+    }
+
+    /// Process one frame read off this link's connection (by
+    /// [`Link::poll`], or by a reader thread that owns the read half). An
+    /// ack advances the sender (resetting the RTO if it confirmed
+    /// something); a sequenced frame is accepted, **always** re-acked —
+    /// the ack covering a duplicate may itself have been lost — and what
+    /// it makes deliverable is appended to the message under reassembly,
+    /// handed up when its `Data` frame lands. A peer whose fragments
+    /// outgrow [`MAX_MESSAGE`] is cut off — connection and partial
+    /// message dropped — before any growth past the cap.
+    pub fn on_frame(&mut self, frame: Frame) -> Result<Polled, FrameError> {
+        let mut out = Polled { received: frame.wire_len() as u64, ..Polled::default() };
         match frame.kind {
             FrameKind::Ack => {
                 if self.send.on_ack(frame.offset) {
@@ -361,6 +367,12 @@ impl Link {
             FrameKind::Hello | FrameKind::Welcome | FrameKind::Reject => {}
         }
         Ok(out)
+    }
+
+    /// When the RTO clock runs out (`None`: nothing in flight). The
+    /// moment [`Link::retransmit_due`] would act, if the link is up.
+    pub fn rto_deadline(&self) -> Option<Instant> {
+        self.rto_deadline
     }
 
     /// Go-back-N: if the link is up and the RTO clock has run out at
@@ -443,12 +455,21 @@ mod tests {
     /// Poll both ends (retransmitting with the clock wound past any RTO)
     /// until `b` has nothing more to hear; returns what `b` was handed.
     fn exchange(a: &mut Link, b: &mut Link) -> Vec<Vec<u8>> {
+        exchange_via(a, b, |b| b.poll(Duration::ZERO).unwrap())
+    }
+
+    /// [`exchange`], with `hear` taking in at most one frame for `b`.
+    fn exchange_via(
+        a: &mut Link,
+        b: &mut Link,
+        mut hear: impl FnMut(&mut Link) -> Polled,
+    ) -> Vec<Vec<u8>> {
         let mut got = Vec::new();
         let mut quiet = 0;
         while quiet < 3 {
             let far = Instant::now() + Duration::from_secs(3600);
             a.retransmit_due(far);
-            let polled = b.poll(Duration::ZERO).unwrap();
+            let polled = hear(b);
             let acked = a.poll(Duration::ZERO).unwrap();
             let idle = polled.received == 0 && acked.received == 0 && a.in_flight() == 0;
             quiet = if idle { quiet + 1 } else { 0 };
@@ -457,27 +478,54 @@ mod tests {
         got
     }
 
-    #[test]
-    fn messages_of_every_length_survive_drop_duplicate_reorder() {
+    /// [`exchange`] over a lossy pipe carrying messages of every length
+    /// across the fragment boundary. `b` hears either through its own
+    /// [`Link::poll`] or, like a server reader thread, by having each frame
+    /// handed to [`Link::on_frame`]. Returns what `b` was handed, the bytes
+    /// it acked with, and `a`'s frames in flight before and after.
+    fn lossy_exchange(via_on_frame: bool) -> (Vec<Vec<u8>>, u64, usize, usize) {
         let loss = LossConfig {
             drop_prob: 0.15,
             dup_prob: 0.15,
             reorder_prob: 0.15,
             ..LossConfig::none()
         };
-        let lens = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK];
         let (mut a, mut b) = (link(), link());
         let (pa, pb) = pipes(usize::MAX);
+        let to_b = pb.rx.clone();
         a.resume(Box::new(LossyTransport::new(pa, loss, 7, 0)), 0);
         b.resume(Box::new(LossyTransport::new(pb, loss, 7, 1)), 0);
-        for len in lens {
+        for len in LENS {
             a.push(&message(len));
         }
+        let queued = a.in_flight();
+        let mut acks = 0;
+        let got = exchange_via(&mut a, &mut b, |b| {
+            let polled = if via_on_frame {
+                let frame = to_b.lock().unwrap().pop_front();
+                frame.map_or(Ok(Polled::default()), |f| b.on_frame(f)).unwrap()
+            } else {
+                b.poll(Duration::ZERO).unwrap()
+            };
+            acks += polled.sent;
+            polled
+        });
+        (got, acks, queued, a.in_flight())
+    }
+
+    const LENS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK];
+
+    #[test]
+    fn messages_of_every_length_survive_drop_duplicate_reorder() {
+        let (got, acks, queued, left) = lossy_exchange(false);
         // 0..=CHUNK travel as one Data frame, CHUNK+1 as two frames, 3·CHUNK
         // as three: fragmentation adds no frame a plain send would not need.
-        assert_eq!(a.in_flight(), 4 + 2 + 3);
-        let got = exchange(&mut a, &mut b);
-        assert_eq!(got, lens.map(message), "byte-identical, in order, exactly once");
+        assert_eq!(queued, 4 + 2 + 3);
+        assert_eq!(got, LENS.map(message), "byte-identical, in order, exactly once");
+        assert_eq!(left, 0);
+        // A reader thread handing frames to `on_frame` sees exactly what
+        // `poll` sees: the same messages, the same acks, the same flight.
+        assert_eq!(lossy_exchange(true), (got, acks, queued, left));
     }
 
     #[test]

@@ -103,11 +103,7 @@ impl Msg {
                 w.u8(2);
                 w.section(reason.as_bytes());
             }
-            Msg::Model { generation, params } => {
-                w.u8(3);
-                w.u64(*generation);
-                w.vec_f32(params);
-            }
+            Msg::Model { generation, params } => write_model(&mut w, *generation, params),
             Msg::Assign { generation, client_id, epochs, keep_snapshots, rng } => {
                 w.u8(4);
                 w.u64(*generation);
@@ -117,9 +113,7 @@ impl Msg {
                 w.rng_state(*rng);
             }
             Msg::Outcome { generation, client_id, blob } => {
-                w.u8(5);
-                w.u64(*generation);
-                w.u64(*client_id);
+                write_outcome_header(&mut w, *generation, *client_id);
                 w.section(blob);
             }
             Msg::Done => w.u8(6),
@@ -160,12 +154,56 @@ impl Msg {
     }
 }
 
+fn write_model(w: &mut BinWriter, generation: u64, params: &[f32]) {
+    w.u8(3);
+    w.u64(generation);
+    w.vec_f32(params);
+}
+
+fn write_outcome_header(w: &mut BinWriter, generation: u64, client_id: u64) {
+    w.u8(5);
+    w.u64(generation);
+    w.u64(client_id);
+}
+
+/// The bytes of `Msg::Model { generation, params }.encode()`, written
+/// straight from the borrowed parameters (no owned copy of the model).
+pub fn encode_model(generation: u64, params: &[f32]) -> Vec<u8> {
+    let mut w = BinWriter::new();
+    write_model(&mut w, generation, params);
+    w.into_bytes()
+}
+
+/// The bytes of `Msg::Outcome { generation, client_id, blob }.encode()`,
+/// where `blob` is [`encode_outcome`] or — with `codec` armed as
+/// `(codec, reference)` — [`encode_outcome_coded`], written into one
+/// buffer: the blob is never staged on its own.
+pub fn encode_outcome_msg(
+    generation: u64,
+    client_id: u64,
+    outcome: &TrainOutcome,
+    rng: SimRngState,
+    codec: Option<(&dyn UpdateCodec, &[f32])>,
+) -> Vec<u8> {
+    let mut w = BinWriter::new();
+    write_outcome_header(&mut w, generation, client_id);
+    w.section_with(|w| match codec {
+        Some((codec, reference)) => write_outcome_coded(w, outcome, rng, codec, reference),
+        None => write_outcome(w, outcome, rng),
+    });
+    w.into_bytes()
+}
+
+fn write_outcome(w: &mut BinWriter, outcome: &TrainOutcome, rng: SimRngState) {
+    outcome.encode(w);
+    w.rng_state(rng);
+}
+
 /// Encode a training outcome plus the advanced RNG state for the
 /// upload path. Bit-exact: floats travel as IEEE-754 bit patterns.
 pub fn encode_outcome(outcome: &TrainOutcome, rng: SimRngState) -> Vec<u8> {
     let mut w = BinWriter::new();
-    outcome.encode(&mut w);
-    w.rng_state(rng);
+    write_outcome(&mut w, outcome, rng);
     w.into_bytes()
 }
 
@@ -196,13 +234,23 @@ pub fn encode_outcome_coded(
     reference: &[f32],
 ) -> Vec<u8> {
     let mut w = BinWriter::new();
+    write_outcome_coded(&mut w, outcome, rng, codec, reference);
+    w.into_bytes()
+}
+
+fn write_outcome_coded(
+    w: &mut BinWriter,
+    outcome: &TrainOutcome,
+    rng: SimRngState,
+    codec: &dyn UpdateCodec,
+    reference: &[f32],
+) {
     w.usize(outcome.snapshots.len());
     for snap in &outcome.snapshots {
         w.section(&codec.encode(reference, snap));
     }
     w.vec_f32(&outcome.epoch_losses);
     w.rng_state(rng);
-    w.into_bytes()
 }
 
 /// Inverse of [`encode_outcome_coded`]. Returns the decoded (projected)
@@ -292,6 +340,29 @@ mod tests {
         outcome.encode(&mut w);
         w.rng_state(rng_sample());
         assert_eq!(blob, w.into_bytes());
+    }
+
+    #[test]
+    fn borrowing_encoders_match_the_owned_messages() {
+        let params = vec![1.5, -0.0, f32::NAN, f32::MIN_POSITIVE];
+        assert_eq!(
+            encode_model(9, &params),
+            Msg::Model { generation: 9, params: params.clone() }.encode()
+        );
+        let outcome = TrainOutcome {
+            snapshots: vec![vec![0.25, 9.0, -0.0, 3.0], vec![2.5; 4]],
+            epoch_losses: vec![0.9, 0.7],
+        };
+        let owned = |blob| Msg::Outcome { generation: 9, client_id: 4, blob }.encode();
+        assert_eq!(
+            encode_outcome_msg(9, 4, &outcome, rng_sample(), None),
+            owned(encode_outcome(&outcome, rng_sample()))
+        );
+        let (topk, reference) = (seafl_core::TopK::new(2), [0.25f32; 4]);
+        assert_eq!(
+            encode_outcome_msg(9, 4, &outcome, rng_sample(), Some((&topk, &reference))),
+            owned(encode_outcome_coded(&outcome, rng_sample(), &topk, &reference))
+        );
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //!
 //! Everything above this module speaks [`Frame`]s; everything below is a
 //! byte stream. [`StreamTransport`] adapts blocking TCP or unix-domain
-//! streams (read timeouts make `recv` poll-friendly), and
-//! [`NetListener`] accepts them without blocking the server's event
-//! pump. The [`Transport`] trait is object-safe so the lossy fault
+//! streams: [`Transport::recv`] waits at most a timeout (the client's
+//! poll), [`StreamTransport::recv_blocking`] waits for as long as it
+//! takes (a server reader thread, which [`StreamTransport::shutdown`]
+//! wakes from another thread through a [`StreamTransport::try_clone`]).
+//! [`NetListener`] accepts connections without blocking the server's
+//! event pump. The [`Transport`] trait is object-safe so the lossy fault
 //! injector ([`crate::lossy::LossyTransport`]) can wrap any
 //! implementation transparently.
 
 use crate::frame::{Frame, FrameDecoder};
 use crate::NetError;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
@@ -115,6 +118,11 @@ pub struct StreamTransport {
     stream: StreamKind,
     decoder: FrameDecoder,
     peer: String,
+    /// The socket's read timeout as this handle last set it (`Some(None)`:
+    /// blocking), so a receive re-arms it only when the wait changes.
+    /// `None` until this handle first sets it: a fresh clone cannot know
+    /// what another handle left on the shared socket.
+    read_timeout: Option<Option<Duration>>,
 }
 
 impl StreamTransport {
@@ -133,44 +141,70 @@ impl StreamTransport {
                 UnixStream::connect(path).map_err(NetError::io(format!("connect {peer}")))?,
             ),
         };
-        Ok(StreamTransport { stream, decoder: FrameDecoder::new(), peer })
+        Ok(StreamTransport::new(stream, peer))
     }
 
-    fn set_read_timeout(&mut self, timeout: Duration) -> Result<(), NetError> {
-        // A zero Duration means "no timeout" to the OS — clamp up instead.
-        let t = Some(timeout.max(Duration::from_millis(1)));
-        let res = match &self.stream {
-            StreamKind::Tcp(s) => s.set_read_timeout(t),
+    fn new(stream: StreamKind, peer: String) -> StreamTransport {
+        StreamTransport { stream, decoder: FrameDecoder::new(), peer, read_timeout: None }
+    }
+
+    /// A second handle on the same connection, for another thread. Both
+    /// share the socket (and its read timeout), not the frame decoder nor
+    /// the cached timeout: only one of them should read.
+    pub fn try_clone(&self) -> Result<StreamTransport, NetError> {
+        let context = format!("clone the connection to {}", self.peer);
+        let stream = match &self.stream {
+            StreamKind::Tcp(s) => StreamKind::Tcp(s.try_clone().map_err(NetError::io(context))?),
             #[cfg(unix)]
-            StreamKind::Uds(s) => s.set_read_timeout(t),
+            StreamKind::Uds(s) => StreamKind::Uds(s.try_clone().map_err(NetError::io(context))?),
         };
-        res.map_err(NetError::io(format!("set read timeout on {}", self.peer)))
+        Ok(StreamTransport::new(stream, self.peer.clone()))
     }
 
-    fn read_some(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match &mut self.stream {
-            StreamKind::Tcp(s) => s.read(buf),
+    /// Shut the connection down in both directions: the peer reads EOF,
+    /// and a read blocked on any handle to it returns. Errors (the peer
+    /// is already gone) are ignored — the connection is over either way.
+    pub fn shutdown(&self) {
+        let _ = match &self.stream {
+            StreamKind::Tcp(s) => s.shutdown(Shutdown::Both),
             #[cfg(unix)]
-            StreamKind::Uds(s) => s.read(buf),
+            StreamKind::Uds(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+
+    /// Read the next frame, waiting as long as it takes: a reader
+    /// thread's loop. Ends in an error once the peer closes or the
+    /// connection is [`StreamTransport::shutdown`].
+    pub fn recv_blocking(&mut self) -> Result<Frame, NetError> {
+        // A timeout can still fire if another handle re-armed the shared
+        // socket's; it only means "read again".
+        loop {
+            if let Some(frame) = self.recv_within(None)? {
+                return Ok(frame);
+            }
         }
     }
 
-    fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        match &mut self.stream {
-            StreamKind::Tcp(s) => s.write_all(bytes),
-            #[cfg(unix)]
-            StreamKind::Uds(s) => s.write_all(bytes),
+    /// Arm the socket's read timeout (`None`: block), skipping the
+    /// syscall when it is already set to that.
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
+        if self.read_timeout == Some(timeout) {
+            return Ok(());
         }
+        let res = match &self.stream {
+            StreamKind::Tcp(s) => s.set_read_timeout(timeout),
+            #[cfg(unix)]
+            StreamKind::Uds(s) => s.set_read_timeout(timeout),
+        };
+        res.map_err(NetError::io(format!("set read timeout on {}", self.peer)))?;
+        self.read_timeout = Some(timeout);
+        Ok(())
     }
-}
 
-impl Transport for StreamTransport {
-    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
-        self.write_all_bytes(&frame.encode())
-            .map_err(NetError::io(format!("send to {}", self.peer)))
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
+    /// Decode the next frame, reading while the buffered bytes hold no
+    /// whole one; each read waits at most `timeout` (`None`: block), and
+    /// one that times out returns `Ok(None)`.
+    fn recv_within(&mut self, timeout: Option<Duration>) -> Result<Option<Frame>, NetError> {
         loop {
             if let Some(frame) = self
                 .decoder
@@ -198,6 +232,34 @@ impl Transport for StreamTransport {
                 }
             }
         }
+    }
+
+    fn read_some(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match &mut self.stream {
+            StreamKind::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            StreamKind::Uds(s) => s.read(buf),
+        }
+    }
+
+    fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        match &mut self.stream {
+            StreamKind::Tcp(s) => s.write_all(bytes),
+            #[cfg(unix)]
+            StreamKind::Uds(s) => s.write_all(bytes),
+        }
+    }
+}
+
+impl Transport for StreamTransport {
+    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+        self.write_all_bytes(&frame.encode())
+            .map_err(NetError::io(format!("send to {}", self.peer)))
+    }
+
+    fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
+        // A zero Duration means "no timeout" to the OS — clamp up instead.
+        self.recv_within(Some(timeout.max(Duration::from_millis(1))))
     }
 
     fn peer(&self) -> &str {
@@ -293,11 +355,7 @@ impl NetListener {
                 }
             },
         };
-        Ok(accepted.map(|(stream, peer)| StreamTransport {
-            stream,
-            decoder: FrameDecoder::new(),
-            peer,
-        }))
+        Ok(accepted.map(|(stream, peer)| StreamTransport::new(stream, peer)))
     }
 }
 
@@ -325,15 +383,7 @@ mod tests {
 
     #[test]
     fn tcp_loopback_send_recv_and_timeout() {
-        let listener = NetListener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-        let ep = listener.local_endpoint().clone();
-        let mut client = StreamTransport::connect(&ep).unwrap();
-        let mut server = loop {
-            if let Some(t) = listener.accept().unwrap() {
-                break t;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let (mut client, mut server) = tcp_pair();
         let frame = Frame::new(FrameKind::Data, 9, vec![1, 2, 3]);
         client.send(&frame).unwrap();
         let got = loop {
@@ -344,6 +394,36 @@ mod tests {
         assert_eq!(got, frame);
         // Nothing else queued: recv times out cleanly.
         assert_eq!(server.recv(Duration::from_millis(10)).unwrap(), None);
+    }
+
+    /// A connected `(client, server)` pair over loopback TCP.
+    fn tcp_pair() -> (StreamTransport, StreamTransport) {
+        let listener = NetListener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+        let client = StreamTransport::connect(listener.local_endpoint()).unwrap();
+        loop {
+            if let Some(server) = listener.accept().unwrap() {
+                return (client, server);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_clone_arms_its_own_read_timeout() {
+        let (mut client, mut server) = tcp_pair();
+        let frame = Frame::new(FrameKind::Data, 0, vec![7]);
+        // The original caches a 20 ms timeout, then a blocking read
+        // re-arms the shared socket behind the clone's back.
+        client.send(&frame).unwrap();
+        while server.recv(Duration::from_millis(20)).unwrap().is_none() {}
+        let mut clone = server.try_clone().unwrap();
+        client.send(&frame).unwrap();
+        assert_eq!(server.recv_blocking().unwrap(), frame);
+        // The clone must set its own wait, not trust a copied cache.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(clone.recv(Duration::from_millis(20)).unwrap()));
+        let waited = rx.recv_timeout(Duration::from_secs(2));
+        assert_eq!(waited, Ok(None), "the clone's 20 ms wait timed out");
     }
 
     #[cfg(unix)]
