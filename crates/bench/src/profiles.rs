@@ -14,8 +14,8 @@
 use crate::report::{self, Hook};
 use crate::{Arm, Scale};
 use seafl_core::{
-    Algorithm, CodecConfig, CodecStage, ExperimentConfig, ImportanceMode, PartitionStrategy,
-    ResilienceConfig, StalenessPolicy,
+    build_policy, Algorithm, CodecConfig, CodecStage, ExperimentConfig, ImportanceMode,
+    PartitionStrategy, ResilienceConfig, SeaflPolicy, StalenessPolicy,
 };
 use seafl_data::SyntheticSpec;
 use seafl_nn::ModelKind;
@@ -256,9 +256,9 @@ fn arm(label: impl Into<String>, config: ExperimentConfig) -> Arm {
 /// SEAFL at β = 10 with its weighting knobs set: Eq. 4's α, Eq. 5's μ and
 /// importance measure, Eq. 8's ϑ.
 fn seafl_weighting(s: Scale, alpha: f32, mu: f32, imp: ImportanceMode, theta: f32) -> Algorithm {
-    let ((concurrency, buffer_k), beta) = (m_k(s), Some(BETA));
-    let policy = StalenessPolicy::WaitForStale;
-    Algorithm::Seafl { concurrency, buffer_k, alpha, mu, beta, theta, policy, importance: imp }
+    let (m, k) = m_k(s);
+    let paper = SeaflPolicy::paper(m, k, Some(BETA), StalenessPolicy::WaitForStale);
+    Algorithm::Seafl(SeaflPolicy { alpha, mu, theta, importance: imp, ..paper })
 }
 
 /// The rows `figure` runs at `scale`: every part, or only the one `part`
@@ -304,7 +304,7 @@ fn fig2(scale: Scale) -> Vec<(&'static str, Row)> {
     let mut buffer = vec![arm("K=1 (async)", fedasync)];
     let ks: &[usize] = if scale == Scale::Smoke { &[3, 6] } else { &[5, 10, 15, 20] };
     buffer.extend(ks.iter().map(|&k| arm(format!("K={k}"), seafl(k, None))));
-    buffer.push(arm(format!("K={m} (sync)"), insights(Algorithm::FedAvg { clients_per_round: m })));
+    buffer.push(arm(format!("K={m} (sync)"), insights(Algorithm::fedavg(m))));
     let betas: &[u64] = if scale == Scale::Smoke { &[1, 10] } else { &[1, 2, 5, 10, 20] };
     let mut limit: Vec<Arm> =
         betas.iter().map(|&b| arm(format!("beta={b}"), seafl(k, Some(b)))).collect();
@@ -356,7 +356,7 @@ fn baselines(workload: Workload, scale: Scale) -> Vec<Arm> {
     let mut fedasync = eval(Algorithm::fedasync_constant(m));
     fedasync.max_rounds *= k as u64;
     fedasync.eval_every = k as u64;
-    let mut fedavg = eval(Algorithm::FedAvg { clients_per_round: m });
+    let mut fedavg = eval(Algorithm::fedavg(m));
     fedavg.max_rounds = fedavg.max_rounds * k as u64 / m as u64 + 1;
     vec![
         arm("fedbuff", eval(Algorithm::fedbuff(m, k))),
@@ -512,13 +512,14 @@ fn chaos(scale: Scale) -> Row {
         Algorithm::seafl2(m, k, BETA),
         Algorithm::fedbuff(m, k),
         Algorithm::fedasync(m),
-        Algorithm::FedAvg { clients_per_round: m },
+        Algorithm::fedavg(m),
     ] {
         let healthy = insights_config(SEED, alg, scale);
+        let name = build_policy(&healthy).name();
         let mut faulty = healthy.clone();
         chaos_overlay(&mut faulty);
-        arms.push(arm(format!("{} (healthy)", alg.name()), healthy));
-        arms.push(arm(format!("{} (faulty)", alg.name()), faulty));
+        arms.push(arm(format!("{name} (healthy)"), healthy));
+        arms.push(arm(format!("{name} (faulty)"), faulty));
     }
     let title = "Chaos: healthy vs faulty fleet".into();
     Row::new("chaos".into(), title, &[INSIGHTS_TARGET], arms).curves().hook(report::fault_tax)
@@ -590,7 +591,7 @@ mod tests {
     #[test]
     fn fig5_arms_cover_all_algorithms() {
         let arms = fig5_arms(Workload::Emnist, Scale::Smoke);
-        let names: Vec<&str> = arms.iter().map(|a| a.config.algorithm.name()).collect();
+        let names: Vec<&str> = arms.iter().map(|a| build_policy(&a.config).name()).collect();
         assert_eq!(names, vec!["seafl", "seafl", "fedbuff", "fedasync", "fedavg", "fedstale"]);
     }
 

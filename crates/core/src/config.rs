@@ -1,32 +1,14 @@
 //! Experiment configuration.
 
 use crate::codec::CodecConfig;
+use crate::engine::event_loop::RETRY_BACKOFF_CAP;
 use crate::obs::ObsConfig;
+use crate::policy::{FedAsyncPolicy, FedAvgPolicy, FedBuffPolicy, SeaflPolicy, StalenessPolicy};
 use crate::robust::RobustConfig;
-use crate::weighting::ImportanceMode;
 use seafl_data::SyntheticSpec;
 use seafl_nn::ModelKind;
 use seafl_sim::faults::{ensure, ConfigError};
 use seafl_sim::{AttackConfig, FaultConfig, FleetConfig, LossConfig};
-
-/// How the server handles in-flight clients whose staleness reaches the
-/// limit β.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StalenessPolicy {
-    /// No limit enforcement (FedBuff; SEAFL with β = ∞).
-    Ignore,
-    /// SEAFL (Algorithm 1): defer aggregation until every over-limit client
-    /// has reported, so no aggregated update ever exceeds β.
-    WaitForStale,
-    /// SEAFL² (Algorithm 2): notify over-limit clients; they upload a
-    /// partial update at the end of their current epoch.
-    NotifyPartial,
-    /// SAFA-style lag tolerance (the alternative §II criticizes): updates
-    /// whose staleness exceeds β are *discarded* at aggregation time,
-    /// wasting the straggler's training effort. Provided for the ablation
-    /// bench.
-    DropStale,
-}
 
 /// How training samples are split across clients.
 #[derive(Clone, Copy, Debug)]
@@ -66,60 +48,27 @@ pub enum SelectionPolicy {
     },
 }
 
-/// Which FL algorithm drives the run.
+/// Which FL algorithm drives the run. Each variant holds the
+/// [`ServerPolicy`](crate::ServerPolicy) struct that
+/// [`build_policy`](crate::build_policy) boxes, so an algorithm's
+/// parameters, defaults and label live with its policy.
 #[derive(Clone, Copy, Debug)]
 pub enum Algorithm {
-    /// Synchronous FedAvg: sample `clients_per_round` devices, wait for all.
-    FedAvg {
-        /// Devices sampled per round.
-        clients_per_round: usize,
-    },
-    /// Fully asynchronous FedAsync: `concurrency` devices training,
-    /// aggregate every single arrival with polynomial staleness mixing.
-    FedAsync {
-        /// Devices kept training concurrently.
-        concurrency: usize,
-        /// Base mixing rate α.
-        mixing_alpha: f32,
-        /// Polynomial staleness exponent `a`.
-        poly_a: f32,
-    },
-    /// Semi-asynchronous FedBuff: buffer `buffer_k` updates, uniform 1/K
-    /// weights, ϑ-mixing, no staleness limit.
-    FedBuff {
-        /// Devices kept training concurrently.
-        concurrency: usize,
-        /// Updates buffered per aggregation, K.
-        buffer_k: usize,
-        /// Server mixing ϑ.
-        theta: f32,
-    },
+    /// Synchronous FedAvg: sample a cohort, wait for all of it.
+    FedAvg(FedAvgPolicy),
+    /// Fully asynchronous FedAsync: aggregate every single arrival with
+    /// polynomial staleness mixing.
+    FedAsync(FedAsyncPolicy),
+    /// Semi-asynchronous FedBuff: uniform 1/K weights, ϑ-mixing, no
+    /// staleness limit.
+    FedBuff(FedBuffPolicy),
     /// SEAFL / SEAFL²: adaptive staleness+importance weighting (Eqs. 4–8).
-    Seafl {
-        /// Devices kept training concurrently, M.
-        concurrency: usize,
-        /// Updates buffered per aggregation, K.
-        buffer_k: usize,
-        /// Staleness-factor weight α (paper's tuned value: 3).
-        alpha: f32,
-        /// Importance-factor weight μ (paper's tuned value: 1).
-        mu: f32,
-        /// Staleness limit β; `None` = ∞.
-        beta: Option<u64>,
-        /// Server mixing ϑ (paper: 0.8).
-        theta: f32,
-        /// β enforcement: `WaitForStale` = SEAFL, `NotifyPartial` = SEAFL².
-        policy: StalenessPolicy,
-        /// Importance measurement (paper default: model cosine).
-        importance: ImportanceMode,
-    },
-    /// Staleness-fair buffered aggregation (FedStaleWeight-style): weight
-    /// each buffered update by `num_samples · (mean staleness + 1)`, where
-    /// the mean is a per-client running average of observed staleness —
-    /// chronically stale devices get *boosted* so their data is not
-    /// under-represented, the opposite bias-correction to SEAFL's Eq. 4
-    /// damping. Added as the proof that a new algorithm is one
-    /// `ServerPolicy` impl plus this variant (see DESIGN.md §8).
+    Seafl(SeaflPolicy),
+    /// Staleness-fair buffered aggregation ([`FedStaleWeightPolicy`]). It
+    /// keeps its parameters as fields because its policy also holds
+    /// per-client running means, sized by `num_clients`.
+    ///
+    /// [`FedStaleWeightPolicy`]: crate::FedStaleWeightPolicy
     FedStale {
         /// Devices kept training concurrently.
         concurrency: usize,
@@ -131,61 +80,40 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// SEAFL with the paper's tuned hyperparameters.
+    /// SEAFL with the paper's tuned hyperparameters; Algorithm 1's wait
+    /// rule when β is finite.
     pub fn seafl(concurrency: usize, buffer_k: usize, beta: Option<u64>) -> Self {
-        Algorithm::Seafl {
-            concurrency,
-            buffer_k,
-            alpha: 3.0,
-            mu: 1.0,
-            beta,
-            theta: 0.8,
-            policy: if beta.is_some() {
-                StalenessPolicy::WaitForStale
-            } else {
-                StalenessPolicy::Ignore
-            },
-            importance: ImportanceMode::ModelCosine,
-        }
+        let rule =
+            if beta.is_some() { StalenessPolicy::WaitForStale } else { StalenessPolicy::Ignore };
+        Algorithm::Seafl(SeaflPolicy::paper(concurrency, buffer_k, beta, rule))
     }
 
     /// SEAFL² (partial training) with the paper's tuned hyperparameters.
     pub fn seafl2(concurrency: usize, buffer_k: usize, beta: u64) -> Self {
-        Algorithm::Seafl {
-            concurrency,
-            buffer_k,
-            alpha: 3.0,
-            mu: 1.0,
-            beta: Some(beta),
-            theta: 0.8,
-            policy: StalenessPolicy::NotifyPartial,
-            importance: ImportanceMode::ModelCosine,
-        }
+        let rule = StalenessPolicy::NotifyPartial;
+        Algorithm::Seafl(SeaflPolicy::paper(concurrency, buffer_k, Some(beta), rule))
     }
 
     /// SEAFL weighting with the SAFA-style discard policy: over-limit
     /// updates are dropped instead of waited for (ablation arm).
     pub fn seafl_drop(concurrency: usize, buffer_k: usize, beta: u64) -> Self {
-        Algorithm::Seafl {
-            concurrency,
-            buffer_k,
-            alpha: 3.0,
-            mu: 1.0,
-            beta: Some(beta),
-            theta: 0.8,
-            policy: StalenessPolicy::DropStale,
-            importance: ImportanceMode::ModelCosine,
-        }
+        let rule = StalenessPolicy::DropStale;
+        Algorithm::Seafl(SeaflPolicy::paper(concurrency, buffer_k, Some(beta), rule))
+    }
+
+    /// Synchronous FedAvg over cohorts of `clients_per_round` devices.
+    pub fn fedavg(clients_per_round: usize) -> Self {
+        Algorithm::FedAvg(FedAvgPolicy { clients_per_round })
     }
 
     /// FedBuff with the paper's ϑ.
     pub fn fedbuff(concurrency: usize, buffer_k: usize) -> Self {
-        Algorithm::FedBuff { concurrency, buffer_k, theta: 0.8 }
+        Algorithm::FedBuff(FedBuffPolicy { concurrency, buffer_k, theta: 0.8 })
     }
 
     /// FedAsync with polynomial staleness damping (α = 0.6, a = 0.5).
     pub fn fedasync(concurrency: usize) -> Self {
-        Algorithm::FedAsync { concurrency, mixing_alpha: 0.6, poly_a: 0.5 }
+        Algorithm::FedAsync(FedAsyncPolicy { concurrency, mixing_alpha: 0.6, poly_a: 0.5 })
     }
 
     /// FedAsync with its *constant* mixing strategy (`s(τ) = 1`, the
@@ -193,26 +121,12 @@ impl Algorithm {
     /// in with weight α regardless of staleness. This is the aggressive
     /// configuration whose instability the SEAFL paper reports in Fig. 5.
     pub fn fedasync_constant(concurrency: usize) -> Self {
-        Algorithm::FedAsync { concurrency, mixing_alpha: 0.6, poly_a: 0.0 }
+        Algorithm::FedAsync(FedAsyncPolicy { concurrency, mixing_alpha: 0.6, poly_a: 0.0 })
     }
 
     /// FedStaleWeight-style staleness-fair reweighting with the paper's ϑ.
     pub fn fedstale(concurrency: usize, buffer_k: usize) -> Self {
         Algorithm::FedStale { concurrency, buffer_k, theta: 0.8 }
-    }
-
-    /// Short stable label used in run files, report tables and figures
-    /// (`"seafl"`, `"seafl2"`, `"fedbuff"`, …).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::FedAvg { .. } => "fedavg",
-            Algorithm::FedAsync { .. } => "fedasync",
-            Algorithm::FedBuff { .. } => "fedbuff",
-            Algorithm::Seafl { policy: StalenessPolicy::NotifyPartial, .. } => "seafl2",
-            Algorithm::Seafl { policy: StalenessPolicy::DropStale, .. } => "seafl-drop",
-            Algorithm::Seafl { .. } => "seafl",
-            Algorithm::FedStale { .. } => "fedstale",
-        }
     }
 }
 
@@ -227,14 +141,10 @@ pub struct ResilienceConfig {
     /// `None` disables timeouts (a single crashed client then stalls SEAFL's
     /// wait rule forever — the liveness failure the timeout exists to fix).
     pub session_timeout: Option<f64>,
-    /// Upload retries a client attempts after a transient transit loss
+    /// Base backoff delay before upload retry attempt `i`: `base · 2^(i−1)`
+    /// seconds, capped at 60 s. A client retries a lost upload three times
     /// before giving the session up.
-    pub max_upload_retries: u32,
-    /// Base backoff delay before retry attempt `i`: `base · 2^(i−1)`
-    /// seconds, capped at `retry_backoff_cap`.
     pub retry_backoff_base: f64,
-    /// Upper bound on a single backoff delay, seconds.
-    pub retry_backoff_cap: f64,
     /// Quarantine a client (exclude it from selection for the rest of the
     /// run) after this many *consecutive* session timeouts. Crashed devices
     /// stop wasting server concurrency after a couple of timeouts instead
@@ -252,9 +162,7 @@ impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             session_timeout: None,
-            max_upload_retries: 3,
             retry_backoff_base: 2.0,
-            retry_backoff_cap: 60.0,
             quarantine_after: 2,
             reject_non_finite: true,
             max_update_norm_ratio: None,
@@ -269,9 +177,10 @@ impl ResilienceConfig {
             assert!(t > 0.0, "config: non-positive session_timeout");
         }
         assert!(self.retry_backoff_base > 0.0, "config: non-positive retry_backoff_base");
+        let base = self.retry_backoff_base;
         assert!(
-            self.retry_backoff_cap >= self.retry_backoff_base,
-            "config: retry_backoff_cap below retry_backoff_base"
+            base <= RETRY_BACKOFF_CAP,
+            "config: retry_backoff_base {base} above the {RETRY_BACKOFF_CAP} s backoff cap"
         );
         assert!(self.quarantine_after >= 1, "config: quarantine_after must be >= 1");
         if let Some(r) = self.max_update_norm_ratio {
@@ -295,22 +204,13 @@ pub struct TransportConfig {
     /// resume and is rejected (`ResumeGap`).
     pub replay_history: usize,
     /// Base retransmit timeout, seconds; doubles per retry up to
-    /// [`rto_cap`](Self::rto_cap) (capped exponential backoff, mirroring
+    /// [`RTO_CAP`](Self::RTO_CAP) (capped exponential backoff, mirroring
     /// [`ResilienceConfig::retry_backoff_base`]).
     pub rto_base: f64,
-    /// Upper bound on a single retransmit timeout, seconds.
-    pub rto_cap: f64,
     /// Quarantine a connected worker after this many seconds of wire
     /// silence while it holds outstanding assignments; its jobs fail over
     /// (the existing quarantine path, now at the transport layer).
     pub idle_timeout: f64,
-    /// Connection attempts a client makes before giving up.
-    pub connect_retries: u32,
-    /// Base delay before reconnect attempt `i`: `base · 2^i` seconds,
-    /// capped at [`connect_backoff_cap`](Self::connect_backoff_cap).
-    pub connect_backoff_base: f64,
-    /// Upper bound on a single connect backoff delay, seconds.
-    pub connect_backoff_cap: f64,
     /// Server listen endpoint (`"tcp://host:port"` or `"uds:///path"`);
     /// `None` means this config never binds a socket (pure simulation).
     pub listen: Option<String>,
@@ -327,11 +227,7 @@ impl Default for TransportConfig {
             chunk_bytes: 64 * 1024,
             replay_history: 1024,
             rto_base: 0.05,
-            rto_cap: 2.0,
             idle_timeout: 30.0,
-            connect_retries: 10,
-            connect_backoff_base: 0.1,
-            connect_backoff_cap: 5.0,
             listen: None,
             connect: None,
             loss: LossConfig::none(),
@@ -340,6 +236,9 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
+    /// Upper bound on a single retransmit timeout, seconds.
+    pub const RTO_CAP: f64 = 2.0;
+
     /// Check invariants (called from [`ExperimentConfig::validate`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         ensure(self.chunk_bytes >= 1, || "config: transport.chunk_bytes must be >= 1".into())?;
@@ -347,16 +246,11 @@ impl TransportConfig {
             "config: transport.replay_history must be >= 1".into()
         })?;
         ensure(self.rto_base > 0.0, || "config: non-positive transport.rto_base".into())?;
-        ensure(self.rto_cap >= self.rto_base, || {
-            "config: transport.rto_cap below rto_base".into()
+        ensure(self.rto_base <= Self::RTO_CAP, || {
+            let (base, cap) = (self.rto_base, Self::RTO_CAP);
+            format!("config: transport.rto_base {base} above the {cap} s retransmit cap")
         })?;
         ensure(self.idle_timeout > 0.0, || "config: non-positive transport.idle_timeout".into())?;
-        ensure(self.connect_backoff_base > 0.0, || {
-            "config: non-positive transport.connect_backoff_base".into()
-        })?;
-        ensure(self.connect_backoff_cap >= self.connect_backoff_base, || {
-            "config: transport.connect_backoff_cap below connect_backoff_base".into()
-        })?;
         for (name, ep) in [("listen", &self.listen), ("connect", &self.connect)] {
             if let Some(ep) = ep {
                 ensure(ep.starts_with("tcp://") || ep.starts_with("uds://"), || {
@@ -580,13 +474,13 @@ impl ExperimentConfig {
             "config: not enough training samples for the client count"
         );
         match self.algorithm {
-            Algorithm::FedAvg { clients_per_round } => {
+            Algorithm::FedAvg(FedAvgPolicy { clients_per_round }) => {
                 assert!(
                     (1..=self.num_clients).contains(&clients_per_round),
                     "config: clients_per_round out of range"
                 );
             }
-            Algorithm::FedAsync { concurrency, mixing_alpha, poly_a } => {
+            Algorithm::FedAsync(FedAsyncPolicy { concurrency, mixing_alpha, poly_a }) => {
                 assert!((1..=self.num_clients).contains(&concurrency));
                 assert!(
                     mixing_alpha > 0.0 && mixing_alpha <= 1.0,
@@ -594,21 +488,25 @@ impl ExperimentConfig {
                 );
                 assert!(poly_a.is_finite() && poly_a >= 0.0, "config: poly_a must be finite, >= 0");
             }
-            Algorithm::FedBuff { concurrency, buffer_k, theta }
+            Algorithm::FedBuff(FedBuffPolicy { concurrency, buffer_k, theta })
             | Algorithm::FedStale { concurrency, buffer_k, theta } => {
                 assert!((1..=self.num_clients).contains(&concurrency));
                 assert!((1..=concurrency).contains(&buffer_k), "config: K must be in [1, M]");
                 assert!(theta > 0.0 && theta <= 1.0, "config: theta out of (0,1]");
             }
-            Algorithm::Seafl { concurrency, buffer_k, alpha, mu, beta, theta, policy, .. } => {
-                assert!((1..=self.num_clients).contains(&concurrency));
-                assert!((1..=concurrency).contains(&buffer_k), "config: K must be in [1, M]");
-                assert!(theta > 0.0 && theta <= 1.0, "config: theta out of (0,1]");
-                assert!(alpha.is_finite() && alpha >= 0.0, "config: alpha must be finite, >= 0");
-                assert!(mu.is_finite() && mu >= 0.0, "config: mu must be finite, >= 0");
+            Algorithm::Seafl(p) => {
+                assert!((1..=self.num_clients).contains(&p.concurrency));
+                assert!((1..=p.concurrency).contains(&p.buffer_k), "config: K must be in [1, M]");
+                assert!(p.theta > 0.0 && p.theta <= 1.0, "config: theta out of (0,1]");
+                assert!(
+                    p.alpha.is_finite() && p.alpha >= 0.0,
+                    "config: alpha must be finite, >= 0"
+                );
+                assert!(p.mu.is_finite() && p.mu >= 0.0, "config: mu must be finite, >= 0");
+                let policy = p.policy;
                 if policy != StalenessPolicy::Ignore {
                     assert!(
-                        beta.is_some(),
+                        p.beta.is_some(),
                         "config: staleness policy {policy:?} requires a finite beta"
                     );
                 }
@@ -621,34 +519,49 @@ impl ExperimentConfig {
 mod tests {
     use super::*;
 
+    /// SEAFL (Algorithm 1) at the paper's settings.
+    fn wait(concurrency: usize, buffer_k: usize, beta: Option<u64>) -> SeaflPolicy {
+        SeaflPolicy::paper(concurrency, buffer_k, beta, StalenessPolicy::WaitForStale)
+    }
+
     #[test]
     fn quick_config_validates() {
         ExperimentConfig::quick(0, Algorithm::seafl(10, 5, Some(10))).validate();
         ExperimentConfig::quick(0, Algorithm::fedbuff(10, 5)).validate();
         ExperimentConfig::quick(0, Algorithm::fedasync(10)).validate();
-        ExperimentConfig::quick(0, Algorithm::FedAvg { clients_per_round: 8 }).validate();
+        ExperimentConfig::quick(0, Algorithm::fedavg(8)).validate();
         ExperimentConfig::quick(0, Algorithm::fedstale(10, 5)).validate();
     }
 
+    /// Every constructor, through the policy it builds: label, M, K and
+    /// whether training keeps per-epoch snapshots.
     #[test]
     fn algorithm_names() {
-        assert_eq!(Algorithm::seafl(10, 5, Some(10)).name(), "seafl");
-        assert_eq!(Algorithm::seafl2(10, 5, 3).name(), "seafl2");
-        assert_eq!(Algorithm::fedbuff(10, 5).name(), "fedbuff");
-        assert_eq!(Algorithm::fedasync(10).name(), "fedasync");
-        assert_eq!(Algorithm::FedAvg { clients_per_round: 5 }.name(), "fedavg");
-        assert_eq!(Algorithm::fedstale(10, 5).name(), "fedstale");
+        let cases = [
+            (Algorithm::seafl(10, 5, Some(10)), ("seafl", 10, 5, false)),
+            (Algorithm::seafl(10, 5, None), ("seafl", 10, 5, false)),
+            (Algorithm::seafl2(10, 5, 3), ("seafl2", 10, 5, true)),
+            (Algorithm::seafl_drop(10, 5, 3), ("seafl-drop", 10, 5, false)),
+            (Algorithm::fedavg(8), ("fedavg", 8, 1, false)),
+            (Algorithm::fedbuff(10, 5), ("fedbuff", 10, 5, false)),
+            (Algorithm::fedasync(10), ("fedasync", 10, 1, false)),
+            (Algorithm::fedasync_constant(10), ("fedasync", 10, 1, false)),
+            (Algorithm::fedstale(10, 5), ("fedstale", 10, 5, false)),
+        ];
+        for (algorithm, want) in cases {
+            let cfg = ExperimentConfig::quick(0, algorithm);
+            cfg.validate();
+            let p = crate::policy::build_policy(&cfg);
+            let got = (p.name(), p.concurrency(), p.buffer_k(), p.keep_epoch_snapshots());
+            assert_eq!(got, want, "{algorithm:?}");
+        }
     }
 
     #[test]
     fn seafl_infinite_beta_ignores_staleness_policy() {
-        match Algorithm::seafl(10, 5, None) {
-            Algorithm::Seafl { policy, beta, .. } => {
-                assert_eq!(policy, StalenessPolicy::Ignore);
-                assert!(beta.is_none());
-            }
-            _ => unreachable!(),
-        }
+        let Algorithm::Seafl(p) = Algorithm::seafl(10, 5, None) else { unreachable!() };
+        assert_eq!(p.policy, StalenessPolicy::Ignore);
+        assert!(p.beta.is_none());
     }
 
     #[test]
@@ -660,17 +573,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "theta out of (0,1]")]
     fn fedbuff_theta_out_of_range_panics() {
-        ExperimentConfig::quick(0, Algorithm::FedBuff { concurrency: 10, buffer_k: 5, theta: 1.5 })
-            .validate();
+        let alg = Algorithm::FedBuff(FedBuffPolicy { concurrency: 10, buffer_k: 5, theta: 1.5 });
+        ExperimentConfig::quick(0, alg).validate();
     }
 
     #[test]
     #[should_panic(expected = "theta out of (0,1]")]
     fn seafl_zero_theta_panics() {
-        let mut alg = Algorithm::seafl(10, 5, Some(10));
-        if let Algorithm::Seafl { theta, .. } = &mut alg {
-            *theta = 0.0;
-        }
+        let alg = Algorithm::Seafl(SeaflPolicy { theta: 0.0, ..wait(10, 5, Some(10)) });
         ExperimentConfig::quick(0, alg).validate();
     }
 
@@ -687,45 +597,41 @@ mod tests {
     #[test]
     #[should_panic(expected = "mixing_alpha out of (0,1]")]
     fn fedasync_mixing_alpha_out_of_range_panics() {
-        let alg = Algorithm::FedAsync { concurrency: 10, mixing_alpha: 0.0, poly_a: 0.5 };
+        let alg =
+            Algorithm::FedAsync(FedAsyncPolicy { concurrency: 10, mixing_alpha: 0.0, poly_a: 0.5 });
         ExperimentConfig::quick(0, alg).validate();
     }
 
     #[test]
     #[should_panic(expected = "poly_a must be finite, >= 0")]
     fn fedasync_negative_poly_a_panics() {
-        let alg = Algorithm::FedAsync { concurrency: 10, mixing_alpha: 0.6, poly_a: -1.0 };
+        let alg = Algorithm::FedAsync(FedAsyncPolicy {
+            concurrency: 10,
+            mixing_alpha: 0.6,
+            poly_a: -1.0,
+        });
         ExperimentConfig::quick(0, alg).validate();
     }
 
     #[test]
     #[should_panic(expected = "alpha must be finite, >= 0")]
     fn seafl_nan_alpha_panics() {
-        let mut alg = Algorithm::seafl(10, 5, Some(10));
-        if let Algorithm::Seafl { alpha, .. } = &mut alg {
-            *alpha = f32::NAN;
-        }
+        let alg = Algorithm::Seafl(SeaflPolicy { alpha: f32::NAN, ..wait(10, 5, Some(10)) });
         ExperimentConfig::quick(0, alg).validate();
     }
 
     #[test]
     #[should_panic(expected = "mu must be finite, >= 0")]
     fn seafl_negative_mu_panics() {
-        let mut alg = Algorithm::seafl(10, 5, Some(10));
-        if let Algorithm::Seafl { mu, .. } = &mut alg {
-            *mu = -1.0;
-        }
+        let alg = Algorithm::Seafl(SeaflPolicy { mu: -1.0, ..wait(10, 5, Some(10)) });
         ExperimentConfig::quick(0, alg).validate();
     }
 
     #[test]
     #[should_panic(expected = "requires a finite beta")]
     fn notify_without_beta_panics() {
-        let mut alg = Algorithm::seafl(10, 5, None);
-        if let Algorithm::Seafl { policy, .. } = &mut alg {
-            *policy = StalenessPolicy::NotifyPartial;
-        }
-        ExperimentConfig::quick(0, alg).validate();
+        let p = SeaflPolicy::paper(10, 5, None, StalenessPolicy::NotifyPartial);
+        ExperimentConfig::quick(0, Algorithm::Seafl(p)).validate();
     }
 
     #[test]

@@ -45,8 +45,7 @@
 //!   server reclaims the session, restoring liveness.
 //! * **Transient upload loss** — each arrival may be dropped with the
 //!   plan's per-attempt probability; the client retries with capped
-//!   exponential backoff up to `max_upload_retries` times, then abandons
-//!   the session.
+//!   exponential backoff up to three times, then abandons the session.
 //! * **Straggler spikes** — temporary per-device compute slowdowns stretch
 //!   the session's epoch schedule.
 //! * **Corrupted updates** — Byzantine/buggy devices corrupt their upload;
@@ -76,12 +75,12 @@ use crate::checkpoint::{
 use crate::client::TrainOutcome;
 use crate::codec::{build_codec, FeedbackStore, UpdateCodec};
 use crate::config::ExperimentConfig;
-#[allow(unused_imports)] // doc links
-use crate::config::StalenessPolicy;
 use crate::engine::setup::Environment;
 use crate::engine::RunResult;
 use crate::fleet::{ClientPhase, FleetTable, Session};
 use crate::obs::{bounds, export, names, Obs, ObsSummary, Phase};
+#[allow(unused_imports)] // doc links
+use crate::policy::StalenessPolicy;
 use crate::policy::{weighted_average, Admission, DispatchCtx, InFlight, ServerPolicy, ServerView};
 use crate::robust::RobustLayer;
 use crate::sanitize;
@@ -93,6 +92,12 @@ use seafl_sim::{
     TerminationReason, TraceEvent, TraceLog,
 };
 use std::collections::BTreeMap;
+
+/// Upload retries a client attempts after a transient transit loss before
+/// giving the session up.
+const MAX_UPLOAD_RETRIES: u32 = 3;
+/// Upper bound on a single upload-retry backoff delay, seconds.
+pub(crate) const RETRY_BACKOFF_CAP: f64 = 60.0;
 
 /// Events on the virtual clock.
 #[derive(Debug, Clone, Copy)]
@@ -321,8 +326,8 @@ pub(crate) fn drive(
 /// The obs counters that restate the run's ledger, read off the finished
 /// result: they cover the whole run, the part before a resume included.
 /// The byte counters are the modeled protocol traffic, one model download
-/// per dispatched session and one upload per received update;
-/// real-transport runs overwrite them with measured wire bytes.
+/// per dispatched session and one upload per received update, on the wire
+/// too: `seafl-server`'s report file has the measured bytes.
 fn ledger_counters(
     r: &RunResult,
     kinds: &BTreeMap<&'static str, u64>,
@@ -699,9 +704,9 @@ impl State {
         // retries with capped exponential backoff, then gives up.
         if self.upload_attempt_fails(client) {
             self.trace.push(now, TraceEvent::UploadFailed { id: client, attempt });
-            if attempt < cfg.resilience.max_upload_retries {
+            if attempt < MAX_UPLOAD_RETRIES {
                 let backoff = (cfg.resilience.retry_backoff_base * 2f64.powi(attempt as i32))
-                    .min(cfg.resilience.retry_backoff_cap);
+                    .min(RETRY_BACKOFF_CAP);
                 let arrival =
                     now.after(backoff + env.fleet.profile(client).upload_time(env.model_bytes));
                 self.trace.push(now, TraceEvent::Retry { id: client, attempt: attempt + 1 });

@@ -15,6 +15,7 @@
 //! | Eq. 5 importance s (cosine) | [`weighting::importance_factor`] |
 //! | Eq. 6 aggregation weight p | [`weighting::aggregation_weights`] |
 //! | Eqs. 7–8 buffer aggregation + ϑ-mixing | [`policy::SeaflPolicy`] |
+//! | Fig. 4 tuned α = 3, μ = 1 (with ϑ = 0.8) | [`policy::SeaflPolicy::paper`] |
 //! | Algorithm 1 (SEAFL) | [`policy::SeaflPolicy`] with [`StalenessPolicy::WaitForStale`] |
 //! | Algorithm 2 (SEAFL², partial training) | [`policy::SeaflPolicy`] with [`StalenessPolicy::NotifyPartial`] |
 //! | FedBuff baseline | [`policy::FedBuffPolicy`] (uniform 1/K weights, β = ∞) |
@@ -56,7 +57,7 @@ pub use codec::{
 };
 pub use config::{
     Algorithm, ExperimentConfig, PartitionStrategy, ResilienceConfig, SelectionPolicy,
-    StalenessPolicy, TransportConfig,
+    TransportConfig,
 };
 pub use engine::{resume_experiment, run_experiment, run_with_policy, RunResult};
 pub use fleet::{ClientPhase, FleetTable};
@@ -64,7 +65,7 @@ pub use obs::{MetricsRegistry, ObsConfig, ObsMode, ObsSummary};
 pub use policy::{
     build_policy, mix, weighted_average, Admission, DispatchCtx, DrainCtx, FedAsyncPolicy,
     FedAvgPolicy, FedBuffPolicy, FedStaleWeightPolicy, InFlight, SeaflPolicy, ServerPolicy,
-    ServerView,
+    ServerView, StalenessPolicy,
 };
 pub use pool::{TrainJob, TrainerPool};
 pub use robust::{

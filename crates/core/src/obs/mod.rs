@@ -146,14 +146,13 @@ pub mod names {
     pub const CHECKPOINTS_SAVED: &str = "checkpoints_saved";
     /// Version notifications sent to in-flight clients (SEAFL²).
     pub const NOTIFICATIONS_SENT: &str = "notifications_sent";
-    /// Bytes sent server→client. Simulated runs record the modeled value
-    /// (dispatches × model size); real-transport runs overwrite it with
-    /// measured wire bytes, retransmits included.
+    /// Bytes sent server→client, modeled as dispatches × model size. The
+    /// measured wire bytes, retransmits included, are in `seafl-server`'s
+    /// report file.
     pub const NET_BYTES_SENT: &str = "net_bytes_sent";
-    /// Bytes received client→server (modeled, or measured on the wire).
+    /// Bytes received client→server, modeled as updates × model size (the
+    /// measured value is in `seafl-server`'s report file).
     pub const NET_BYTES_RECEIVED: &str = "net_bytes_received";
-    /// Frames retransmitted after an ack timeout (always 0 in simulation).
-    pub const NET_RETRANSMITS: &str = "net_retransmits";
     /// Worker links resumed via the replay history (always 0 in simulation).
     pub const NET_RECONNECTS: &str = "net_reconnects";
     /// Workers quarantined by the transport idle timeout (always 0 in

@@ -6,12 +6,13 @@ use crate::update::ModelUpdate;
 /// Fully asynchronous aggregation: every arriving update is folded into the
 /// global model immediately with mixing weight `α_t = α · (S_k + 1)^{-a}`
 /// (polynomial staleness function): `w ← (1 − α_t)·w + α_t·w_k`.
+#[derive(Clone, Copy, Debug)]
 pub struct FedAsyncPolicy {
     /// Devices kept training concurrently.
     pub concurrency: usize,
-    /// Base mixing rate (paper default 0.6).
+    /// Base mixing rate α.
     pub mixing_alpha: f32,
-    /// Polynomial staleness exponent `a` (paper default 0.5).
+    /// Polynomial staleness exponent `a` (0 = constant mixing).
     pub poly_a: f32,
 }
 

@@ -14,16 +14,10 @@ use seafl_sim::{Fleet, SimRng};
 /// member that crashes, loses its upload or times out holds the round up
 /// exactly as long as it would hold up any other policy's session.
 /// Stateless: the engine's in-flight sessions and buffer are the round.
+#[derive(Clone, Copy, Debug)]
 pub struct FedAvgPolicy {
     /// Cohort size C sampled at each synchronous barrier.
     pub clients_per_round: usize,
-}
-
-impl FedAvgPolicy {
-    /// FedAvg over cohorts of `clients_per_round` devices.
-    pub fn new(clients_per_round: usize) -> Self {
-        FedAvgPolicy { clients_per_round }
-    }
 }
 
 impl ServerPolicy for FedAvgPolicy {
@@ -104,7 +98,7 @@ mod tests {
 
     #[test]
     fn fedavg_weighted_by_samples() {
-        let mut p = FedAvgPolicy::new(2);
+        let mut p = FedAvgPolicy { clients_per_round: 2 };
         let updates = vec![upd(0, 0, 30, vec![1.0]), upd(1, 0, 10, vec![5.0])];
         let out = p.aggregate(&[0.0], &updates, 1);
         assert!((out[0] - (0.75 * 1.0 + 0.25 * 5.0)).abs() < 1e-6);
@@ -112,7 +106,7 @@ mod tests {
 
     #[test]
     fn waits_for_the_whole_cohort() {
-        let p = FedAvgPolicy::new(3);
+        let p = FedAvgPolicy { clients_per_round: 3 };
         let straggler = [InFlight { client: 2, born_round: 0, notified: false }];
         let view = |buffer_len, in_flight| ServerView { round: 0, buffer_len, in_flight };
         // Two members uploaded, the third is still training.

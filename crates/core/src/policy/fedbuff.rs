@@ -7,6 +7,7 @@ use crate::update::ModelUpdate;
 /// staleness limit, then the same ϑ-mixing as SEAFL. This is exactly the
 /// degenerate SEAFL the paper describes in §V ("setting consistent weights
 /// p = 1/K").
+#[derive(Clone, Copy, Debug)]
 pub struct FedBuffPolicy {
     /// Devices kept training concurrently (M).
     pub concurrency: usize,

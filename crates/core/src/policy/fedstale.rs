@@ -3,6 +3,10 @@
 //! This policy exists as the proof of the engine/policy seam: it was added
 //! without touching the event loop or the checkpoint framing — one struct
 //! here, one [`crate::Algorithm`] variant, nothing else (DESIGN.md §8).
+//! It is the one policy whose variant does not wrap its struct:
+//! `Algorithm::FedStale` holds only the parameters, and
+//! [`build_policy`](crate::build_policy) adds the per-client running means,
+//! sized by the config's `num_clients`.
 
 use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use crate::policy::{mix, Admission, ServerPolicy};

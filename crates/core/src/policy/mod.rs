@@ -8,10 +8,12 @@
 //! *how* the buffered updates are weighted and mixed into the global
 //! model, and *what* of its own state a checkpoint must carry.
 //!
-//! A new algorithm is one policy impl plus an [`crate::Algorithm`] variant
-//! — no engine or checkpoint-framing edits (see
-//! [`fedstale::FedStaleWeightPolicy`] for the worked example, and
-//! DESIGN.md §8 for the lifecycle).
+//! A new algorithm is one policy struct plus one [`crate::Algorithm`]
+//! variant that wraps it: the struct's fields are the algorithm's
+//! parameters, [`build_policy`] boxes it, and its
+//! [`name`](ServerPolicy::name) is the algorithm's label. No engine or
+//! checkpoint-framing edits (see [`fedstale::FedStaleWeightPolicy`] for the
+//! worked example, and DESIGN.md §8 for the lifecycle).
 
 mod fedasync;
 mod fedavg;
@@ -23,7 +25,7 @@ pub use fedasync::FedAsyncPolicy;
 pub use fedavg::FedAvgPolicy;
 pub use fedbuff::FedBuffPolicy;
 pub use fedstale::FedStaleWeightPolicy;
-pub use seafl::SeaflPolicy;
+pub use seafl::{SeaflPolicy, StalenessPolicy};
 
 use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use crate::config::{Algorithm, ExperimentConfig, SelectionPolicy};
@@ -272,28 +274,14 @@ pub fn mix(global: &[f32], new: &[f32], theta: f32) -> Vec<f32> {
     global.iter().zip(new.iter()).map(|(&g, &n)| (1.0 - theta) * g + theta * n).collect()
 }
 
-/// Build the [`ServerPolicy`] for a config's algorithm.
+/// Build the [`ServerPolicy`] for a config's algorithm: the policy struct
+/// its variant holds, or FedStale's, sized by the fleet.
 pub fn build_policy(cfg: &ExperimentConfig) -> Box<dyn ServerPolicy> {
     match cfg.algorithm {
-        Algorithm::FedAvg { clients_per_round } => Box::new(FedAvgPolicy::new(clients_per_round)),
-        Algorithm::FedAsync { concurrency, mixing_alpha, poly_a } => {
-            Box::new(FedAsyncPolicy { concurrency, mixing_alpha, poly_a })
-        }
-        Algorithm::FedBuff { concurrency, buffer_k, theta } => {
-            Box::new(FedBuffPolicy { concurrency, buffer_k, theta })
-        }
-        Algorithm::Seafl { concurrency, buffer_k, alpha, mu, beta, theta, policy, importance } => {
-            Box::new(SeaflPolicy {
-                concurrency,
-                buffer_k,
-                alpha,
-                mu,
-                beta,
-                theta,
-                policy,
-                importance,
-            })
-        }
+        Algorithm::FedAvg(p) => Box::new(p),
+        Algorithm::FedAsync(p) => Box::new(p),
+        Algorithm::FedBuff(p) => Box::new(p),
+        Algorithm::Seafl(p) => Box::new(p),
         Algorithm::FedStale { concurrency, buffer_k, theta } => {
             Box::new(FedStaleWeightPolicy::new(concurrency, buffer_k, theta, cfg.num_clients))
         }
@@ -303,8 +291,6 @@ pub fn build_policy(cfg: &ExperimentConfig) -> Box<dyn ServerPolicy> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StalenessPolicy;
-    use crate::weighting::ImportanceMode;
 
     /// The paper's Eq. 8 oracle: with ϑ = 1 and a single buffered update,
     /// aggregation returns that update, coordinate for coordinate — ϑ = 1
@@ -316,19 +302,13 @@ mod tests {
     #[test]
     fn one_update_at_full_mixing_becomes_the_global_model() {
         let algorithms = [
-            Algorithm::Seafl {
-                concurrency: 4,
-                buffer_k: 1,
-                alpha: 3.0,
-                mu: 1.0,
-                beta: Some(10),
+            Algorithm::Seafl(SeaflPolicy {
                 theta: 1.0,
-                policy: StalenessPolicy::WaitForStale,
-                importance: ImportanceMode::ModelCosine,
-            },
-            Algorithm::FedBuff { concurrency: 4, buffer_k: 1, theta: 1.0 },
+                ..SeaflPolicy::paper(4, 1, Some(10), StalenessPolicy::WaitForStale)
+            }),
+            Algorithm::FedBuff(FedBuffPolicy { concurrency: 4, buffer_k: 1, theta: 1.0 }),
             Algorithm::FedStale { concurrency: 4, buffer_k: 1, theta: 1.0 },
-            Algorithm::FedAvg { clients_per_round: 1 },
+            Algorithm::fedavg(1),
         ];
         let global: Vec<f32> = (0..257).map(|i| (i as f32 * 0.37).sin()).collect();
         let params: Vec<f32> = (0..257).map(|i| (i as f32 * 0.11).cos() * 2.5 - 0.3).collect();

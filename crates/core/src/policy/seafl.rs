@@ -1,10 +1,28 @@
 //! SEAFL / SEAFL² as a [`ServerPolicy`] (the paper's Eqs. 4–8 plus the
 //! β-enforcement variants of Algorithms 1 and 2).
 
-use crate::config::StalenessPolicy;
 use crate::policy::{mix, ServerPolicy, ServerView};
 use crate::update::ModelUpdate;
 use crate::weighting::{aggregation_weights, ImportanceMode};
+
+/// How the server handles in-flight clients whose staleness reaches the
+/// limit β.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StalenessPolicy {
+    /// No limit enforcement (FedBuff; SEAFL with β = ∞).
+    Ignore,
+    /// SEAFL (Algorithm 1): defer aggregation until every over-limit client
+    /// has reported, so no aggregated update ever exceeds β.
+    WaitForStale,
+    /// SEAFL² (Algorithm 2): notify over-limit clients; they upload a
+    /// partial update at the end of their current epoch.
+    NotifyPartial,
+    /// SAFA-style lag tolerance (the alternative §II criticizes): updates
+    /// whose staleness exceeds β are *discarded* at aggregation time,
+    /// wasting the straggler's training effort. Provided for the ablation
+    /// bench.
+    DropStale,
+}
 
 /// SEAFL's adaptive aggregation: staleness- (Eq. 4) and importance- (Eq. 5)
 /// weighted buffer average (Eqs. 6–7) followed by ϑ-mixing into the global
@@ -17,29 +35,35 @@ use crate::weighting::{aggregation_weights, ImportanceMode};
 /// * [`StalenessPolicy::NotifyPartial`] — SEAFL² (Algorithm 2): notify
 ///   over-limit devices to upload at the end of their current epoch.
 /// * [`StalenessPolicy::DropStale`] — SAFA-style discard (ablation).
+#[derive(Clone, Copy, Debug)]
 pub struct SeaflPolicy {
     /// Devices kept training concurrently (M).
     pub concurrency: usize,
     /// Buffered updates per aggregation (K).
     pub buffer_k: usize,
-    /// Staleness-factor weight α (paper's tuned value: 3).
+    /// Staleness-factor weight α.
     pub alpha: f32,
-    /// Importance-factor weight μ (paper's tuned value: 1).
+    /// Importance-factor weight μ.
     pub mu: f32,
-    /// Staleness limit β; `None` = ∞.
+    /// Staleness limit β; `None` = ∞. Every policy but `Ignore` needs one.
     pub beta: Option<u64>,
-    /// Server mixing coefficient ϑ ∈ (0, 1] (paper: 0.8).
+    /// Server mixing coefficient ϑ ∈ (0, 1].
     pub theta: f32,
     /// β enforcement: `WaitForStale` = SEAFL, `NotifyPartial` = SEAFL².
     pub policy: StalenessPolicy,
-    /// Importance measurement variant (paper default: model cosine).
+    /// Importance measurement variant.
     pub importance: ImportanceMode,
 }
 
 impl SeaflPolicy {
-    /// The paper's tuned hyperparameters: α = 3, μ = 1, ϑ = 0.8, with
-    /// Algorithm 1's wait rule when β is finite.
-    pub fn paper_default(concurrency: usize, buffer_k: usize, beta: Option<u64>) -> Self {
+    /// The paper's tuned hyperparameters (α = 3, μ = 1, ϑ = 0.8,
+    /// model-cosine importance) around the given M, K, β and β rule.
+    pub fn paper(
+        concurrency: usize,
+        buffer_k: usize,
+        beta: Option<u64>,
+        policy: StalenessPolicy,
+    ) -> Self {
         SeaflPolicy {
             concurrency,
             buffer_k,
@@ -47,11 +71,7 @@ impl SeaflPolicy {
             mu: 1.0,
             beta,
             theta: 0.8,
-            policy: if beta.is_some() {
-                StalenessPolicy::WaitForStale
-            } else {
-                StalenessPolicy::Ignore
-            },
+            policy,
             importance: ImportanceMode::ModelCosine,
         }
     }
@@ -139,6 +159,11 @@ mod tests {
     use super::*;
     use crate::policy::{FedBuffPolicy, InFlight};
 
+    /// SEAFL (Algorithm 1) at the paper's settings.
+    fn wait(concurrency: usize, buffer_k: usize, beta: Option<u64>) -> SeaflPolicy {
+        SeaflPolicy::paper(concurrency, buffer_k, beta, StalenessPolicy::WaitForStale)
+    }
+
     fn upd(client: usize, born: u64, samples: usize, params: Vec<f32>) -> ModelUpdate {
         ModelUpdate {
             client_id: client,
@@ -157,7 +182,7 @@ mod tests {
         let global = vec![0.0, 0.0, 0.0];
         let updates: Vec<ModelUpdate> =
             (0..4).map(|c| upd(c, 2, 10, vec![1.0, 2.0, 3.0])).collect();
-        let mut seafl = SeaflPolicy::paper_default(10, 4, Some(10));
+        let mut seafl = wait(10, 4, Some(10));
         let mut fedbuff = FedBuffPolicy { concurrency: 10, buffer_k: 4, theta: 0.8 };
         let a = seafl.aggregate(&global, &updates, 3);
         let b = fedbuff.aggregate(&global, &updates, 3);
@@ -172,7 +197,7 @@ mod tests {
         // result = (1-ϑ)·g + ϑ·u.
         let global = vec![1.0];
         let updates = vec![upd(0, 5, 10, vec![2.0])];
-        let mut agg = SeaflPolicy::paper_default(10, 1, Some(10));
+        let mut agg = wait(10, 1, Some(10));
         let out = agg.aggregate(&global, &updates, 5);
         assert!((out[0] - (0.2 * 1.0 + 0.8 * 2.0)).abs() < 1e-6);
     }
@@ -182,7 +207,7 @@ mod tests {
         let global = vec![1.0, 1.0];
         // Fresh update pulls toward +2, stale update pulls toward -2.
         let updates = vec![upd(0, 10, 10, vec![2.0, 2.0]), upd(1, 1, 10, vec![-2.0, -2.0])];
-        let mut seafl = SeaflPolicy { mu: 0.0, ..SeaflPolicy::paper_default(10, 2, Some(5)) };
+        let mut seafl = SeaflPolicy { mu: 0.0, ..wait(10, 2, Some(5)) };
         let out = seafl.aggregate(&global, &updates, 10);
         let mut fb = FedBuffPolicy { concurrency: 10, buffer_k: 2, theta: 0.8 };
         let out_fb = fb.aggregate(&global, &updates, 10);
@@ -193,12 +218,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_buffer_panics() {
-        SeaflPolicy::paper_default(10, 1, None).aggregate(&[0.0], &[], 0);
+        SeaflPolicy::paper(10, 1, None, StalenessPolicy::Ignore).aggregate(&[0.0], &[], 0);
     }
 
     #[test]
     fn wait_rule_defers_on_over_limit_in_flight() {
-        let p = SeaflPolicy::paper_default(10, 2, Some(3));
+        let p = wait(10, 2, Some(3));
         let straggler = [InFlight { client: 7, born_round: 0, notified: false }];
         let fresh = [InFlight { client: 7, born_round: 4, notified: false }];
         // Buffer full, but an in-flight device would exceed β ⇒ wait.
@@ -214,10 +239,7 @@ mod tests {
 
     #[test]
     fn drop_policy_partitions_by_beta() {
-        let p = SeaflPolicy {
-            policy: StalenessPolicy::DropStale,
-            ..SeaflPolicy::paper_default(10, 2, Some(1))
-        };
+        let p = SeaflPolicy::paper(10, 2, Some(1), StalenessPolicy::DropStale);
         let updates = vec![upd(0, 5, 10, vec![1.0]), upd(1, 2, 10, vec![1.0])];
         let (kept, dropped) = p.partition_stale(updates, 5);
         assert_eq!(kept.len(), 1);
@@ -228,10 +250,7 @@ mod tests {
 
     #[test]
     fn notify_targets_unnotified_over_limit_sessions() {
-        let p = SeaflPolicy {
-            policy: StalenessPolicy::NotifyPartial,
-            ..SeaflPolicy::paper_default(10, 2, Some(2))
-        };
+        let p = SeaflPolicy::paper(10, 2, Some(2), StalenessPolicy::NotifyPartial);
         let in_flight = [
             InFlight { client: 1, born_round: 0, notified: false }, // over, notify
             InFlight { client: 2, born_round: 0, notified: true },  // already notified

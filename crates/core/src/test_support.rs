@@ -102,7 +102,7 @@ pub fn fixture_cases() -> Vec<FixtureCase> {
         ("seafl-drop", Algorithm::seafl_drop(8, 3, 1)),
         ("fedbuff", Algorithm::fedbuff(6, 3)),
         ("fedasync", Algorithm::fedasync(6)),
-        ("fedavg", Algorithm::FedAvg { clients_per_round: 6 }),
+        ("fedavg", Algorithm::fedavg(6)),
         ("fedstale", Algorithm::fedstale(6, 3)),
     ];
     let mut cases = Vec::new();

@@ -332,7 +332,7 @@ mod tests {
                 Algorithm::seafl_drop(8, 3, 1),
                 Algorithm::fedbuff(6, 3),
                 Algorithm::fedasync(6),
-                Algorithm::FedAvg { clients_per_round: 6 },
+                Algorithm::fedavg(6),
                 Algorithm::fedstale(6, 3),
             ] {
                 let mut cfg = ExperimentConfig::quick(0, algorithm);

@@ -121,13 +121,15 @@ fn resolve_endpoint(args: &Args) -> String {
 
 fn main() {
     let args = parse_args();
-    let endpoint = resolve_endpoint(&args);
-    let mut cfg = preset::loopback_config(args.seed, &args.algorithm);
-    cfg.codec = preset::codec_by_name(&args.codec).unwrap_or_else(|e| {
+    // Report a bad flag value and exit 2, like an unparsable one.
+    let bad_value = |e: &dyn std::fmt::Display| -> ! {
         eprintln!("seafl-client[{}]: {e}", args.link);
         std::process::exit(2);
-    });
-    cfg.transport.connect = Some(endpoint);
+    };
+    let mut cfg =
+        preset::loopback_config(args.seed, &args.algorithm).unwrap_or_else(|e| bad_value(&e));
+    cfg.codec = preset::codec_by_name(&args.codec).unwrap_or_else(|e| bad_value(&e));
+    cfg.transport.connect = args.connect.clone();
     if let Some(v) = args.chunk_bytes {
         cfg.transport.chunk_bytes = v;
     }
@@ -153,6 +155,9 @@ fn main() {
         cfg.transport.loss.delay_ms = v;
     }
     cfg.transport.loss.disconnect_after = args.disconnect_after;
+    // Checked before waiting on an addr file, so a bad value fails at once.
+    cfg.transport.validate().unwrap_or_else(|e| bad_value(&e));
+    cfg.transport.connect = Some(resolve_endpoint(&args));
     cfg.validate();
 
     let mut client = NetClient::new(cfg, args.link, args.die_after_assigns).unwrap_or_else(|e| {

@@ -94,12 +94,15 @@ fn parse_args() -> Args {
     args
 }
 
+/// Report a bad flag value and exit 2, like an unparsable one.
+fn bad_value<T>(e: impl std::fmt::Display) -> T {
+    eprintln!("seafl-server: {e}");
+    std::process::exit(2);
+}
+
 fn build_config(args: &Args) -> ExperimentConfig {
-    let mut cfg = preset::loopback_config(args.seed, &args.algorithm);
-    cfg.codec = preset::codec_by_name(&args.codec).unwrap_or_else(|e| {
-        eprintln!("seafl-server: {e}");
-        std::process::exit(2);
-    });
+    let mut cfg = preset::loopback_config(args.seed, &args.algorithm).unwrap_or_else(bad_value);
+    cfg.codec = preset::codec_by_name(&args.codec).unwrap_or_else(bad_value);
     cfg.transport.listen = Some(args.listen.clone());
     if let Some(v) = args.chunk_bytes {
         cfg.transport.chunk_bytes = v;
@@ -122,6 +125,7 @@ fn build_config(args: &Args) -> ExperimentConfig {
     if let Some(v) = args.loss_reorder {
         cfg.transport.loss.reorder_prob = v;
     }
+    cfg.transport.validate().unwrap_or_else(bad_value);
     cfg.validate();
     cfg
 }
@@ -166,20 +170,14 @@ fn main() {
 
     let mut env = Environment::build(&cfg);
     env.trainer = Some(Box::new(server));
-    let mut result = run_loop(&cfg, &mut env, build_policy(&cfg));
+    let result = run_loop(&cfg, &mut env, build_policy(&cfg));
     if let Some(trainer) = env.trainer.as_mut() {
         trainer.shutdown();
     }
 
-    // Replace the engine's modeled traffic counters with measured wire
-    // truth (retransmits and handshakes included).
+    // The wire counters are measured (retransmits and handshakes
+    // included); the engine's `net_*` obs counters stay the modeled ones.
     let s = *stats.lock().unwrap();
-    let counters = &mut result.obs.counters;
-    counters.insert("net_bytes_sent".into(), s.bytes_sent);
-    counters.insert("net_bytes_received".into(), s.bytes_received);
-    counters.insert("net_retransmits".into(), s.retransmits);
-    counters.insert("net_reconnects".into(), s.reconnects);
-    counters.insert("net_workers_quarantined".into(), s.workers_quarantined);
 
     let report = format!(
         "algorithm={}\ncodec={}\nmodel_digest={:016x}\ntrace_digest={:016x}\nrounds={}\n\

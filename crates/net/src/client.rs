@@ -27,6 +27,13 @@ use seafl_core::{build_codec, ExperimentConfig, TrainJob, UpdateCodec};
 use seafl_sim::rng::{rng_from_state, rng_state};
 use std::time::{Duration, Instant};
 
+/// Connection attempts after the first before a client gives up.
+const CONNECT_RETRIES: u32 = 10;
+/// Delay before reconnect attempt `i ≥ 1`: `base · 2^(i−1)` seconds.
+const CONNECT_BACKOFF_BASE: f64 = 0.1;
+/// Upper bound on a single connect backoff delay, seconds.
+const CONNECT_BACKOFF_CAP: f64 = 5.0;
+
 /// One worker process's protocol state machine.
 pub struct NetClient {
     cfg: ExperimentConfig,
@@ -128,13 +135,11 @@ impl NetClient {
 
     /// Capped-exponential-backoff connect + handshake loop.
     fn connect_with_retry(&mut self) -> Result<(), NetError> {
-        let retries = self.cfg.transport.connect_retries;
         let mut last: Option<NetError> = None;
-        for attempt in 0..=retries {
+        for attempt in 0..=CONNECT_RETRIES {
             if attempt > 0 {
-                let backoff = (self.cfg.transport.connect_backoff_base
-                    * 2f64.powi(attempt as i32 - 1))
-                .min(self.cfg.transport.connect_backoff_cap);
+                let backoff =
+                    (CONNECT_BACKOFF_BASE * 2f64.powi(attempt as i32 - 1)).min(CONNECT_BACKOFF_CAP);
                 std::thread::sleep(Duration::from_secs_f64(backoff));
             }
             match self.try_connect() {
@@ -148,7 +153,7 @@ impl NetClient {
             Some(e) => Err(e),
             None => Err(NetError::RetriesExhausted {
                 context: format!("connect to {}", self.endpoint),
-                attempts: retries + 1,
+                attempts: CONNECT_RETRIES + 1,
             }),
         }
     }

@@ -182,7 +182,6 @@ pub struct Link {
     recv: RecvLink,
     chunk: usize,
     rto_base: f64,
-    rto_cap: f64,
     rto: f64,
     rto_deadline: Option<Instant>,
     /// Fragments of the message being reassembled.
@@ -210,7 +209,7 @@ fn write(transport: &mut Option<Box<dyn Transport>>, frame: &Frame) -> u64 {
 
 impl Link {
     /// A link with no connection yet, configured from the transport knobs
-    /// (replay history, fragment size, RTO base and cap).
+    /// (replay history, fragment size, RTO base).
     pub fn new(knobs: &TransportConfig) -> Link {
         Link {
             transport: None,
@@ -218,7 +217,6 @@ impl Link {
             recv: RecvLink::new(),
             chunk: knobs.chunk_bytes.clamp(1, DEFAULT_MAX_PAYLOAD),
             rto_base: knobs.rto_base,
-            rto_cap: knobs.rto_cap,
             rto: knobs.rto_base,
             rto_deadline: None,
             partial: Vec::new(),
@@ -391,7 +389,7 @@ impl Link {
             frames += 1;
             bytes += n;
         }
-        self.rto = (self.rto * 2.0).min(self.rto_cap);
+        self.rto = (self.rto * 2.0).min(TransportConfig::RTO_CAP);
         self.rto_deadline = Some(now + secs(self.rto));
         (frames, bytes)
     }

@@ -13,22 +13,21 @@ use seafl_nn::ModelKind;
 use seafl_sim::FleetConfig;
 
 /// Algorithm from its stable label (the `--algorithm` flag).
-///
-/// # Panics
-///
-/// On an unknown label — binaries surface this at argument parsing.
-pub fn algorithm_by_name(name: &str) -> Algorithm {
-    match name {
+pub fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
+    Ok(match name {
         "seafl" => Algorithm::seafl(5, 3, Some(4)),
         "seafl2" => Algorithm::seafl2(5, 3, 4),
         "fedbuff" => Algorithm::fedbuff(5, 3),
         "fedasync" => Algorithm::fedasync(5),
-        "fedavg" => Algorithm::FedAvg { clients_per_round: 6 },
+        "fedavg" => Algorithm::fedavg(6),
         "fedstale" => Algorithm::fedstale(5, 3),
-        other => panic!(
-            "unknown algorithm {other:?} (try seafl, seafl2, fedbuff, fedasync, fedavg, fedstale)"
-        ),
-    }
+        other => {
+            return Err(format!(
+                "unknown algorithm {other:?} \
+                 (try seafl, seafl2, fedbuff, fedasync, fedavg, fedstale)"
+            ))
+        }
+    })
 }
 
 /// Codec preset from its stable label (the `--codec` flag). Labels are
@@ -62,9 +61,9 @@ pub fn codec_by_name(name: &str) -> Result<CodecConfig, String> {
 /// 8 clients on a Pareto fleet, a tiny MLP (≈12.7k parameters, so a model
 /// transfer spans several chunks at the test chunk size), 6 rounds, no
 /// accuracy early-stop (fixed round count keeps wall-clock bounded and
-/// digests comparable).
-pub fn loopback_config(seed: u64, algorithm_name: &str) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::quick(seed, algorithm_by_name(algorithm_name));
+/// digests comparable). Fails on an unknown algorithm label.
+pub fn loopback_config(seed: u64, algorithm_name: &str) -> Result<ExperimentConfig, String> {
+    let mut cfg = ExperimentConfig::quick(seed, algorithm_by_name(algorithm_name)?);
     cfg.num_clients = 8;
     cfg.fleet = FleetConfig::pareto_fleet(8);
     cfg.train_per_class = 20;
@@ -75,7 +74,7 @@ pub fn loopback_config(seed: u64, algorithm_name: &str) -> ExperimentConfig {
     cfg.max_sim_time = 100_000.0;
     cfg.stop_at_accuracy = None;
     cfg.threads = 1;
-    cfg
+    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -84,19 +83,19 @@ mod tests {
 
     #[test]
     fn preset_is_deterministic_and_hash_stable() {
-        let a = loopback_config(11, "seafl");
-        let b = loopback_config(11, "seafl");
+        let a = loopback_config(11, "seafl").unwrap();
+        let b = loopback_config(11, "seafl").unwrap();
         assert_eq!(a.state_hash(), b.state_hash());
-        let c = loopback_config(12, "seafl");
+        let c = loopback_config(12, "seafl").unwrap();
         assert_ne!(a.state_hash(), c.state_hash());
-        let d = loopback_config(11, "fedbuff");
+        let d = loopback_config(11, "fedbuff").unwrap();
         assert_ne!(a.state_hash(), d.state_hash());
     }
 
     #[test]
     fn transport_knobs_do_not_move_the_preset_hash() {
-        let a = loopback_config(5, "seafl2");
-        let mut b = loopback_config(5, "seafl2");
+        let a = loopback_config(5, "seafl2").unwrap();
+        let mut b = loopback_config(5, "seafl2").unwrap();
         b.transport.listen = Some("tcp://127.0.0.1:0".into());
         b.transport.chunk_bytes = 1024;
         b.transport.loss.drop_prob = 0.3;
@@ -121,21 +120,21 @@ mod tests {
 
     #[test]
     fn codec_moves_the_preset_hash() {
-        let a = loopback_config(5, "seafl");
-        let mut b = loopback_config(5, "seafl");
+        let a = loopback_config(5, "seafl").unwrap();
+        let mut b = loopback_config(5, "seafl").unwrap();
         b.codec = codec_by_name("topk").unwrap();
         assert_ne!(a.state_hash(), b.state_hash());
     }
 
     #[test]
     fn preset_validates() {
-        loopback_config(1, "seafl").validate();
-        loopback_config(1, "fedavg").validate();
+        loopback_config(1, "seafl").unwrap().validate();
+        loopback_config(1, "fedavg").unwrap().validate();
     }
 
     #[test]
-    #[should_panic(expected = "unknown algorithm")]
-    fn unknown_algorithm_panics() {
-        algorithm_by_name("sgd");
+    fn unknown_algorithm_is_an_error() {
+        let e = loopback_config(1, "sgd").unwrap_err();
+        assert!(e.contains("unknown algorithm \"sgd\""), "{e}");
     }
 }

@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn v1_hello_is_refused_with_the_version_reason() {
-        let cfg = crate::preset::loopback_config(1, "seafl");
+        let cfg = crate::preset::loopback_config(1, "seafl").unwrap();
         let mut server = server(&cfg);
         let mut t = connect(&server);
         let (kind, msg) = hello(&mut server, &mut t, 0, 1);
@@ -737,7 +737,7 @@ mod tests {
 
     #[test]
     fn a_stale_connection_cannot_hurt_the_live_one() {
-        let cfg = crate::preset::loopback_config(1, "seafl");
+        let cfg = crate::preset::loopback_config(1, "seafl").unwrap();
         let mut server = server(&cfg);
         let mut first = connect(&server);
         let worker = welcomed(&mut server, &mut first, 0);
@@ -767,7 +767,7 @@ mod tests {
 
     #[test]
     fn dropping_the_server_ends_every_connection_and_reader() {
-        let cfg = crate::preset::loopback_config(1, "seafl");
+        let cfg = crate::preset::loopback_config(1, "seafl").unwrap();
         let mut server = server(&cfg);
         let mut peers = Vec::new();
         for _ in 0..2 {
@@ -786,7 +786,7 @@ mod tests {
 
     #[test]
     fn a_quarantined_workers_peer_reads_eof() {
-        let mut cfg = crate::preset::loopback_config(1, "seafl");
+        let mut cfg = crate::preset::loopback_config(1, "seafl").unwrap();
         cfg.transport.idle_timeout = 0.05;
         let mut server = server(&cfg);
         let mut peer = connect(&server);

@@ -71,6 +71,29 @@ fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
 }
 
+/// A flag value the preset or the transport config refuses ends either
+/// binary with exit code 2 and a message naming the value, before any
+/// socket is bound or dialled — as an unparsable value or an unknown
+/// codec already did.
+#[test]
+fn bad_flag_values_exit_2_naming_the_value() {
+    let cases: [(&str, &[&str], &str); 6] = [
+        (SERVER, &["--algorithm", "nope"], "\"nope\""),
+        (SERVER, &["--loss-drop", "2"], "loss.drop_prob 2 outside [0,1]"),
+        (SERVER, &["--rto-base", "5"], "rto_base 5 above the 2 s"),
+        (CLIENT, &["--connect", "tcp://127.0.0.1:1", "--algorithm", "nope"], "\"nope\""),
+        (CLIENT, &["--connect", "tcp://127.0.0.1:1", "--loss-dup", "1.5"], "loss.dup_prob 1.5"),
+        // Refused before the client waits for a server's addr file.
+        (CLIENT, &["--addr-file", "/nonexistent/seafl.addr", "--algorithm", "nope"], "\"nope\""),
+    ];
+    for (bin, flags, want) in cases {
+        let out = Command::new(bin).args(flags).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {flags:?}: {stderr}");
+        assert!(stderr.contains(want), "{bin} {flags:?}: want {want:?} in {stderr:?}");
+    }
+}
+
 /// Four TCP workers under seeded drop/duplicate/reorder loss on both
 /// directions, plus one forced mid-transfer disconnect: the run must
 /// complete with the simulator's exact model digest, at least one resume,
@@ -80,7 +103,7 @@ fn args(list: &[&str]) -> Vec<String> {
 #[test]
 fn tcp_lossy_fleet_matches_simulator_digest() {
     let seed = 11;
-    let sim = run_experiment(&loopback_config(seed, "seafl"));
+    let sim = run_experiment(&loopback_config(seed, "seafl").unwrap());
     let dir = scratch_dir("tcp");
     let addr = dir.join("server.addr");
     let report_path = dir.join("server.report");
@@ -180,7 +203,7 @@ fn tcp_lossy_fleet_matches_simulator_digest() {
 #[test]
 fn uds_clean_fleet_matches_simulator_trace() {
     let seed = 23;
-    let sim = run_experiment(&loopback_config(seed, "fedbuff"));
+    let sim = run_experiment(&loopback_config(seed, "fedbuff").unwrap());
     let dir = scratch_dir("uds");
     let sock = dir.join("server.sock");
     let listen = format!("uds://{}", sock.display());
@@ -236,7 +259,7 @@ fn uds_clean_fleet_matches_simulator_trace() {
 #[test]
 fn tcp_lossy_codec_fleet_matches_in_process_digest() {
     let seed = 41;
-    let mut cfg = loopback_config(seed, "seafl");
+    let mut cfg = loopback_config(seed, "seafl").unwrap();
     cfg.codec = seafl_net::preset::codec_by_name("topk").unwrap();
     let sim = run_experiment(&cfg);
     assert!(
@@ -321,7 +344,7 @@ fn tcp_lossy_codec_fleet_matches_in_process_digest() {
 #[test]
 fn dead_worker_quarantined_and_run_completes() {
     let seed = 37;
-    let sim = run_experiment(&loopback_config(seed, "seafl"));
+    let sim = run_experiment(&loopback_config(seed, "seafl").unwrap());
     let dir = scratch_dir("quarantine");
     let addr = dir.join("server.addr");
     let report_path = dir.join("server.report");

@@ -27,7 +27,7 @@ fn main() {
         Algorithm::seafl2(5, 3, 2),
         Algorithm::fedbuff(5, 3),
         Algorithm::fedasync(5),
-        Algorithm::FedAvg { clients_per_round: 4 },
+        Algorithm::fedavg(4),
     ] {
         let r = run_experiment(&cfg(77, alg));
         println!(

@@ -22,7 +22,7 @@ fn main() {
     let arms = [
         ("SEAFL (beta=10)", Algorithm::seafl(10, 5, Some(10))),
         ("FedBuff", Algorithm::fedbuff(10, 5)),
-        ("FedAvg (sync)", Algorithm::FedAvg { clients_per_round: 10 }),
+        ("FedAvg (sync)", Algorithm::fedavg(10)),
     ];
 
     println!("{:<18} {:>12} {:>12} {:>10}", "protocol", "t->70% (s)", "t->80% (s)", "rounds");

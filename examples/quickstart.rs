@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use seafl::core::{metrics, run_experiment, Algorithm, ExperimentConfig};
+use seafl::core::{build_policy, metrics, run_experiment, Algorithm, ExperimentConfig};
 
 fn main() {
     // 40 simulated devices with heavy-tailed (Pareto) speeds, an MLP on a
@@ -13,7 +13,8 @@ fn main() {
     // limit β = 10.
     let config = ExperimentConfig::quick(/*seed=*/ 1, Algorithm::seafl(10, 5, Some(10)));
 
-    println!("running {} on {} clients ...", config.algorithm.name(), config.num_clients);
+    let name = build_policy(&config).name();
+    println!("running {name} on {} clients ...", config.num_clients);
     let result = run_experiment(&config);
 
     println!("\naccuracy vs simulated wall-clock:");

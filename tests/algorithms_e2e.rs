@@ -51,7 +51,7 @@ fn fedasync_runs_one_aggregation_per_update() {
 
 #[test]
 fn fedavg_learns_synchronously() {
-    let mut cfg = small_cfg(5, Algorithm::FedAvg { clients_per_round: 5 });
+    let mut cfg = small_cfg(5, Algorithm::fedavg(5));
     cfg.max_rounds = 25;
     let r = run_experiment(&cfg);
     assert_eq!(r.algorithm, "fedavg");
@@ -66,7 +66,7 @@ fn accuracy_series_time_ordered_for_all_algorithms() {
         (6, Algorithm::seafl(5, 3, Some(5))),
         (7, Algorithm::fedbuff(5, 3)),
         (8, Algorithm::fedasync(5)),
-        (9, Algorithm::FedAvg { clients_per_round: 4 }),
+        (9, Algorithm::fedavg(4)),
     ] {
         let mut cfg = small_cfg(seed, alg);
         cfg.max_rounds = 15;

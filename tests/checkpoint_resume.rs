@@ -95,7 +95,7 @@ fn all_algorithms() -> [Algorithm; 6] {
         Algorithm::seafl2(5, 3, 2),
         Algorithm::fedbuff(5, 3),
         Algorithm::fedasync(5),
-        Algorithm::FedAvg { clients_per_round: 4 },
+        Algorithm::fedavg(4),
         // Stateful policy: its running staleness means ride the per-policy
         // checkpoint section, so this case proves that section round-trips.
         Algorithm::fedstale(5, 3),

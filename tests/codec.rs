@@ -49,7 +49,7 @@ fn all_algorithms() -> [Algorithm; 6] {
         Algorithm::seafl2(5, 3, 2),
         Algorithm::fedbuff(5, 3),
         Algorithm::fedasync(5),
-        Algorithm::FedAvg { clients_per_round: 4 },
+        Algorithm::fedavg(4),
         Algorithm::fedstale(5, 3),
     ]
 }

@@ -24,7 +24,7 @@ fn identical_seed_identical_run_every_algorithm() {
         Algorithm::seafl2(5, 3, 2),
         Algorithm::fedbuff(5, 3),
         Algorithm::fedasync(5),
-        Algorithm::FedAvg { clients_per_round: 4 },
+        Algorithm::fedavg(4),
     ] {
         let a = run_experiment(&cfg(77, alg));
         let b = run_experiment(&cfg(77, alg));
@@ -64,7 +64,7 @@ fn initial_evaluation_identical_across_algorithms() {
     // Same seed ⇒ same data + same initial model ⇒ same t=0 accuracy.
     let a = run_experiment(&cfg(9, Algorithm::fedbuff(5, 3)));
     let b = run_experiment(&cfg(9, Algorithm::fedasync(5)));
-    let c = run_experiment(&cfg(9, Algorithm::FedAvg { clients_per_round: 4 }));
+    let c = run_experiment(&cfg(9, Algorithm::fedavg(4)));
     assert_eq!(a.accuracy[0], b.accuracy[0]);
     assert_eq!(a.accuracy[0], c.accuracy[0]);
 }

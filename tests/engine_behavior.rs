@@ -305,7 +305,7 @@ fn faulty_runs_are_deterministic() {
 #[test]
 fn fedavg_rounds_are_barriers() {
     let c = 6;
-    let r = run_experiment(&tiny_cfg(0, Algorithm::FedAvg { clients_per_round: c }));
+    let r = run_experiment(&tiny_cfg(0, Algorithm::fedavg(c)));
     assert_eq!(r.rounds, 30);
     let (mut barrier, mut last_upload) = (0.0, None);
     let (mut starts, mut uploads) = (0, 0);

@@ -32,7 +32,7 @@ fn obs_mode_never_changes_results() {
         Algorithm::seafl2(5, 3, 2),
         Algorithm::fedbuff(5, 3),
         Algorithm::fedasync(5),
-        Algorithm::FedAvg { clients_per_round: 4 },
+        Algorithm::fedavg(4),
         Algorithm::fedstale(5, 3),
     ] {
         let mut off = cfg(31, alg, 1);

@@ -49,7 +49,7 @@ fn threads_never_change_results_any_algorithm() {
         Algorithm::seafl2(5, 3, 2),
         Algorithm::fedbuff(5, 3),
         Algorithm::fedasync(5),
-        Algorithm::FedAvg { clients_per_round: 4 },
+        Algorithm::fedavg(4),
     ] {
         let seq = run_experiment(&cfg(77, alg, 1));
         let par = run_experiment(&cfg(77, alg, 8));

@@ -33,7 +33,7 @@ fn algorithms() -> [(&'static str, Algorithm); 6] {
         ("seafl2", Algorithm::seafl2(8, 3, 2)),
         ("fedbuff", Algorithm::fedbuff(6, 3)),
         ("fedasync", Algorithm::fedasync(6)),
-        ("fedavg", Algorithm::FedAvg { clients_per_round: 6 }),
+        ("fedavg", Algorithm::fedavg(6)),
         ("fedstale", Algorithm::fedstale(6, 3)),
     ]
 }

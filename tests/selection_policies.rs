@@ -74,7 +74,7 @@ fn biased_selection_is_deterministic() {
 #[test]
 fn fedavg_supports_biased_selection() {
     let mut c = cfg(4, SelectionPolicy::SpeedBiased { exponent: 3.0 });
-    c.algorithm = Algorithm::FedAvg { clients_per_round: 5 };
+    c.algorithm = Algorithm::fedavg(5);
     c.max_rounds = 10;
     let mut u = c.clone();
     u.selection = SelectionPolicy::Uniform;
