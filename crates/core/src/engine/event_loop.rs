@@ -636,7 +636,7 @@ impl State {
         let cid = ClientId::new(k);
         debug_assert_eq!(self.table.phase(cid), ClientPhase::Idle);
         let device = env.fleet.profile(cid);
-        let batches = env.pool.batches_per_epoch(env.client_data[k].len());
+        let batches = env.pool.batches_per_epoch(env.shards.shard_len(k));
         let mut t = now.after(device.download_time(env.model_bytes));
         let mut epoch_ends = Vec::with_capacity(cfg.local_epochs);
         for _ in 0..cfg.local_epochs {
@@ -738,7 +738,7 @@ impl State {
         let update = ModelUpdate {
             client_id: k,
             params,
-            num_samples: env.client_data[k].len(),
+            num_samples: env.shards.shard_len(k),
             born_round: session.born_round,
             epochs_completed: epochs,
             train_loss: session.outcome.epoch_losses[..epochs].iter().sum::<f32>() / epochs as f32,
@@ -948,6 +948,7 @@ impl State {
         self.obs.gauge(names::IN_FLIGHT, in_flight_n as f64);
         self.obs.gauge(names::QUEUE_DEPTH, self.queue.len() as f64);
         self.obs.gauge(names::RESIDENT_RECORDS, self.table.resident_records() as f64);
+        self.obs.gauge(names::RESIDENT_SHARDS, env.shards.resident() as f64);
         self.obs.round_interval(now.as_secs());
         {
             let (t, round, num_updates) = (now.as_secs(), self.round, updates.len());

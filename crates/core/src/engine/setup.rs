@@ -8,9 +8,11 @@ use rayon::prelude::*;
 use seafl_data::synthetic::{apply_feature_shift, sample_feature_shift};
 use seafl_data::{
     dirichlet_partition, iid_partition, quantity_skew_partition, shard_partition, ImageDataset,
+    TaskPlan, TrainPlan,
 };
 use seafl_sim::rng::{rng_from_state, rng_state, stream_rng, streams};
 use seafl_sim::{Fleet, LazyStreams, SimRng};
+use std::collections::BTreeMap;
 
 /// Largest evaluation minibatch (bounds peak activation memory).
 const EVAL_CHUNK: usize = 256;
@@ -20,12 +22,12 @@ pub struct Environment {
     /// Parallel training executor holding the per-worker scratch trainers
     /// (sized by `cfg.threads`; see [`TrainerPool`]).
     pub pool: TrainerPool,
-    /// Per-client training shards.
-    pub client_data: Vec<ImageDataset>,
+    /// Per-client training shards, made on first dispatch.
+    pub shards: ClientShards,
     /// Server-side test set.
     pub test: ImageDataset,
     /// Lazily materialized device timing profiles, index-aligned with
-    /// `client_data` (profiles derive on demand from the master seed; see
+    /// `shards` (profiles derive on demand from the master seed; see
     /// [`Fleet`]).
     pub fleet: Fleet,
     /// Initial global model state.
@@ -57,36 +59,33 @@ impl Environment {
         // data is identical across algorithms under the same seed — the
         // comparisons in Figs. 5/6 hinge on this.
         let data_seed = stream_rng(cfg.seed, streams::DATA).next_u64();
-        let task = cfg.spec.generate(cfg.train_per_class, cfg.test_per_class, data_seed);
+        let TaskPlan { train, test } =
+            cfg.spec.plan(cfg.train_per_class, cfg.test_per_class, data_seed);
 
         let mut part_rng = stream_rng(cfg.seed, streams::PARTITION);
         let parts = match cfg.partition {
             PartitionStrategy::Dirichlet { alpha } => {
-                dirichlet_partition(task.train.labels(), cfg.num_clients, alpha, &mut part_rng)
+                dirichlet_partition(train.labels(), cfg.num_clients, alpha, &mut part_rng)
             }
-            PartitionStrategy::Iid => {
-                iid_partition(task.train.len(), cfg.num_clients, &mut part_rng)
-            }
+            PartitionStrategy::Iid => iid_partition(train.len(), cfg.num_clients, &mut part_rng),
             PartitionStrategy::Shards { per_client } => {
-                shard_partition(task.train.labels(), cfg.num_clients, per_client, &mut part_rng)
+                shard_partition(train.labels(), cfg.num_clients, per_client, &mut part_rng)
             }
             PartitionStrategy::QuantitySkew { tail } => {
-                quantity_skew_partition(task.train.len(), cfg.num_clients, tail, &mut part_rng)
+                quantity_skew_partition(train.len(), cfg.num_clients, tail, &mut part_rng)
             }
         };
-        let client_data: Vec<ImageDataset> = parts
-            .iter()
-            .map(|idx| {
-                let shard = task.train.subset(idx);
-                if cfg.feature_shift_sigma > 0.0 {
-                    let (scale, bias) =
-                        sample_feature_shift(cfg.feature_shift_sigma, &mut part_rng);
-                    apply_feature_shift(&shard, scale, bias)
-                } else {
-                    shard
-                }
-            })
-            .collect();
+        // Every client's shift, drawn now and in client order whether or not
+        // the client is ever dispatched: the partition stream's order fixes
+        // each shift's value.
+        let shifts = if cfg.feature_shift_sigma > 0.0 {
+            (0..parts.len())
+                .map(|_| sample_feature_shift(cfg.feature_shift_sigma, &mut part_rng))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let shards = ClientShards { plan: train, parts, shifts, made: BTreeMap::new() };
 
         let fleet = Fleet::lazy(cfg.fleet.clone(), cfg.seed);
 
@@ -101,12 +100,12 @@ impl Environment {
         let client_rngs = LazyStreams::new(cfg.seed, streams::CLIENT_BASE, cfg.num_clients);
         let idle_rngs = LazyStreams::new(cfg.seed, streams::IDLE_BASE, cfg.num_clients);
 
-        let probe_len = cfg.grad_norm_probe.then(|| task.test.len().min(EVAL_CHUNK));
+        let probe_len = cfg.grad_norm_probe.then(|| test.len().min(EVAL_CHUNK));
 
         Environment {
             pool,
-            client_data,
-            test: task.test,
+            shards,
+            test,
             fleet,
             initial_global,
             model_bytes,
@@ -158,13 +157,14 @@ impl Environment {
                 }
             }
         }
-        let local_jobs: Vec<TrainJob<'_>> = picked
+        let local: Vec<usize> =
+            picked.iter().zip(&slots).filter(|(_, slot)| slot.is_none()).map(|(&k, _)| k).collect();
+        self.shards.make_missing(&local, &self.pool);
+        let local_jobs: Vec<TrainJob<'_>> = local
             .iter()
-            .zip(&slots)
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(&k, _)| TrainJob {
+            .map(|&k| TrainJob {
                 client_id: k,
-                data: &self.client_data[k],
+                data: self.shards.get(k),
                 epochs,
                 rng: self.client_rngs.peek(k),
                 keep_snapshots,
@@ -235,10 +235,71 @@ impl Environment {
             g.iter().map(|&v| v as f64 * v as f64).sum()
         })
     }
+}
 
-    /// Total local training samples across all clients.
-    pub fn total_samples(&self) -> usize {
-        self.client_data.iter().map(|d| d.len()).sum()
+/// Per-client training shards, made the first time each client trains.
+///
+/// Holds the training-set plan, the partition and the per-client feature
+/// shifts. A shard is its part of the plan, shifted: a pure function of the
+/// seed, so which shards are made, where and in what order cannot show in
+/// any result. Like a device profile ([`Fleet::lazy`]) or an RNG stream
+/// ([`LazyStreams`]), a client's data costs nothing until it is dispatched.
+pub struct ClientShards {
+    plan: TrainPlan,
+    /// Training-sample indices per client.
+    parts: Vec<Vec<usize>>,
+    /// `(scale, bias)` per client; empty when `feature_shift_sigma == 0`.
+    shifts: Vec<(f32, f32)>,
+    made: BTreeMap<usize, ImageDataset>,
+}
+
+impl ClientShards {
+    /// Number of clients.
+    pub fn len(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// True when there are no clients.
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// Samples in client `k`'s shard, made or not.
+    pub fn shard_len(&self, k: usize) -> usize {
+        self.parts[k].len()
+    }
+
+    /// Shards made so far (the `resident_shards` gauge).
+    pub fn resident(&self) -> usize {
+        self.made.len()
+    }
+
+    /// Make client `k`'s shard, without keeping it.
+    fn make(&self, k: usize) -> ImageDataset {
+        let shard = self.plan.subset(&self.parts[k]);
+        match self.shifts.get(k) {
+            Some(&(scale, bias)) => apply_feature_shift(&shard, scale, bias),
+            None => shard,
+        }
+    }
+
+    /// Make and keep every shard of `clients` not made yet, in parallel on
+    /// `pool` when more than one is missing.
+    pub fn make_missing(&mut self, clients: &[usize], pool: &TrainerPool) {
+        let missing: Vec<usize> =
+            clients.iter().copied().filter(|k| !self.made.contains_key(k)).collect();
+        let shards: Vec<ImageDataset> = if pool.is_sequential() || missing.len() <= 1 {
+            missing.iter().map(|&k| self.make(k)).collect()
+        } else {
+            pool.run(|| missing.par_iter().map(|&k| self.make(k)).collect())
+        };
+        self.made.extend(missing.into_iter().zip(shards));
+    }
+
+    /// Client `k`'s shard; panics unless [`make_missing`](Self::make_missing)
+    /// made it.
+    pub fn get(&self, k: usize) -> &ImageDataset {
+        self.made.get(&k).unwrap_or_else(|| panic!("client {k}'s shard was never made"))
     }
 }
 
@@ -272,11 +333,12 @@ mod tests {
     fn build_produces_consistent_environment() {
         let cfg = tiny_cfg(0);
         let env = Environment::build(&cfg);
-        assert_eq!(env.client_data.len(), 8);
+        assert_eq!(env.shards.len(), 8);
         assert_eq!(env.fleet.len(), 8);
-        assert_eq!(env.total_samples(), 200);
+        let lens: Vec<usize> = (0..8).map(|k| env.shards.shard_len(k)).collect();
+        assert_eq!(lens.iter().sum::<usize>(), 200);
+        assert!(lens.iter().all(|&n| n > 0));
         assert_eq!(env.model_bytes, env.initial_global.len() * 4);
-        assert!(env.client_data.iter().all(|d| !d.is_empty()));
     }
 
     #[test]
@@ -285,10 +347,98 @@ mod tests {
         let a = Environment::build(&cfg);
         let b = Environment::build(&cfg);
         assert_eq!(a.initial_global, b.initial_global);
-        let (xa, ya) = a.client_data[0].full_batch();
-        let (xb, yb) = b.client_data[0].full_batch();
+        let (xa, ya) = a.shards.make(0).full_batch();
+        let (xb, yb) = b.shards.make(0).full_batch();
         assert_eq!(xa, xb);
         assert_eq!(ya, yb);
+    }
+
+    fn bits(ds: &ImageDataset) -> Vec<u32> {
+        ds.full_batch().0.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The shards as `build` made them before they were lazy: generate the
+    /// whole training set, partition it, copy each part out and shift it.
+    fn eager_shards(cfg: &ExperimentConfig) -> Vec<ImageDataset> {
+        let data_seed = stream_rng(cfg.seed, streams::DATA).next_u64();
+        let task = cfg.spec.generate(cfg.train_per_class, cfg.test_per_class, data_seed);
+        let mut rng = stream_rng(cfg.seed, streams::PARTITION);
+        let (labels, n) = (task.train.labels(), cfg.num_clients);
+        let parts = match cfg.partition {
+            PartitionStrategy::Dirichlet { alpha } => {
+                dirichlet_partition(labels, n, alpha, &mut rng)
+            }
+            PartitionStrategy::Iid => iid_partition(labels.len(), n, &mut rng),
+            PartitionStrategy::Shards { per_client } => {
+                shard_partition(labels, n, per_client, &mut rng)
+            }
+            PartitionStrategy::QuantitySkew { tail } => {
+                quantity_skew_partition(labels.len(), n, tail, &mut rng)
+            }
+        };
+        parts
+            .iter()
+            .map(|idx| {
+                let shard = task.train.subset(idx);
+                if cfg.feature_shift_sigma > 0.0 {
+                    let (scale, bias) = sample_feature_shift(cfg.feature_shift_sigma, &mut rng);
+                    apply_feature_shift(&shard, scale, bias)
+                } else {
+                    shard
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_shards_equal_the_eager_path() {
+        let partitions = [
+            PartitionStrategy::Dirichlet { alpha: 0.5 },
+            PartitionStrategy::Iid,
+            PartitionStrategy::Shards { per_client: 2 },
+            PartitionStrategy::QuantitySkew { tail: 1.5 },
+        ];
+        for partition in partitions {
+            for confusion in [0.0, 0.25] {
+                for sigma in [0.0, 0.3] {
+                    let mut cfg = tiny_cfg(11);
+                    cfg.spec.confusion = confusion;
+                    cfg.feature_shift_sigma = sigma;
+                    cfg.partition = partition;
+                    let env = Environment::build(&cfg);
+                    let eager = eager_shards(&cfg);
+                    let case = format!("{partition:?}, confusion {confusion}, sigma {sigma}");
+                    assert_eq!(env.shards.len(), eager.len(), "{case}");
+                    for (k, want) in eager.iter().enumerate() {
+                        let got = env.shards.make(k);
+                        assert_eq!(env.shards.shard_len(k), want.len(), "{case}, client {k}");
+                        assert_eq!(got.labels(), want.labels(), "{case}, client {k}");
+                        assert_eq!(bits(&got), bits(want), "{case}, client {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shards_are_made_when_a_cohort_first_trains() {
+        for threads in [1, 2] {
+            let mut cfg = tiny_cfg(5);
+            cfg.threads = threads;
+            let mut env = Environment::build(&cfg);
+            assert_eq!(env.shards.resident(), 0);
+            let global = env.initial_global.clone();
+            let picked = [6, 1, 3];
+            env.train_cohort(&global, &picked, 1, false);
+            assert_eq!(env.shards.resident(), picked.len());
+            for k in 0..cfg.num_clients {
+                assert_eq!(env.shards.made.contains_key(&k), picked.contains(&k), "client {k}");
+            }
+            assert_eq!(bits(env.shards.get(6)), bits(&env.shards.make(6)));
+            // Training again makes nothing new.
+            env.train_cohort(&global, &[1, 6], 1, false);
+            assert_eq!(env.shards.resident(), picked.len());
+        }
     }
 
     #[test]

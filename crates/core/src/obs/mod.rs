@@ -179,6 +179,13 @@ pub mod names {
     /// aggregation.
     pub const RESIDENT_RECORDS: &str = "resident_records";
 
+    /// Gauge: client shards made so far in this process, sampled at each
+    /// aggregation. It counts where the images live, not what the run
+    /// simulated: a wire server's remote jobs and a resumed run's earlier
+    /// rounds made theirs elsewhere. So it stays out of the registry
+    /// digest.
+    pub const RESIDENT_SHARDS: &str = "resident_shards";
+
     /// Histogram: staleness (rounds) of each *aggregated* update, measured
     /// at aggregation time.
     pub const STALENESS_ROUNDS: &str = "staleness_rounds";

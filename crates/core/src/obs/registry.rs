@@ -267,17 +267,20 @@ impl MetricsRegistry {
     }
 
     /// Order-sensitive FNV-1a 64 fingerprint over every metric's name and
-    /// exact value bits. Contains no wall-clock-derived state, so equal
-    /// digests mean the two runs observed the bit-identical metric stream —
-    /// the obs counterpart of the model/trace digests.
+    /// exact value bits, except the
+    /// [`RESIDENT_SHARDS`](super::names::RESIDENT_SHARDS) gauge.
+    /// Contains no wall-clock-derived state, so equal digests mean the two
+    /// runs observed the bit-identical metric stream — the obs counterpart
+    /// of the model/trace digests.
     pub fn digest(&self) -> u64 {
+        use super::names;
         use seafl_sim::digest::{fnv1a64_extend, FNV_OFFSET};
         let mut h = FNV_OFFSET;
         for (name, v) in &self.counters {
             h = fnv1a64_extend(h, name.as_bytes());
             h = fnv1a64_extend(h, &v.to_le_bytes());
         }
-        for (name, v) in &self.gauges {
+        for (name, v) in self.gauges.iter().filter(|(name, _)| **name != names::RESIDENT_SHARDS) {
             h = fnv1a64_extend(h, name.as_bytes());
             h = fnv1a64_extend(h, &v.to_bits().to_le_bytes());
         }
@@ -397,6 +400,16 @@ mod tests {
         let mut b = MetricsRegistry::new();
         b.inc("y");
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn resident_shards_stay_out_of_the_digest() {
+        let mut a = MetricsRegistry::new();
+        a.set_gauge("g", 1.0);
+        let plain = a.digest();
+        a.set_gauge(crate::obs::names::RESIDENT_SHARDS, 7.0);
+        assert_eq!(a.digest(), plain);
+        assert_eq!(a.gauge(crate::obs::names::RESIDENT_SHARDS), Some(7.0));
     }
 
     #[test]

@@ -22,6 +22,24 @@ use seafl_sim::{AttackKind, CorruptionKind, FleetConfig};
 /// arrival times, the buffer is in arrival order, every fault applies).
 pub const NUMERIC_EPOCH: u32 = 3;
 
+/// The comment block `tests/fixtures/digests.txt` opens with.
+/// `examples/digest_fixtures.rs` prints it ahead of the `# numeric-epoch`
+/// line, so a re-pin by redirection keeps it.
+pub const FIXTURE_HEADER: &str = "\
+# Refactor-guard digest fixtures: one `key model_digest trace_digest` line
+# per case in seafl_core::test_support::fixture_cases (key = <algorithm>/<variant>).
+# Pinned from a release run of the generator below (a debug build gives the
+# same digests); digests depend on the floating-point environment.
+# tests/refactor_guard.rs checks every case against its line and appends a
+# line only for a case the file does not list yet. CI's refactor-guard job
+# regenerates the file at the PR's merge-base before running the guard on
+# the head — the actual pre/post-refactor equivalence check.
+# Re-pin manually: cargo run --release --example digest_fixtures > tests/fixtures/digests.txt
+# (it prints this header too). Entries pinned under a different numeric-epoch
+# than the code's seafl_core::test_support::NUMERIC_EPOCH are discarded and
+# re-pinned (intended numeric changes bump the epoch instead of failing the guard).
+";
+
 /// The small-but-real experiment config the engine tests run: 12 Pareto
 /// devices, a thin MLP, 30 rounds. Heavy enough to exercise staleness and
 /// device turnover, light enough for debug-mode `cargo test`.
@@ -131,4 +149,18 @@ pub fn fixture_cases() -> Vec<FixtureCase> {
         }
     }
     cases
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fixture_file_starts_with_the_header() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/digests.txt");
+        let text = std::fs::read_to_string(path).expect("fixture file");
+        assert!(text.starts_with(FIXTURE_HEADER), "{path} does not start with FIXTURE_HEADER");
+        let epoch = format!("{FIXTURE_HEADER}# numeric-epoch: {NUMERIC_EPOCH}\n");
+        assert!(text.starts_with(&epoch), "{path}: no numeric-epoch line after the header");
+    }
 }

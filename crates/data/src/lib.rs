@@ -19,4 +19,4 @@ pub mod synthetic;
 
 pub use dataset::ImageDataset;
 pub use partition::{dirichlet_partition, iid_partition, quantity_skew_partition, shard_partition};
-pub use synthetic::{SyntheticSpec, SyntheticTask};
+pub use synthetic::{SyntheticSpec, SyntheticTask, TaskPlan, TrainPlan};

@@ -98,17 +98,69 @@ impl SyntheticSpec {
         test_per_class: usize,
         seed: u64,
     ) -> SyntheticTask {
+        let TaskPlan { train, test } = self.plan(train_per_class, test_per_class, seed);
+        let all: Vec<usize> = (0..train.len()).collect();
+        SyntheticTask { spec: *self, train: train.subset(&all), test }
+    }
+
+    /// Plan a task without making its training set: the prototypes, where
+    /// each training sample starts in the keystream, and the test set, made
+    /// now. [`TrainPlan::subset`] then makes any training samples, equal
+    /// bit for bit to the same samples of [`generate`](Self::generate).
+    ///
+    /// Sample `s + 1` starts where `s` ends: one word for the amplitude, the
+    /// words of the confusion draw, and four words of noise per pixel. The
+    /// confusion draw rejects a variable number of words, so with
+    /// `confusion > 0` the plan seeks to each sample's draw and counts them.
+    pub fn plan(&self, train_per_class: usize, test_per_class: usize, seed: u64) -> TaskPlan {
         let mut rng = StdRng::seed_from_u64(seed);
         let protos: Vec<Vec<f32>> =
             (0..self.num_classes).map(|_| self.sample_prototype(&mut rng)).collect();
 
-        let train = self.sample_set(&protos, train_per_class, &mut rng);
-        let test = self.sample_set(&protos, test_per_class, &mut rng);
-        SyntheticTask { spec: *self, train, test }
+        let labels = self.class_major_labels(train_per_class);
+        let fixed = 1 + WORDS_PER_NORMAL * self.image_len() as u64;
+        let mut probe = rng.clone();
+        let mut at = rng.get_word_pos() as u64;
+        let mut starts = Vec::with_capacity(labels.len() + 1);
+        for &class in &labels {
+            starts.push(at);
+            let mut words = fixed;
+            if self.confuses() {
+                probe.set_word_pos(u128::from(at + 1));
+                self.confusion_class(class, &mut probe);
+                words += probe.get_word_pos() as u64 - (at + 1);
+            }
+            at += words;
+        }
+        starts.push(at);
+        let train = TrainPlan { spec: *self, protos, rng, starts, labels };
+
+        // The test set starts where the training set ends. Making the last
+        // training sample checks that end before the test set relies on it.
+        if let Some(last) = train.len().checked_sub(1) {
+            train.subset(&[last]);
+        }
+        let mut rng = train.rng.clone();
+        rng.set_word_pos(u128::from(at));
+        let test_labels = self.class_major_labels(test_per_class);
+        let mut data = Vec::with_capacity(test_labels.len() * self.image_len());
+        for &class in &test_labels {
+            self.sample_into(&train.protos, class, &mut rng, &mut data);
+        }
+        TaskPlan { test: self.dataset(data, test_labels), train }
     }
 
     fn image_len(&self) -> usize {
         self.channels * self.height * self.width
+    }
+
+    /// `per_class` samples of class 0, then of class 1, and so on.
+    fn class_major_labels(&self, per_class: usize) -> Vec<usize> {
+        (0..self.num_classes).flat_map(|c| std::iter::repeat_n(c, per_class)).collect()
+    }
+
+    fn dataset(&self, data: Vec<f32>, labels: Vec<usize>) -> ImageDataset {
+        ImageDataset::new(data, labels, self.channels, self.height, self.width, self.num_classes)
     }
 
     /// Smooth random field: N(0,1) on a `proto_grid²` lattice per channel,
@@ -142,39 +194,105 @@ impl SyntheticSpec {
         out
     }
 
-    fn sample_set(&self, protos: &[Vec<f32>], per_class: usize, rng: &mut StdRng) -> ImageDataset {
-        let img = self.image_len();
-        let n = per_class * self.num_classes;
-        let noise = Normal::new(0.0f64, self.noise_std as f64).unwrap();
-        let mut data = Vec::with_capacity(n * img);
-        let mut labels = Vec::with_capacity(n);
+    /// True when every sample mixes in a second class's prototype.
+    fn confuses(&self) -> bool {
+        self.confusion > 0.0 && self.num_classes > 1
+    }
 
-        for class in 0..self.num_classes {
-            for _ in 0..per_class {
-                let amp = 1.0 + self.amp_jitter * (rng.gen::<f32>() * 2.0 - 1.0);
-                let other = if self.confusion > 0.0 && self.num_classes > 1 {
-                    let mut o = rng.gen_range(0..self.num_classes - 1);
-                    if o >= class {
-                        o += 1;
-                    }
-                    Some(&protos[o])
-                } else {
-                    None
-                };
-                let proto = &protos[class];
-                for i in 0..img {
-                    let mut v = amp * proto[i];
-                    if let Some(op) = other {
-                        v += self.confusion * op[i];
-                    }
-                    v += noise.sample(rng) as f32;
-                    data.push(v);
-                }
-                labels.push(class);
-            }
+    /// The other class mixed into a sample of `class`, drawn uniformly
+    /// (`None`, with no draw, when the spec has no confusion).
+    fn confusion_class(&self, class: usize, rng: &mut StdRng) -> Option<usize> {
+        if !self.confuses() {
+            return None;
         }
+        let o = rng.gen_range(0..self.num_classes - 1);
+        Some(if o >= class { o + 1 } else { o })
+    }
 
-        ImageDataset::new(data, labels, self.channels, self.height, self.width, self.num_classes)
+    /// Append one sample of `class` to `out`: amplitude, confusion draw,
+    /// then one noise draw per pixel.
+    fn sample_into(&self, protos: &[Vec<f32>], class: usize, rng: &mut StdRng, out: &mut Vec<f32>) {
+        let noise = Normal::new(0.0f64, self.noise_std as f64).unwrap();
+        let amp = 1.0 + self.amp_jitter * (rng.gen::<f32>() * 2.0 - 1.0);
+        let other = self.confusion_class(class, rng).map(|o| &protos[o]);
+        let proto = &protos[class];
+        for i in 0..self.image_len() {
+            let mut v = amp * proto[i];
+            if let Some(op) = other {
+                v += self.confusion * op[i];
+            }
+            v += noise.sample(rng) as f32;
+            out.push(v);
+        }
+    }
+}
+
+/// Keystream words one pixel's noise takes: `rand_distr`'s Box–Muller
+/// `Normal` (the stand-in the workspace builds against) reads two `u64`s
+/// per draw. [`TrainPlan::subset`] asserts every sample ends where the plan
+/// says, so a sampler with another word count panics instead of shifting
+/// the data.
+const WORDS_PER_NORMAL: u64 = 4;
+
+/// A task planned by [`SyntheticSpec::plan`]: the training set as a
+/// keystream plan, the test set made.
+pub struct TaskPlan {
+    pub train: TrainPlan,
+    pub test: ImageDataset,
+}
+
+/// Where each training sample of a planned task starts in the keystream,
+/// and its label. Any subset of samples can be made in any order, on any
+/// thread.
+pub struct TrainPlan {
+    spec: SyntheticSpec,
+    protos: Vec<Vec<f32>>,
+    /// The generator just after the prototypes, where sample 0 starts.
+    rng: StdRng,
+    /// `starts[s]` is the word sample `s` starts at; the last entry is
+    /// where the training set ends.
+    starts: Vec<u64>,
+    labels: Vec<usize>,
+}
+
+impl TrainPlan {
+    /// Number of training samples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Every training sample's label, as [`ImageDataset::labels`] of the
+    /// generated training set.
+    pub fn labels(&self) -> &[usize] {
+        &self.labels
+    }
+
+    /// Make the given samples, equal bit for bit to
+    /// `generate(..).train.subset(indices)`. Consecutive samples read on
+    /// without a seek.
+    pub fn subset(&self, indices: &[usize]) -> ImageDataset {
+        let mut data = Vec::with_capacity(indices.len() * self.spec.image_len());
+        let mut labels = Vec::with_capacity(indices.len());
+        let mut rng = self.rng.clone();
+        for &i in indices {
+            assert!(i < self.len(), "subset: index {i} out of range");
+            let start = u128::from(self.starts[i]);
+            if rng.get_word_pos() != start {
+                rng.set_word_pos(start);
+            }
+            self.spec.sample_into(&self.protos, self.labels[i], &mut rng, &mut data);
+            assert_eq!(
+                rng.get_word_pos(),
+                u128::from(self.starts[i + 1]),
+                "sample {i} did not end where the plan says: the sampler's keystream use changed"
+            );
+            labels.push(self.labels[i]);
+        }
+        self.spec.dataset(data, labels)
     }
 }
 
@@ -229,6 +347,33 @@ mod tests {
         assert_eq!(task.train.channels(), 1);
         assert_eq!(task.train.height(), 28);
         assert_eq!(task.train.class_histogram(), vec![5; 10]);
+    }
+
+    #[test]
+    fn plan_subsets_equal_generated_subsets() {
+        for spec in [SyntheticSpec::emnist_like(), SyntheticSpec::cinic10_like()] {
+            let task = spec.generate(4, 2, 5);
+            let plan = spec.plan(4, 2, 5);
+            assert_eq!(plan.train.labels(), task.train.labels());
+            assert_eq!(plan.test.full_batch(), task.test.full_batch());
+            for idx in [vec![], vec![39], vec![7, 3, 3, 38, 0, 1, 2]] {
+                let (want, _) = task.train.subset(&idx).full_batch();
+                let (got, labels) = plan.train.subset(&idx).full_batch();
+                let bits = |t: &seafl_tensor::Tensor| -> Vec<u32> {
+                    t.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{} {idx:?}", spec.name);
+                assert_eq!(labels, task.train.subset(&idx).labels());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "did not end where the plan says")]
+    fn a_sample_off_its_plan_panics() {
+        let mut plan = SyntheticSpec::emnist_like().plan(2, 1, 0);
+        plan.train.starts[1] += 1;
+        plan.train.subset(&[0]);
     }
 
     #[test]

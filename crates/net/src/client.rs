@@ -255,13 +255,14 @@ impl NetClient {
             return;
         }
         let k = client_id as usize;
-        if k >= self.env.client_data.len() {
+        if k >= self.env.shards.len() {
             eprintln!("seafl-client[{}]: assign for unknown client {k}, skipping", self.loss_link);
             return;
         }
+        self.env.shards.make_missing(&[k], &self.env.pool);
         let job = TrainJob {
             client_id: k,
-            data: &self.env.client_data[k],
+            data: self.env.shards.get(k),
             epochs: epochs as usize,
             rng: rng_from_state(rng),
             keep_snapshots,

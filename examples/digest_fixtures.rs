@@ -1,7 +1,8 @@
 //! Regenerate the refactor-guard digest fixtures.
 //!
 //! Runs every case in `seafl_core::test_support::fixture_cases` and prints
-//! one `key model_digest trace_digest` line per case — redirect into
+//! the file header, the numeric-epoch line and one
+//! `key model_digest trace_digest` line per case — redirect into
 //! `tests/fixtures/digests.txt` to re-pin:
 //!
 //! ```text
@@ -13,9 +14,10 @@
 //! bit for bit.
 
 use seafl::core::run_experiment;
-use seafl::core::test_support::{fixture_cases, NUMERIC_EPOCH};
+use seafl::core::test_support::{fixture_cases, FIXTURE_HEADER, NUMERIC_EPOCH};
 
 fn main() {
+    print!("{FIXTURE_HEADER}");
     println!("# numeric-epoch: {NUMERIC_EPOCH}");
     for case in fixture_cases() {
         let r = run_experiment(&case.cfg);
