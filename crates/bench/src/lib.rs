@@ -22,23 +22,23 @@ use std::time::Instant;
 
 /// One experiment arm: a label plus its config.
 #[derive(Clone)]
-pub struct Arm {
-    pub label: String,
-    pub config: ExperimentConfig,
+pub(crate) struct Arm {
+    pub(crate) label: String,
+    pub(crate) config: ExperimentConfig,
 }
 
 /// One finished arm: the simulation result plus host-side measurements.
-pub struct ArmResult {
-    pub label: String,
+pub(crate) struct ArmResult {
+    pub(crate) label: String,
     /// The `threads` knob the arm ran with (0 = rayon default).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Host wall-clock seconds the run took.
-    pub wall_secs: f64,
-    pub result: RunResult,
+    pub(crate) wall_secs: f64,
+    pub(crate) result: RunResult,
 }
 
 /// Run a set of arms sequentially, printing progress to stderr.
-pub fn run_arms(arms: Vec<Arm>) -> Vec<ArmResult> {
+pub(crate) fn run_arms(arms: Vec<Arm>) -> Vec<ArmResult> {
     let total = arms.len();
     arms.into_iter()
         .enumerate()
@@ -74,7 +74,7 @@ pub fn arg_value(name: &str) -> Option<String> {
 }
 
 /// True when the bare flag `--<name>` was passed.
-pub fn has_flag(name: &str) -> bool {
+pub(crate) fn has_flag(name: &str) -> bool {
     let flag = format!("--{name}");
     std::env::args().any(|a| a == flag)
 }

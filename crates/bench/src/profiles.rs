@@ -22,22 +22,22 @@ use seafl_nn::ModelKind;
 use seafl_sim::{AttackConfig, AttackKind, CorruptionKind, FaultConfig, FleetConfig};
 
 /// Concurrency M: the paper samples up to 20 % of 100 devices.
-pub const CONCURRENCY: usize = 20;
+pub(crate) const CONCURRENCY: usize = 20;
 /// Default buffer size K (the paper's best from Fig. 2a).
-pub const BUFFER_K: usize = 10;
+pub(crate) const BUFFER_K: usize = 10;
 /// Default staleness limit β (the paper's best from Fig. 2b).
-pub const BETA: u64 = 10;
+pub(crate) const BETA: u64 = 10;
 /// The seed every figure runs on.
-pub const SEED: u64 = 42;
+pub(crate) const SEED: u64 = 42;
 /// Accuracy target for the insights task (the paper's 96 % on MNIST maps to
 /// 85 % on the synthetic EMNIST-like task).
-pub const INSIGHTS_TARGET: f64 = 0.85;
+pub(crate) const INSIGHTS_TARGET: f64 = 0.85;
 /// The targets every insights-testbed table reports.
 const INSIGHTS_TARGETS: [f64; 2] = [0.7, INSIGHTS_TARGET];
 
 /// Concurrency M and buffer size K: the paper's (20, 10), or (6, 3) for a
 /// smoke run.
-pub fn m_k(scale: Scale) -> (usize, usize) {
+pub(crate) fn m_k(scale: Scale) -> (usize, usize) {
     match scale {
         Scale::Smoke => (6, 3),
         Scale::Std => (CONCURRENCY, BUFFER_K),
@@ -49,7 +49,7 @@ pub fn m_k(scale: Scale) -> (usize, usize) {
 /// (plateau near 0.9, reached over tens of rounds: the regime Fig. 2
 /// studies). An MLP, not LeNet-5: the sweeps measure *scheduler*
 /// behaviour, and the MLP keeps the 11-arm sweep tractable on one core.
-pub fn insights_config(seed: u64, algorithm: Algorithm, scale: Scale) -> ExperimentConfig {
+pub(crate) fn insights_config(seed: u64, algorithm: Algorithm, scale: Scale) -> ExperimentConfig {
     let (clients, per_class, rounds, time) = match scale {
         Scale::Smoke => (12, 36, 15, 2_000.0),
         Scale::Std => (50, 300, 200, 20_000.0),
@@ -69,7 +69,7 @@ pub fn insights_config(seed: u64, algorithm: Algorithm, scale: Scale) -> Experim
 
 /// Which dataset/model pairing a Fig. 5/6 arm runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workload {
+pub(crate) enum Workload {
     /// EMNIST-like + LeNet-5.
     Emnist,
     /// CIFAR-10-like + ResNet-18 (width 2).
@@ -80,7 +80,7 @@ pub enum Workload {
 
 impl Workload {
     /// Parse a `--workload` value: `emnist`, `cifar` or `cinic`.
-    pub fn parse(name: &str) -> Workload {
+    pub(crate) fn parse(name: &str) -> Workload {
         match name {
             "emnist" => Workload::Emnist,
             "cifar" => Workload::Cifar,
@@ -89,7 +89,7 @@ impl Workload {
         }
     }
 
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Workload::Emnist => "emnist-like",
             Workload::Cifar => "cifar10-like",
@@ -100,7 +100,7 @@ impl Workload {
     /// Accuracy targets reported for this dataset (the paper's 50 %/70 %
     /// CIFAR-10 targets; EMNIST/CINIC targets mapped to the synthetic
     /// tasks' plateaus).
-    pub fn targets(&self) -> &'static [f64] {
+    pub(crate) fn targets(&self) -> &'static [f64] {
         match self {
             Workload::Emnist => &[0.70, 0.82],
             Workload::Cifar => &[0.50, 0.70],
@@ -116,7 +116,7 @@ impl Workload {
 
 /// §VI main-evaluation testbed: Pareto client speeds plus Zipf idle
 /// periods, 40-device fleet with M = 20 concurrent trainers.
-pub fn evaluation_config(
+pub(crate) fn evaluation_config(
     seed: u64,
     workload: Workload,
     algorithm: Algorithm,
@@ -179,7 +179,7 @@ pub fn evaluation_config(
 /// mid-run, 10 % of uploads are lost, a quarter of devices suffer a 3×
 /// compute spike and ~10 % corrupt their updates — against a server with a
 /// session timeout and the sanitizer's norm bound armed.
-pub fn chaos_overlay(cfg: &mut ExperimentConfig) {
+pub(crate) fn chaos_overlay(cfg: &mut ExperimentConfig) {
     cfg.faults = FaultConfig {
         crash_prob: 0.15,
         crash_window: (0.0, cfg.max_sim_time * 0.6),
@@ -204,13 +204,13 @@ pub fn chaos_overlay(cfg: &mut ExperimentConfig) {
 /// Adversarial-fleet overlay for the chaos bench's `--attack` matrix: ~30 %
 /// of devices attack through `kinds` (collusion shares radius-2 junk). The
 /// matrix sweeps the robust rule.
-pub fn attack_overlay(cfg: &mut ExperimentConfig, kinds: Vec<AttackKind>) {
+pub(crate) fn attack_overlay(cfg: &mut ExperimentConfig, kinds: Vec<AttackKind>) {
     cfg.attack = AttackConfig { attacker_prob: 0.3, kinds, collude_radius: 2.0 };
 }
 
 /// Bound a run by rounds alone (12 at smoke scale, 30 at std; accuracy and
 /// time stops off), so every arm of a chaos mode runs the same schedule.
-pub fn round_bound(cfg: &mut ExperimentConfig, scale: Scale) {
+pub(crate) fn round_bound(cfg: &mut ExperimentConfig, scale: Scale) {
     cfg.stop_at_accuracy = None;
     cfg.max_sim_time = 1e9;
     cfg.max_rounds = if scale == Scale::Smoke { 12 } else { 30 };
@@ -219,18 +219,18 @@ pub fn round_bound(cfg: &mut ExperimentConfig, scale: Scale) {
 /// One figure part: its arms, and how [`report::run_row`] presents them.
 pub struct Row {
     /// Output stem: `target/experiments/<stem>.csv` and `<stem>_runs.json`.
-    pub stem: String,
+    pub(crate) stem: String,
     /// Headline printed above the row's tables.
-    pub title: String,
+    pub(crate) title: String,
     /// Accuracy targets the time-to-target table reports.
-    pub targets: Vec<f64>,
-    pub arms: Vec<Arm>,
+    pub(crate) targets: Vec<f64>,
+    pub(crate) arms: Vec<Arm>,
     /// Print downsampled accuracy curves under the table.
-    pub curves: bool,
+    pub(crate) curves: bool,
     /// Write `<stem>_grad_norms.csv` instead of the accuracy CSV.
-    pub grad_norms: bool,
+    pub(crate) grad_norms: bool,
     /// The row's own output, printed after the shared tables.
-    pub hook: Option<Hook>,
+    pub(crate) hook: Option<Hook>,
 }
 
 impl Row {
@@ -367,7 +367,7 @@ fn baselines(workload: Workload, scale: Scale) -> Vec<Arm> {
 
 /// The Fig. 5 arms: SEAFL(β=10), SEAFL(β=∞), the baselines and the
 /// FedStaleWeight-style fairness policy (same M/K as FedBuff).
-pub fn fig5_arms(workload: Workload, scale: Scale) -> Vec<Arm> {
+pub(crate) fn fig5_arms(workload: Workload, scale: Scale) -> Vec<Arm> {
     let (m, k) = m_k(scale);
     let eval = |alg| evaluation_config(SEED, workload, alg, scale);
     let mut arms = vec![
@@ -478,7 +478,7 @@ fn convergence(scale: Scale) -> Row {
 /// The codec sweep: the Fig. 5 SEAFL arm under each update codec, so
 /// bytes-to-accuracy (an axis the paper never measured) is isolated
 /// against accuracy cost.
-pub fn codec_arms(workload: Workload, scale: Scale) -> Vec<Arm> {
+pub(crate) fn codec_arms(workload: Workload, scale: Scale) -> Vec<Arm> {
     let (m, k) = m_k(scale);
     let topk = vec![CodecStage::TopK { k: 2048 }];
     let codecs = [

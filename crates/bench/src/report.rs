@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 /// A row's own output: called with the row and one pass's results, after
 /// the shared tables.
-pub type Hook = fn(&Row, &[ArmResult]);
+pub(crate) type Hook = fn(&Row, &[ArmResult]);
 
 /// Run one row once per entry of `passes` (`Some(t)` sets every arm's
 /// `threads` to `t`), printing the time-to-target table, the curves and
@@ -66,7 +66,7 @@ fn threads1_twin<'a>(results: &'a [ArmResult], a: &ArmResult) -> Option<&'a ArmR
 }
 
 /// The first result whose label starts with `prefix`.
-pub fn by_label<'a>(results: &'a [ArmResult], prefix: &str) -> &'a RunResult {
+pub(crate) fn by_label<'a>(results: &'a [ArmResult], prefix: &str) -> &'a RunResult {
     let found = results.iter().find(|a| a.label.starts_with(prefix));
     &found.unwrap_or_else(|| panic!("no arm labelled {prefix}…")).result
 }
@@ -86,7 +86,7 @@ fn write_file(file: &str, body: String) -> PathBuf {
 /// rounds, updates, staleness p50/p95 (rounds), mean aggregation-weight
 /// entropy (nats) and host wall-clock; below it, each arm's four largest
 /// wall-clock phases. Unmeasured cells render as `—`.
-pub fn print_time_to_target(results: &[ArmResult], targets: &[f64]) {
+pub(crate) fn print_time_to_target(results: &[ArmResult], targets: &[f64]) {
     print!("{:<18}", "arm");
     for t in targets {
         print!(" | {:>10}", format!("t→{:.0}% (s)", t * 100.0));
@@ -145,7 +145,7 @@ fn phase_line(obs: &ObsSummary) -> Option<String> {
 }
 
 /// Print compact accuracy-vs-time curves (downsampled).
-pub fn print_curves(results: &[ArmResult], points: usize) {
+pub(crate) fn print_curves(results: &[ArmResult], points: usize) {
     for a in results {
         let d = metrics::downsample(&a.result.accuracy, points.max(2));
         let line: Vec<String> =
@@ -157,7 +157,7 @@ pub fn print_curves(results: &[ArmResult], points: usize) {
 /// Write every arm's full series into one long-format CSV: `<stem>.csv`
 /// with `arm,sim_seconds,accuracy`, or `<stem>_grad_norms.csv` with
 /// `arm,sim_seconds,grad_norm_sq`.
-pub fn write_csv(stem: &str, results: &[ArmResult], grad_norms: bool) -> PathBuf {
+pub(crate) fn write_csv(stem: &str, results: &[ArmResult], grad_norms: bool) -> PathBuf {
     let (file, column) = if grad_norms {
         (format!("{stem}_grad_norms.csv"), "grad_norm_sq")
     } else {
@@ -178,7 +178,7 @@ pub fn write_csv(stem: &str, results: &[ArmResult], grad_norms: bool) -> PathBuf
 /// line: the run's headline numbers plus the host wall-clock, and — when a
 /// `threads = 1` run with the same label is present in the slice — the
 /// parallel speedup over it.
-pub fn write_run_json(name: &str, results: &[ArmResult]) -> PathBuf {
+pub(crate) fn write_run_json(name: &str, results: &[ArmResult]) -> PathBuf {
     let records: Vec<String> = results
         .iter()
         .map(|a| {
@@ -274,7 +274,7 @@ fn obs_json(obs: &ObsSummary) -> String {
 /// first evaluation at each target, per arm, plus each run's total
 /// raw/encoded bytes and compression ratio. Arms with no codec data render
 /// as `—`. A string, so the golden test can pin the layout.
-pub fn bytes_to_target_table(results: &[ArmResult], targets: &[f64]) -> String {
+pub(crate) fn bytes_to_target_table(results: &[ArmResult], targets: &[f64]) -> String {
     const MIB: f64 = 1024.0 * 1024.0;
     let mut out = String::new();
     out.push_str(&format!("{:<18}", "arm"));
@@ -310,7 +310,7 @@ pub fn bytes_to_target_table(results: &[ArmResult], targets: &[f64]) -> String {
 /// Print the attack-outcome table: post-attack accuracy per arm plus the
 /// robust layer's screening record and its detection precision/recall
 /// against the ground-truth attacker set.
-pub fn print_attack_table(results: &[ArmResult]) {
+pub(crate) fn print_attack_table(results: &[ArmResult]) {
     println!(
         "{:<22} | final acc | best acc | attacked | screened | clipped | precision | recall",
         "arm"
@@ -334,7 +334,7 @@ pub fn print_attack_table(results: &[ArmResult]) {
 }
 
 /// Percentage speedup of `a` over `b` to `target`, if both reached it.
-pub fn speedup_pct(a: &RunResult, b: &RunResult, target: f64) -> Option<f64> {
+pub(crate) fn speedup_pct(a: &RunResult, b: &RunResult, target: f64) -> Option<f64> {
     let ta = a.time_to_accuracy(target)?;
     let tb = b.time_to_accuracy(target)?;
     Some((tb - ta) / tb * 100.0)
@@ -350,14 +350,14 @@ fn print_speedups(name: &str, ours: &RunResult, fedbuff: &RunResult, targets: &[
 }
 
 /// Fig. 5's headline: SEAFL(β) against FedBuff.
-pub fn seafl_vs_fedbuff(row: &Row, results: &[ArmResult]) {
+pub(crate) fn seafl_vs_fedbuff(row: &Row, results: &[ArmResult]) {
     let fedbuff = by_label(results, "fedbuff");
     print_speedups("SEAFL", by_label(results, "seafl(beta="), fedbuff, &row.targets);
 }
 
 /// Fig. 6's headline: SEAFL²'s notifications, partial updates and speedup
 /// over FedBuff.
-pub fn seafl2_vs_fedbuff(row: &Row, results: &[ArmResult]) {
+pub(crate) fn seafl2_vs_fedbuff(row: &Row, results: &[ArmResult]) {
     let seafl2 = by_label(results, "seafl2(");
     println!(
         "SEAFL^2 sent {} notifications, {} partial updates",
@@ -368,7 +368,7 @@ pub fn seafl2_vs_fedbuff(row: &Row, results: &[ArmResult]) {
 
 /// The ablations: every arm that dropped updates or trained partially (the
 /// staleness-policy row's drop and notify arms).
-pub fn drops(_: &Row, results: &[ArmResult]) {
+pub(crate) fn drops(_: &Row, results: &[ArmResult]) {
     for a in results.iter().filter(|a| a.result.dropped_updates + a.result.partial_updates > 0) {
         let (label, r) = (&a.label, &a.result);
         let (dropped, partial, notified) = (r.dropped_updates, r.partial_updates, r.notifications);
@@ -378,7 +378,7 @@ pub fn drops(_: &Row, results: &[ArmResult]) {
 
 /// Corollary 1: mean ‖∇f(w_t)‖² over the first and the last third of each
 /// arm's probes, and their ratio.
-pub fn grad_norm_decay(_: &Row, results: &[ArmResult]) {
+pub(crate) fn grad_norm_decay(_: &Row, results: &[ArmResult]) {
     println!("{:<16} | mean ||grad||^2 (first 1/3) | (last 1/3) | decay ratio", "arm");
     println!("{}", "-".repeat(72));
     for a in results {
@@ -396,7 +396,7 @@ pub fn grad_norm_decay(_: &Row, results: &[ArmResult]) {
 
 /// The codec sweep's bytes-to-target table. `--verify` asserts what CI
 /// relies on: the identity arm is byte-neutral and top-k compresses.
-pub fn bytes_to_target(row: &Row, results: &[ArmResult]) {
+pub(crate) fn bytes_to_target(row: &Row, results: &[ArmResult]) {
     println!();
     print!("{}", bytes_to_target_table(results, &row.targets));
     if !has_flag("verify") {
@@ -414,7 +414,7 @@ pub fn bytes_to_target(row: &Row, results: &[ArmResult]) {
 
 /// The chaos bench's fault table (what each resilience mechanism absorbed)
 /// and fault tax: each faulty arm against the healthy arm before it.
-pub fn fault_tax(row: &Row, results: &[ArmResult]) {
+pub(crate) fn fault_tax(row: &Row, results: &[ArmResult]) {
     print!("\n{:<20}", "arm");
     for name in ["crash", "lost", "retry", "t/out", "quar", "reject"] {
         print!(" {name:>7}");

@@ -7,20 +7,20 @@ use crate::update::ModelUpdate;
 /// FedBuff that SEAFL inherits). The server drains it when the trigger
 /// policy fires; SEAFL's wait-for-stale policy may let it grow beyond `K`.
 #[derive(Default)]
-pub struct UpdateBuffer {
+pub(crate) struct UpdateBuffer {
     updates: Vec<ModelUpdate>,
 }
 
 impl UpdateBuffer {
     /// Fresh empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         UpdateBuffer { updates: Vec::new() }
     }
 
     /// Store an update. If the same client already has a pending update
     /// (possible under SEAFL² when a partial upload is later superseded),
     /// the newer one replaces it — the newest weights strictly dominate.
-    pub fn push(&mut self, update: ModelUpdate) {
+    pub(crate) fn push(&mut self, update: ModelUpdate) {
         if let Some(existing) = self.updates.iter_mut().find(|u| u.client_id == update.client_id) {
             *existing = update;
         } else {
@@ -29,32 +29,22 @@ impl UpdateBuffer {
     }
 
     /// Number of buffered updates (at most one per client).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.updates.len()
     }
 
     /// Whether the buffer holds no updates.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.updates.is_empty()
     }
 
-    /// Client ids currently buffered.
-    pub fn client_ids(&self) -> Vec<usize> {
-        self.updates.iter().map(|u| u.client_id).collect()
-    }
-
-    /// Peek at buffered updates.
-    pub fn updates(&self) -> &[ModelUpdate] {
-        &self.updates
-    }
-
     /// Drain all buffered updates for aggregation.
-    pub fn drain(&mut self) -> Vec<ModelUpdate> {
+    pub(crate) fn drain(&mut self) -> Vec<ModelUpdate> {
         std::mem::take(&mut self.updates)
     }
 
     /// Encode the buffered updates in arrival order.
-    pub fn encode(&self, w: &mut BinWriter) {
+    pub(crate) fn encode(&self, w: &mut BinWriter) {
         w.usize(self.updates.len());
         for u in &self.updates {
             u.encode(w);
@@ -62,17 +52,12 @@ impl UpdateBuffer {
     }
 
     /// Inverse of [`UpdateBuffer::encode`].
-    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+    pub(crate) fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
         let mut buffer = UpdateBuffer::new();
         for _ in 0..r.count(8)? {
             buffer.push(ModelUpdate::decode(r)?);
         }
         Ok(buffer)
-    }
-
-    /// Maximum staleness among buffered updates at server round `t`.
-    pub fn max_staleness(&self, current_round: u64) -> u64 {
-        self.updates.iter().map(|u| u.staleness(current_round)).max().unwrap_or(0)
     }
 }
 
@@ -108,7 +93,7 @@ mod tests {
         b.push(upd(1, 0));
         b.push(upd(1, 3));
         assert_eq!(b.len(), 1);
-        assert_eq!(b.updates()[0].born_round, 3);
+        assert_eq!(b.updates[0].born_round, 3);
     }
 
     #[test]
@@ -123,14 +108,5 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(b.drain().len(), 1);
         assert!(b.drain().is_empty());
-    }
-
-    #[test]
-    fn max_staleness() {
-        let mut b = UpdateBuffer::new();
-        assert_eq!(b.max_staleness(5), 0);
-        b.push(upd(1, 4));
-        b.push(upd(2, 1));
-        assert_eq!(b.max_staleness(5), 4);
     }
 }

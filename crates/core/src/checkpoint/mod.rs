@@ -42,7 +42,7 @@ use crate::config::ExperimentConfig;
 use seafl_sim::digest::xxh64;
 
 /// File magic: identifies a SEAFL checkpoint regardless of extension.
-pub const MAGIC: [u8; 8] = *b"SEAFLCKP";
+pub(crate) const MAGIC: [u8; 8] = *b"SEAFLCKP";
 /// Bump on any layout change; old versions are rejected, not guessed at.
 /// Version history: 1 = the split sync/semi-async engines (tags 0/1);
 /// 2 = the unified event loop (tag [`ENGINE_UNIFIED`]) whose payload ends
@@ -59,7 +59,7 @@ pub const MAGIC: [u8; 8] = *b"SEAFLCKP";
 /// check names the real cause first); 7 = the robust layer's section and
 /// the fleet table's per-row session counter are gone (a session's
 /// dispatch generation identifies it).
-pub const FORMAT_VERSION: u32 = 7;
+pub(crate) const FORMAT_VERSION: u32 = 7;
 /// Engine tag for the unified event-driven engine. The legacy tags (0 =
 /// sync, 1 = semi-async) died with format version 1.
 pub const ENGINE_UNIFIED: u8 = 2;
@@ -288,7 +288,7 @@ impl CheckpointStore {
     /// A fallback is a recovery, but it is also a data-loss event: newer
     /// rounds existed and could not be restored. The rejected files'
     /// paths and causes therefore ride along in
-    /// [`LoadedCheckpoint::rejected`] instead of being silently discarded —
+    /// `LoadedCheckpoint::rejected` instead of being silently discarded —
     /// callers surface them (e.g. `resume_experiment` logs each one) so an
     /// operator can tell a clean resume from a lossy one.
     pub fn load_latest(
@@ -301,9 +301,7 @@ impl CheckpointStore {
         let mut tried: Vec<(PathBuf, String)> = Vec::new();
         for path in files {
             match read_file(&path, engine_tag, config_hash) {
-                Ok((round, payload)) => {
-                    return Ok(LoadedCheckpoint { round, payload, rejected: tried })
-                }
+                Ok((_, payload)) => return Ok(LoadedCheckpoint { payload, rejected: tried }),
                 Err(why) => tried.push((path, why)),
             }
         }
@@ -316,12 +314,10 @@ impl CheckpointStore {
 /// first; empty on a clean load).
 #[derive(Debug)]
 pub struct LoadedCheckpoint {
-    /// Round the snapshot was written at.
-    pub round: u64,
     /// The engine-opaque state payload.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// `(path, cause)` for each newer file rejected before this one.
-    pub rejected: Vec<(PathBuf, String)>,
+    pub(crate) rejected: Vec<(PathBuf, String)>,
 }
 
 #[cfg(test)]
@@ -341,7 +337,6 @@ mod tests {
         let payload = b"not a real payload, but faithfully checksummed".to_vec();
         store.save(ENGINE_UNIFIED, 0xABCD, 4, &payload).unwrap();
         let loaded = store.load_latest(ENGINE_UNIFIED, 0xABCD).unwrap();
-        assert_eq!(loaded.round, 4);
         assert_eq!(loaded.payload, payload);
         assert!(loaded.rejected.is_empty(), "clean load must report no rejections");
         fs::remove_dir_all(&store.dir).ok();
@@ -356,7 +351,7 @@ mod tests {
         let files = store.list().unwrap();
         assert_eq!(files.len(), 2);
         let loaded = store.load_latest(ENGINE_UNIFIED, 1).unwrap();
-        assert_eq!((loaded.round, loaded.payload), (5, vec![5u8]));
+        assert_eq!(loaded.payload, vec![5u8]);
         fs::remove_dir_all(&store.dir).ok();
     }
 
@@ -373,7 +368,7 @@ mod tests {
         fs::write(&newest, &bytes).unwrap();
 
         let loaded = store.load_latest(ENGINE_UNIFIED, 9).unwrap();
-        assert_eq!((loaded.round, loaded.payload.as_slice()), (2, b"older snapshot".as_slice()));
+        assert_eq!(loaded.payload.as_slice(), b"older snapshot".as_slice());
         // The fallback is not silent: the corrupted file's path and cause
         // surface alongside the recovered payload.
         assert_eq!(loaded.rejected.len(), 1);

@@ -20,7 +20,7 @@ pub struct TrainOutcome {
 impl TrainOutcome {
     /// Model state after `epochs` completed epochs (1-based). With snapshots
     /// disabled only the final state is available.
-    pub fn state_after(&self, epochs: usize) -> &[f32] {
+    pub(crate) fn state_after(&self, epochs: usize) -> &[f32] {
         assert!(epochs >= 1, "state_after: need at least one epoch");
         if self.snapshots.len() == 1 {
             assert_eq!(
@@ -31,20 +31,6 @@ impl TrainOutcome {
             &self.snapshots[0]
         } else {
             &self.snapshots[epochs - 1]
-        }
-    }
-
-    /// Final model state.
-    pub fn final_state(&self) -> &[f32] {
-        self.snapshots.last().expect("non-empty outcome")
-    }
-
-    /// Mean loss over all completed epochs.
-    pub fn mean_loss(&self) -> f32 {
-        if self.epoch_losses.is_empty() {
-            0.0
-        } else {
-            self.epoch_losses.iter().sum::<f32>() / self.epoch_losses.len() as f32
         }
     }
 
@@ -93,7 +79,7 @@ pub struct LocalTrainer {
 
 impl LocalTrainer {
     /// Trainer around `model` with plain (or momentum) SGD and the given
-    /// mini-batch size. FedProx regularization is off; see [`Self::with_prox`].
+    /// mini-batch size. FedProx regularization is off; see `Self::with_prox`.
     pub fn new(model: Model, lr: f32, momentum: f32, batch_size: usize) -> Self {
         assert!(batch_size > 0, "LocalTrainer: zero batch size");
         let opt = if momentum > 0.0 { Sgd::new(lr).with_momentum(momentum) } else { Sgd::new(lr) };
@@ -104,29 +90,19 @@ impl LocalTrainer {
     /// global model (Li et al., MLSys '20) — the standard statistical-
     /// heterogeneity mitigation §II-A cites, composable with any of the
     /// aggregation policies here.
-    pub fn with_prox(mut self, prox_mu: f32) -> Self {
+    pub(crate) fn with_prox(mut self, prox_mu: f32) -> Self {
         assert!(prox_mu >= 0.0, "LocalTrainer: negative prox_mu");
         self.prox_mu = prox_mu;
         self
     }
 
-    /// Flat length of the model state this trainer operates on.
-    pub fn flat_len(&self) -> usize {
-        self.model.flat_len()
-    }
-
     /// Access the scratch model (for evaluation against the test set).
-    pub fn model_mut(&mut self) -> &mut Model {
+    pub(crate) fn model_mut(&mut self) -> &mut Model {
         &mut self.model
     }
 
-    /// Batches per epoch for a dataset of `n` samples.
-    pub fn batches_per_epoch(&self, n: usize) -> usize {
-        n.div_ceil(self.batch_size)
-    }
-
     /// The minibatch size local epochs are cut into.
-    pub fn batch_size(&self) -> usize {
+    pub(crate) fn batch_size(&self) -> usize {
         self.batch_size
     }
 
@@ -134,7 +110,7 @@ impl LocalTrainer {
     ///
     /// `keep_snapshots` stores the model state after *every* epoch (needed
     /// for SEAFL² partial uploads); otherwise only the final state is kept.
-    pub fn train(
+    pub(crate) fn train(
         &mut self,
         global: &[f32],
         data: &ImageDataset,
@@ -191,6 +167,13 @@ mod tests {
     use rand::SeedableRng;
     use seafl_data::SyntheticSpec;
     use seafl_nn::ModelKind;
+
+    impl TrainOutcome {
+        /// Final model state.
+        pub(crate) fn final_state(&self) -> &[f32] {
+            self.snapshots.last().expect("non-empty outcome")
+        }
+    }
 
     fn setup() -> (LocalTrainer, ImageDataset) {
         let task = SyntheticSpec::emnist_like().generate(8, 2, 0);
@@ -294,13 +277,5 @@ mod tests {
         let global = t.model_mut().params_flat();
         let out = t.train(&global, &data, 3, &mut SimRng::seed_from_u64(0), false);
         out.state_after(2);
-    }
-
-    #[test]
-    fn batches_per_epoch_rounds_up() {
-        let (t, _) = setup();
-        assert_eq!(t.batches_per_epoch(80), 5);
-        assert_eq!(t.batches_per_epoch(81), 6);
-        assert_eq!(t.batches_per_epoch(1), 1);
     }
 }

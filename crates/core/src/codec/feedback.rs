@@ -17,20 +17,20 @@ use std::collections::BTreeMap;
 /// compensation bit-identically. A `BTreeMap` keyed by client id gives
 /// the checkpoint a deterministic iteration order.
 #[derive(Default)]
-pub struct FeedbackStore {
+pub(crate) struct FeedbackStore {
     residuals: BTreeMap<usize, Vec<f32>>,
 }
 
 impl FeedbackStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FeedbackStore::default()
     }
 
     /// Add client `k`'s stored residual into `params` (`x' = x + r`).
     /// A residual of mismatched length (model shape changed) is dropped
     /// rather than misapplied.
-    pub fn compensate(&mut self, k: usize, params: &mut [f32]) {
+    pub(crate) fn compensate(&mut self, k: usize, params: &mut [f32]) {
         match self.residuals.get(&k) {
             Some(r) if r.len() == params.len() => {
                 for (p, ri) in params.iter_mut().zip(r) {
@@ -47,24 +47,14 @@ impl FeedbackStore {
     /// Record what compression discarded for client `k`:
     /// `r' = ideal - decoded`, where `ideal` is the compensated update
     /// and `decoded` is what the server will actually admit.
-    pub fn record(&mut self, k: usize, ideal: &[f32], decoded: &[f32]) {
+    pub(crate) fn record(&mut self, k: usize, ideal: &[f32], decoded: &[f32]) {
         debug_assert_eq!(ideal.len(), decoded.len());
         let r: Vec<f32> = ideal.iter().zip(decoded).map(|(i, d)| i - d).collect();
         self.residuals.insert(k, r);
     }
 
-    /// Clients with a stored residual.
-    pub fn len(&self) -> usize {
-        self.residuals.len()
-    }
-
-    /// True when no residual is stored.
-    pub fn is_empty(&self) -> bool {
-        self.residuals.is_empty()
-    }
-
     /// Encode for the checkpoint codec section (ascending client id).
-    pub fn encode(&self, w: &mut BinWriter) {
+    pub(crate) fn encode(&self, w: &mut BinWriter) {
         w.usize(self.residuals.len());
         for (&k, r) in &self.residuals {
             w.u32(k as u32);
@@ -74,7 +64,7 @@ impl FeedbackStore {
 
     /// Inverse of [`FeedbackStore::encode`]. `num_clients` bounds the
     /// client ids a corrupt payload may claim.
-    pub fn decode(r: &mut BinReader, num_clients: usize) -> Result<Self, CodecError> {
+    pub(crate) fn decode(r: &mut BinReader, num_clients: usize) -> Result<Self, CodecError> {
         let mut residuals = BTreeMap::new();
         r.ascending_ids("feedback residual", num_clients, |r, k| {
             residuals.insert(k as usize, r.vec_f32()?);
@@ -108,7 +98,7 @@ mod tests {
         let mut short = vec![0.0f32; 3];
         fb.compensate(1, &mut short);
         assert_eq!(short, vec![0.0; 3]);
-        assert!(fb.is_empty(), "shape-mismatched residual is discarded");
+        assert!(fb.residuals.is_empty(), "shape-mismatched residual is discarded");
     }
 
     #[test]
@@ -122,7 +112,7 @@ mod tests {
         let mut r = BinReader::new(&bytes);
         let back = FeedbackStore::decode(&mut r, 8).unwrap();
         r.finish().unwrap();
-        assert_eq!(back.len(), 2);
+        assert_eq!(back.residuals.len(), 2);
         let mut probe = vec![0.0f32, 0.0];
         let mut back = back;
         back.compensate(3, &mut probe);

@@ -8,7 +8,7 @@ use crate::checkpoint::{BinReader, BinWriter, CodecError};
 /// (an empty [`super::CodecConfig::stages`] list) is digest-identical to
 /// a build without the codec layer; the engine additionally fast-paths it
 /// so no bytes are even copied.
-pub struct Identity;
+pub(crate) struct Identity;
 
 impl UpdateCodec for Identity {
     fn name(&self) -> &'static str {

@@ -42,9 +42,9 @@ mod identity;
 mod quant;
 mod topk;
 
-pub use feedback::FeedbackStore;
+pub(crate) use feedback::FeedbackStore;
 pub use gendelta::GenDelta;
-pub use identity::Identity;
+pub(crate) use identity::Identity;
 pub use quant::QuantInt8;
 pub use topk::TopK;
 
@@ -64,11 +64,11 @@ use std::collections::VecDeque;
 /// # Examples
 ///
 /// ```
-/// use seafl_core::codec::{Identity, UpdateCodec};
+/// use seafl_core::{GenDelta, UpdateCodec};
 ///
 /// let reference = vec![0.0_f32; 4];
 /// let params = vec![1.0, -2.0, 0.5, -0.0];
-/// let codec = Identity;
+/// let codec = GenDelta;
 /// let blob = codec.encode(&reference, &params);
 /// let back = codec.decode(&reference, &blob).unwrap();
 /// assert_eq!(back, params);
@@ -151,7 +151,7 @@ impl CodecStage {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CodecConfig {
     /// The compression pipeline, applied in order; empty (the default)
-    /// means [`Identity`] — bit-identical to a codec-free build.
+    /// means `Identity` — bit-identical to a codec-free build.
     pub stages: Vec<CodecStage>,
     /// Error feedback: keep the residual each lossy projection discards
     /// and add it to the client's next full update before encoding. The
@@ -197,7 +197,7 @@ impl CodecConfig {
     }
 
     /// Check invariants (called from `ExperimentConfig::validate`).
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         for stage in &self.stages {
             if let CodecStage::TopK { k } = stage {
                 ensure(*k >= 1, || "config: codec TopK k must be >= 1".into())?;
@@ -207,8 +207,8 @@ impl CodecConfig {
     }
 }
 
-/// Build the configured codec: [`Identity`] for an empty stage list, the
-/// single stage directly, or a [`Pipeline`] over several.
+/// Build the configured codec: `Identity` for an empty stage list, the
+/// single stage directly, or a `Pipeline` over several.
 pub fn build_codec(cfg: &CodecConfig) -> Box<dyn UpdateCodec> {
     match cfg.stages.len() {
         0 => Box::new(Identity),
@@ -222,14 +222,14 @@ pub fn build_codec(cfg: &CodecConfig) -> Box<dyn UpdateCodec> {
 /// the last stage serializes. Decoding is therefore the last stage's
 /// decode alone, and the pipeline's projection equals the fold of its
 /// stages' projections.
-pub struct Pipeline {
+pub(crate) struct Pipeline {
     stages: Vec<Box<dyn UpdateCodec>>,
 }
 
 impl Pipeline {
     /// Compose `stages` in application order. Panics on an empty list
     /// (config validation rules it out; use [`Identity`] instead).
-    pub fn new(stages: Vec<Box<dyn UpdateCodec>>) -> Self {
+    pub(crate) fn new(stages: Vec<Box<dyn UpdateCodec>>) -> Self {
         assert!(!stages.is_empty(), "codec pipeline needs at least one stage");
         Pipeline { stages }
     }
@@ -296,16 +296,6 @@ impl ModelRing {
     /// The reference model for generation `gen`, if still resident.
     pub fn get(&self, gen: u64) -> Option<&[f32]> {
         self.entries.iter().find(|(g, _)| *g == gen).map(|(_, m)| m.as_slice())
-    }
-
-    /// Models currently resident.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no model has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -381,15 +371,15 @@ mod tests {
     #[test]
     fn model_ring_bounds_and_lookup() {
         let mut ring = ModelRing::new(2);
-        assert!(ring.is_empty());
+        assert!(ring.entries.is_empty());
         ring.push(1, vec![1.0]);
         ring.push(2, vec![2.0]);
         ring.push(3, vec![3.0]);
-        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.entries.len(), 2);
         assert!(ring.get(1).is_none(), "oldest generation evicted");
         assert_eq!(ring.get(3).unwrap(), &[3.0]);
         ring.push(3, vec![3.5]);
-        assert_eq!(ring.len(), 2, "re-push replaces, never duplicates");
+        assert_eq!(ring.entries.len(), 2, "re-push replaces, never duplicates");
         assert_eq!(ring.get(3).unwrap(), &[3.5]);
     }
 }

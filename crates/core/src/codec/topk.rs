@@ -24,7 +24,7 @@ use crate::checkpoint::{BinReader, BinWriter, CodecError};
 /// # Examples
 ///
 /// ```
-/// use seafl_core::codec::{TopK, UpdateCodec};
+/// use seafl_core::{TopK, UpdateCodec};
 ///
 /// let reference = vec![0.0_f32; 4];
 /// let params = vec![0.1, -5.0, 3.0, 0.2];
@@ -44,11 +44,6 @@ impl TopK {
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "TopK k must be >= 1");
         TopK { k }
-    }
-
-    /// Coordinates kept per update.
-    pub fn k(&self) -> usize {
-        self.k
     }
 }
 

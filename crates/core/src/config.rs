@@ -64,11 +64,9 @@ pub enum Algorithm {
     FedBuff(FedBuffPolicy),
     /// SEAFL / SEAFL²: adaptive staleness+importance weighting (Eqs. 4–8).
     Seafl(SeaflPolicy),
-    /// Staleness-fair buffered aggregation ([`FedStaleWeightPolicy`]). It
+    /// Staleness-fair buffered aggregation (`FedStaleWeightPolicy`). It
     /// keeps its parameters as fields because its policy also holds
     /// per-client running means, sized by `num_clients`.
-    ///
-    /// [`FedStaleWeightPolicy`]: crate::FedStaleWeightPolicy
     FedStale {
         /// Devices kept training concurrently.
         concurrency: usize,
@@ -172,7 +170,7 @@ impl Default for ResilienceConfig {
 
 impl ResilienceConfig {
     /// Sanity-check invariants (called from [`ExperimentConfig::validate`]).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Some(t) = self.session_timeout {
             assert!(t > 0.0, "config: non-positive session_timeout");
         }
@@ -314,9 +312,12 @@ pub struct ExperimentConfig {
     /// (used by the convergence-rate experiment).
     pub grad_norm_probe: bool,
     /// Worker threads for the parallel training executor: `0` sizes to the
-    /// rayon default (all cores, or `RAYON_NUM_THREADS`), `1` forces the
-    /// exact sequential legacy code path, `n ≥ 2` uses a dedicated pool.
-    /// Results are bitwise identical for every setting.
+    /// rayon default (all cores, or `RAYON_NUM_THREADS`), `1` trains each
+    /// cohort sequentially on the engine thread, `n ≥ 2` uses a dedicated
+    /// pool. Results are bitwise identical for every setting. `1` is not
+    /// single-threaded everywhere: the idle scan of a fleet above 4 096
+    /// bitset words (262 144 clients) still fans out on the global rayon
+    /// pool, since there is no dedicated pool to confine it to.
     pub threads: usize,
     /// Fleet fault model (crashes, upload loss, straggler spikes,
     /// corrupted updates). Off by default: [`FaultConfig::none`] keeps

@@ -3,7 +3,7 @@
 //! One loop owns the virtual clock, event queue, client sessions,
 //! trainer-pool dispatch, fault handling, update sanitization, the
 //! gradient-norm probe and checkpointing; everything algorithm-specific is
-//! delegated to a [`ServerPolicy`] (see [`crate::policy`] and DESIGN.md §8).
+//! delegated to a [`ServerPolicy`] (see `crate::policy` and DESIGN.md §8).
 //!
 //! ## Protocol
 //!
@@ -49,7 +49,7 @@
 //! * **Straggler spikes** — temporary per-device compute slowdowns stretch
 //!   the session's epoch schedule.
 //! * **Corrupted updates** — Byzantine/buggy devices corrupt their upload;
-//!   the sanitizer ([`crate::sanitize`]) rejects non-finite or
+//!   the sanitizer (`crate::sanitize`) rejects non-finite or
 //!   norm-exploded updates in front of the aggregation.
 //! * **Timeout quarantine** — a client whose sessions time out
 //!   `quarantine_after` times in a row is excluded from selection for the
@@ -1030,15 +1030,11 @@ impl State {
     /// sessions for whatever it picks.
     fn refill(&mut self, cfg: &ExperimentConfig, env: &mut Environment, now: SimTime) {
         let dispatch_span = self.obs.span_start();
-        // The idle scan walks the table's bitset; large fleets shard it
-        // over the experiment's rayon pool in deterministic block order.
-        let idle: Vec<usize> = if env.pool.is_sequential() {
-            self.table.idle_clients()
-        } else {
-            env.pool.run(|| self.table.idle_clients())
-        };
+        // The idle scan walks the table's bitset; large fleets shard it in
+        // deterministic block order over the experiment's dedicated pool, or
+        // the global rayon pool when it has none (see `TrainerPool::run`).
+        let idle: Vec<usize> = env.pool.run(|| self.table.idle_clients());
         let ctx = DispatchCtx {
-            round: self.round,
             active: self.active(),
             buffered: self.buffer.len(),
             selection: cfg.selection,

@@ -63,7 +63,7 @@ pub struct RunResult {
     /// channel is off).
     pub attackers: Vec<usize>,
     /// Distinct clients the robust layer screened at least once, sorted —
-    /// the detection set that [`crate::robust::detection_stats`] scores
+    /// the detection set that `crate::robust::detection_stats` scores
     /// against `attackers`.
     pub screened_clients: Vec<usize>,
     /// Upload events ignored because a newer generation superseded them

@@ -47,7 +47,7 @@ pub struct Environment {
     /// keeping (and cloning) a resident tensor.
     probe_len: Option<usize>,
     /// Optional remote cohort executor (the transport seam; see
-    /// [`crate::trainer`]). `None` — always, in pure simulation — trains on
+    /// `crate::trainer`). `None` — always, in pure simulation — trains on
     /// the local `pool`; the `seafl-net` server installs its fleet here.
     pub trainer: Option<Box<dyn CohortTrainer>>,
 }
@@ -126,7 +126,7 @@ impl Environment {
     /// plus any link incidents the remote path recorded and the wire-codec
     /// transfer accounting (which slots arrived already projected, and how
     /// many raw vs encoded bytes they moved).
-    pub fn train_cohort(
+    pub(crate) fn train_cohort(
         &mut self,
         global: &[f32],
         picked: &[usize],
@@ -186,7 +186,7 @@ impl Environment {
     /// per-chunk weighted accuracies are folded in chunk order, so the f64
     /// accumulation sequence — and hence the result — is bit-identical to
     /// the old sequential sweep no matter how many threads run.
-    pub fn evaluate(&self, global: &[f32]) -> f64 {
+    pub(crate) fn evaluate(&self, global: &[f32]) -> f64 {
         let n = self.test.len();
         let ranges: Vec<(usize, usize)> =
             (0..n).step_by(EVAL_CHUNK).map(|s| (s, (s + EVAL_CHUNK).min(n))).collect();
@@ -222,7 +222,7 @@ impl Environment {
     }
 
     /// ‖∇f(w)‖² on the fixed probe batch (requires `grad_norm_probe`).
-    pub fn grad_norm_sq(&self, global: &[f32]) -> f64 {
+    pub(crate) fn grad_norm_sq(&self, global: &[f32]) -> f64 {
         let n = self.probe_len.expect("grad_norm_probe disabled");
         let (x, y) = self.test.batch_range(0..n);
         self.pool.with_trainer(|t| {

@@ -31,25 +31,25 @@ use seafl_sim::{ClientId, SimTime};
 use std::collections::BTreeMap;
 
 /// One in-flight local training session.
-pub struct Session {
+pub(crate) struct Session {
     /// Round the session was dispatched in (staleness anchor).
-    pub born_round: u64,
+    pub(crate) born_round: u64,
     /// The generation the session was dispatched with: unique to this
     /// session among the client's sessions, it matches timeouts to it.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Currently valid upload generation. Per-client monotonic across
     /// sessions, so an upload event from a reclaimed session can never be
     /// mistaken for a later session's upload.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// Absolute completion time of each local epoch.
-    pub epoch_ends: Vec<SimTime>,
+    pub(crate) epoch_ends: Vec<SimTime>,
     /// Pre-computed training result (per-epoch snapshots iff partial
     /// training can interrupt this session).
-    pub outcome: TrainOutcome,
+    pub(crate) outcome: TrainOutcome,
     /// Epochs included in the currently scheduled upload.
-    pub scheduled_epochs: usize,
+    pub(crate) scheduled_epochs: usize,
     /// Whether a partial-upload notification superseded the full upload.
-    pub notified: bool,
+    pub(crate) notified: bool,
 }
 
 impl Session {
@@ -213,16 +213,6 @@ impl FleetTable {
         }
     }
 
-    /// Registered clients N.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Never true: construction rejects empty tables.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Rows that ever left their default state — what a sparse checkpoint
     /// serializes, and what the `resident_records` gauge reports.
     pub fn resident_records(&self) -> usize {
@@ -240,7 +230,7 @@ impl FleetTable {
     }
 
     /// Client `id`'s protocol phase.
-    pub fn phase(&self, id: ClientId) -> ClientPhase {
+    pub(crate) fn phase(&self, id: ClientId) -> ClientPhase {
         self.phase[self.check(id)]
     }
 
@@ -260,7 +250,7 @@ impl FleetTable {
     }
 
     /// Number of clients currently training, O(1).
-    pub fn active(&self) -> usize {
+    pub(crate) fn active(&self) -> usize {
         self.counts[ClientPhase::Training.tag() as usize]
     }
 
@@ -297,7 +287,7 @@ impl FleetTable {
     }
 
     /// Consecutive-timeout streak after recording one more (post-increment).
-    pub fn record_timeout(&mut self, id: ClientId) -> u32 {
+    pub(crate) fn record_timeout(&mut self, id: ClientId) -> u32 {
         let k = self.check(id);
         self.touch(k);
         self.consecutive_timeouts[k] += 1;
@@ -305,7 +295,7 @@ impl FleetTable {
     }
 
     /// Reset client `id`'s timeout streak (on any successful upload).
-    pub fn reset_timeouts(&mut self, id: ClientId) {
+    pub(crate) fn reset_timeouts(&mut self, id: ClientId) {
         let k = self.check(id);
         if self.consecutive_timeouts[k] != 0 {
             self.touch(k);
@@ -315,7 +305,7 @@ impl FleetTable {
 
     /// Consume one upload-loss attempt index for client `id` (pre-increment
     /// value; feeds `FaultPlan::upload_attempt_fails`).
-    pub fn take_fault_attempt(&mut self, id: ClientId) -> u64 {
+    pub(crate) fn take_fault_attempt(&mut self, id: ClientId) -> u64 {
         let k = self.check(id);
         self.touch(k);
         let a = self.fault_attempts[k];
@@ -324,53 +314,48 @@ impl FleetTable {
     }
 
     /// Whether client `id`'s crash instant is already on the clock.
-    pub fn crash_scheduled(&self, id: ClientId) -> bool {
+    pub(crate) fn crash_scheduled(&self, id: ClientId) -> bool {
         bit_get(&self.crash_scheduled, self.check(id))
     }
 
     /// Record that client `id`'s crash instant has been put on the clock.
-    pub fn mark_crash_scheduled(&mut self, id: ClientId) {
+    pub(crate) fn mark_crash_scheduled(&mut self, id: ClientId) {
         let k = self.check(id);
         bit_set(&mut self.crash_scheduled, k, true);
         self.touch(k);
     }
 
     /// Client `id`'s in-flight session, if any.
-    pub fn session(&self, id: ClientId) -> Option<&Session> {
+    pub(crate) fn session(&self, id: ClientId) -> Option<&Session> {
         self.sessions.get(&id.raw())
     }
 
     /// Mutable access to client `id`'s in-flight session.
-    pub fn session_mut(&mut self, id: ClientId) -> Option<&mut Session> {
+    pub(crate) fn session_mut(&mut self, id: ClientId) -> Option<&mut Session> {
         self.sessions.get_mut(&id.raw())
     }
 
     /// Install client `id`'s session (replacing any previous one).
-    pub fn insert_session(&mut self, id: ClientId, s: Session) {
+    pub(crate) fn insert_session(&mut self, id: ClientId, s: Session) {
         let k = self.check(id);
         self.touch(k);
         self.sessions.insert(id.raw(), s);
     }
 
     /// Remove and return client `id`'s session.
-    pub fn remove_session(&mut self, id: ClientId) -> Option<Session> {
+    pub(crate) fn remove_session(&mut self, id: ClientId) -> Option<Session> {
         self.sessions.remove(&id.raw())
     }
 
     /// In-flight sessions in ascending client order.
-    pub fn sessions(&self) -> impl Iterator<Item = (ClientId, &Session)> {
+    pub(crate) fn sessions(&self) -> impl Iterator<Item = (ClientId, &Session)> {
         self.sessions.iter().map(|(&k, s)| (ClientId::from_raw(k), s))
-    }
-
-    /// Number of in-flight sessions.
-    pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Encode only the rows that ever left their default state, plus the
     /// in-flight sessions. A 1M-client table with a 100-client working set
     /// costs ~100 rows on disk, not 1M.
-    pub fn encode(&self, w: &mut BinWriter) {
+    pub(crate) fn encode(&self, w: &mut BinWriter) {
         w.usize(self.len);
         w.usize(self.resident_records());
         let mut rows = Vec::new();
@@ -393,7 +378,7 @@ impl FleetTable {
     /// Rebuild a table of `n` clients from [`FleetTable::encode`] output.
     /// Any structural defect (wrong fleet size, out-of-range or unsorted
     /// row ids, bad phase tags) is a [`CodecError`], never a panic.
-    pub fn decode(r: &mut BinReader<'_>, n: usize) -> Result<Self, CodecError> {
+    pub(crate) fn decode(r: &mut BinReader<'_>, n: usize) -> Result<Self, CodecError> {
         let stored_n = r.usize()?;
         if stored_n != n {
             return Err(CodecError(format!(
@@ -432,7 +417,7 @@ mod tests {
     #[test]
     fn fresh_table_is_all_idle() {
         let t = FleetTable::new(100);
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.len, 100);
         assert_eq!(t.active(), 0);
         assert_eq!(t.resident_records(), 0);
         assert_eq!(t.idle_clients(), (0..100).collect::<Vec<_>>());
@@ -494,10 +479,10 @@ mod tests {
         }
         let order: Vec<usize> = t.sessions().map(|(id, _)| id.index()).collect();
         assert_eq!(order, vec![1, 9, 12]);
-        assert_eq!(t.num_sessions(), 3);
+        assert_eq!(t.sessions.len(), 3);
         assert!(t.remove_session(cid(9)).is_some());
         assert!(t.session(cid(9)).is_none());
-        assert_eq!(t.num_sessions(), 2);
+        assert_eq!(t.sessions.len(), 2);
     }
 
     #[test]

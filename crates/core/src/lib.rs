@@ -11,17 +11,17 @@
 //!
 //! | Paper | Code |
 //! |---|---|
-//! | Eq. 4 staleness factor γ | [`weighting::staleness_factor`] |
-//! | Eq. 5 importance s (cosine) | [`weighting::importance_factor`] |
+//! | Eq. 4 staleness factor γ | `weighting::staleness_factor` |
+//! | Eq. 5 importance s (cosine) | `weighting::importance_factor` |
 //! | Eq. 6 aggregation weight p | [`weighting::aggregation_weights`] |
 //! | Eqs. 7–8 buffer aggregation + ϑ-mixing | [`policy::SeaflPolicy`] |
 //! | Fig. 4 tuned α = 3, μ = 1 (with ϑ = 0.8) | [`policy::SeaflPolicy::paper`] |
 //! | Algorithm 1 (SEAFL) | [`policy::SeaflPolicy`] with [`StalenessPolicy::WaitForStale`] |
 //! | Algorithm 2 (SEAFL², partial training) | [`policy::SeaflPolicy`] with [`StalenessPolicy::NotifyPartial`] |
-//! | FedBuff baseline | [`policy::FedBuffPolicy`] (uniform 1/K weights, β = ∞) |
-//! | FedAsync baseline | [`policy::FedAsyncPolicy`] (K = 1, polynomial staleness mixing) |
-//! | FedAvg baseline | [`policy::FedAvgPolicy`] (barrier rounds: a cohort only when nothing is in flight) |
-//! | FedStaleWeight-style fairness | [`policy::FedStaleWeightPolicy`] (staleness-boosted weights) |
+//! | FedBuff baseline | `policy::FedBuffPolicy` (uniform 1/K weights, β = ∞) |
+//! | FedAsync baseline | `policy::FedAsyncPolicy` (K = 1, polynomial staleness mixing) |
+//! | FedAvg baseline | `policy::FedAvgPolicy` (barrier rounds: a cohort only when nothing is in flight) |
+//! | FedStaleWeight-style fairness | `policy::FedStaleWeightPolicy` (staleness-boosted weights) |
 //!
 //! Every run can additionally record structured telemetry — phase timing,
 //! staleness/buffer/weight distributions, fault counters, an optional JSONL
@@ -29,31 +29,30 @@
 
 #![warn(missing_docs)]
 
-pub mod buffer;
+pub(crate) mod buffer;
 pub mod checkpoint;
-pub mod client;
-pub mod codec;
-pub mod config;
+pub(crate) mod client;
+pub(crate) mod codec;
+pub(crate) mod config;
 pub mod engine;
-pub mod fleet;
+pub(crate) mod fleet;
 pub mod metrics;
 pub mod obs;
-pub mod policy;
-pub mod pool;
+pub(crate) mod policy;
+pub(crate) mod pool;
 pub mod robust;
-pub mod sanitize;
+pub(crate) mod sanitize;
 pub mod selection;
 #[doc(hidden)]
 pub mod test_support;
-pub mod trainer;
-pub mod update;
+pub(crate) mod trainer;
+pub(crate) mod update;
 pub mod weighting;
 
-pub use checkpoint::{CheckpointError, CheckpointStore, LoadedCheckpoint};
+pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use client::{LocalTrainer, TrainOutcome};
 pub use codec::{
-    build_codec, CodecConfig, CodecStage, FeedbackStore, GenDelta, Identity, ModelRing, Pipeline,
-    QuantInt8, TopK, UpdateCodec,
+    build_codec, CodecConfig, CodecStage, GenDelta, ModelRing, QuantInt8, TopK, UpdateCodec,
 };
 pub use config::{
     Algorithm, ExperimentConfig, PartitionStrategy, ResilienceConfig, SelectionPolicy,
@@ -61,16 +60,12 @@ pub use config::{
 };
 pub use engine::{resume_experiment, run_experiment, run_with_policy, RunResult};
 pub use fleet::{ClientPhase, FleetTable};
-pub use obs::{MetricsRegistry, ObsConfig, ObsMode, ObsSummary};
+pub use obs::{ObsConfig, ObsMode, ObsSummary};
 pub use policy::{
-    build_policy, mix, weighted_average, Admission, DispatchCtx, DrainCtx, FedAsyncPolicy,
-    FedAvgPolicy, FedBuffPolicy, FedStaleWeightPolicy, InFlight, SeaflPolicy, ServerPolicy,
-    ServerView, StalenessPolicy,
+    build_policy, mix, Admission, DispatchCtx, DrainCtx, SeaflPolicy, ServerPolicy, ServerView,
+    StalenessPolicy,
 };
 pub use pool::{TrainJob, TrainerPool};
-pub use robust::{
-    detection_stats, DetectionStats, DistanceMetric, RobustAggregator, RobustConfig, RobustLayer,
-};
 pub use trainer::{CodecTransferStats, CohortTrainer, NetIncident, RemoteJob};
 pub use update::ModelUpdate;
 pub use weighting::ImportanceMode;

@@ -4,28 +4,17 @@
 ///
 /// The series must be time-ordered (as produced by the engines). Returns
 /// `None` if the target is never reached.
-///
-/// # Examples
-///
-/// ```
-/// use seafl_core::metrics::time_to_accuracy;
-///
-/// let series = [(0.0, 0.10), (50.0, 0.62), (120.0, 0.71)];
-/// assert_eq!(time_to_accuracy(&series, 0.6), Some(50.0));
-/// assert_eq!(time_to_accuracy(&series, 0.9), None);
-/// assert_eq!(time_to_accuracy(&[], 0.5), None);
-/// ```
-pub fn time_to_accuracy(series: &[(f64, f64)], target: f64) -> Option<f64> {
+pub(crate) fn time_to_accuracy(series: &[(f64, f64)], target: f64) -> Option<f64> {
     series.iter().find(|&&(_, acc)| acc >= target).map(|&(t, _)| t)
 }
 
 /// Best accuracy observed over the run.
-pub fn best_accuracy(series: &[(f64, f64)]) -> f64 {
+pub(crate) fn best_accuracy(series: &[(f64, f64)]) -> f64 {
     series.iter().map(|&(_, a)| a).fold(0.0, f64::max)
 }
 
 /// Final accuracy (last evaluation), 0.0 for an empty series.
-pub fn final_accuracy(series: &[(f64, f64)]) -> f64 {
+pub(crate) fn final_accuracy(series: &[(f64, f64)]) -> f64 {
     series.last().map_or(0.0, |&(_, a)| a)
 }
 

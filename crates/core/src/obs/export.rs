@@ -8,7 +8,7 @@
 //! `tests/obs.rs` — and any JSON parser reads the values back exactly. The
 //! exact rendering of each record kind is pinned by this module's tests.
 //!
-//! Every record is one line, carries `"v": 1` ([`SCHEMA_VERSION`]) and a
+//! Every record is one line, carries `"v": 1` (`SCHEMA_VERSION`) and a
 //! `"kind"` discriminator: `meta` (run header), `update` (one upload
 //! arrival), `round` (one aggregation), `eval` (one evaluation), `summary`
 //! (terminal registry snapshot). Only simulated-time and count fields are
@@ -22,10 +22,10 @@ use std::collections::BTreeMap;
 /// Version stamped into every record as `"v"`. Bump on any
 /// backwards-incompatible field change and document the migration in
 /// `OBSERVABILITY.md`.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// Escape a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -46,7 +46,7 @@ pub fn escape(s: &str) -> String {
 /// for zero and `1e-5 <= |v| < 1e16`, exponent notation outside, since
 /// `Display` never uses an exponent and would spell `1e300` with 301
 /// digits — and `null` for NaN/±∞ (JSON has no non-finite numbers).
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         "null".to_string()
     } else if v == 0.0 || (1e-5..1e16).contains(&v.abs()) {
@@ -121,7 +121,7 @@ impl JsonObject {
         self
     }
 
-    /// Append a float field (`null` when non-finite — see [`fmt_f64`]).
+    /// Append a float field (`null` when non-finite — see `fmt_f64`).
     pub fn f64(mut self, key: &str, v: f64) -> Self {
         self.key(key);
         self.buf.push_str(&fmt_f64(v));
@@ -160,7 +160,7 @@ impl JsonObject {
 }
 
 /// The run-header record (first line of every stream).
-pub fn meta_record(
+pub(crate) fn meta_record(
     algorithm: &str,
     seed: u64,
     config_hash: u64,
@@ -183,7 +183,7 @@ pub fn meta_record(
 /// an adversarial device tampered with the upload (always false with the
 /// attack channel disabled).
 #[allow(clippy::too_many_arguments)]
-pub fn update_record(
+pub(crate) fn update_record(
     t: f64,
     client: usize,
     round: u64,
@@ -214,7 +214,7 @@ pub fn update_record(
 /// run-cumulative update bytes before/after codec encoding as of this
 /// round (equal under the identity codec).
 #[allow(clippy::too_many_arguments)]
-pub fn round_record(
+pub(crate) fn round_record(
     t: f64,
     round: u64,
     num_updates: usize,
@@ -241,7 +241,7 @@ pub fn round_record(
 }
 
 /// One server-side evaluation of the global model.
-pub fn eval_record(t: f64, round: u64, accuracy: f64) -> String {
+pub(crate) fn eval_record(t: f64, round: u64, accuracy: f64) -> String {
     JsonObject::new()
         .str("kind", "eval")
         .u64("v", SCHEMA_VERSION as u64)
@@ -254,7 +254,7 @@ pub fn eval_record(t: f64, round: u64, accuracy: f64) -> String {
 /// The terminal record: full registry snapshot (counters, gauges,
 /// histograms), per-kind trace-event counts (the `seafl-sim` trace bridge)
 /// and the registry digest, at simulated time `t_end`.
-pub fn summary_record(
+pub(crate) fn summary_record(
     t_end: f64,
     rounds: u64,
     trace_counts: &BTreeMap<&'static str, u64>,

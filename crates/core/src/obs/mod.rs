@@ -7,12 +7,12 @@
 //! simulation. Three rules make that safe:
 //!
 //! 1. **Nothing observable feeds back.** The engine reads no state from
-//!    [`Obs`]; with `obs` on or off, every model/trace digest is
+//!    `Obs`; with `obs` on or off, every model/trace digest is
 //!    bit-identical (pinned in `tests/obs.rs`).
 //! 2. **Digests cover only deterministic state.** The registry
 //!    ([`MetricsRegistry::digest`]) holds counters, gauges and fixed-bucket
 //!    histograms of *simulated* quantities. Real-time phase spans
-//!    ([`PhaseTable`]) are kept beside it and never hashed or exported to
+//!    (`PhaseTable`) are kept beside it and never hashed or exported to
 //!    JSONL — they appear only in [`ObsSummary`] / `*_runs.json`.
 //! 3. **Off means free.** With [`ObsMode::Off`] every hook is a branch on
 //!    a two-variant enum; no allocation, no clock reads, no I/O. The JSONL
@@ -37,8 +37,9 @@ pub mod export;
 mod phase;
 mod registry;
 
-pub use phase::{Phase, PhaseSummary, PhaseTable};
-pub use registry::{Histogram, HistogramSummary, MetricsRegistry};
+pub use phase::PhaseSummary;
+pub(crate) use phase::{Phase, PhaseTable};
+pub use registry::{HistogramSummary, MetricsRegistry};
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -87,7 +88,7 @@ impl ObsConfig {
     }
 
     /// Panic on inconsistent knobs (called from `ExperimentConfig::validate`).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if self.mode == ObsMode::Full {
             assert!(self.jsonl_path.is_some(), "config: ObsMode::Full requires obs.jsonl_path");
         }
@@ -110,96 +111,96 @@ pub mod names {
     pub const UPDATES_DROPPED_STALE: &str = "updates_dropped_stale";
     /// Admitted updates trained for fewer than the configured epochs
     /// (SEAFL² partial / NotifyPartial uploads).
-    pub const UPDATES_PARTIAL: &str = "updates_partial";
+    pub(crate) const UPDATES_PARTIAL: &str = "updates_partial";
     /// Uploads discarded because a newer upload from the same client was
     /// already processed (post-timeout stragglers).
-    pub const UPDATES_SUPERSEDED: &str = "updates_superseded";
+    pub(crate) const UPDATES_SUPERSEDED: &str = "updates_superseded";
     /// Updates rejected by the sanitizer for non-finite parameters.
-    pub const UPDATES_REJECTED_NONFINITE: &str = "updates_rejected_nonfinite";
+    pub(crate) const UPDATES_REJECTED_NONFINITE: &str = "updates_rejected_nonfinite";
     /// Updates rejected by the sanitizer for excessive parameter norm.
-    pub const UPDATES_REJECTED_NORM: &str = "updates_rejected_norm";
+    pub(crate) const UPDATES_REJECTED_NORM: &str = "updates_rejected_norm";
     /// Updates screened out by the Byzantine-robust aggregation layer
     /// (e.g. Krum's pairwise-distance selection).
-    pub const UPDATES_SCREENED_ROBUST: &str = "updates_screened_robust";
+    pub(crate) const UPDATES_SCREENED_ROBUST: &str = "updates_screened_robust";
     /// Updates whose distance-to-global the robust layer clipped
     /// (`NormClip`); the update still aggregates, shortened.
-    pub const UPDATES_CLIPPED_ROBUST: &str = "updates_clipped_robust";
+    pub(crate) const UPDATES_CLIPPED_ROBUST: &str = "updates_clipped_robust";
     /// Uploads tampered with by adversarial devices (attack injection).
-    pub const UPDATES_ATTACKED: &str = "updates_attacked";
+    pub(crate) const UPDATES_ATTACKED: &str = "updates_attacked";
     /// Uploads lost in transit (fault injection).
-    pub const UPLOAD_FAILURES: &str = "upload_failures";
+    pub(crate) const UPLOAD_FAILURES: &str = "upload_failures";
     /// Retries scheduled after transit losses.
-    pub const UPLOAD_RETRIES: &str = "upload_retries";
+    pub(crate) const UPLOAD_RETRIES: &str = "upload_retries";
     /// Training sessions dispatched to clients.
-    pub const SESSIONS_DISPATCHED: &str = "sessions_dispatched";
+    pub(crate) const SESSIONS_DISPATCHED: &str = "sessions_dispatched";
     /// Sessions abandoned by the server-side timeout.
-    pub const SESSION_TIMEOUTS: &str = "session_timeouts";
+    pub(crate) const SESSION_TIMEOUTS: &str = "session_timeouts";
     /// Clients quarantined after repeated timeouts.
-    pub const CLIENTS_QUARANTINED: &str = "clients_quarantined";
+    pub(crate) const CLIENTS_QUARANTINED: &str = "clients_quarantined";
     /// Simulated device crashes.
-    pub const DEVICE_CRASHES: &str = "device_crashes";
+    pub(crate) const DEVICE_CRASHES: &str = "device_crashes";
     /// Aggregations applied to the global model (= rounds completed).
     pub const AGGREGATIONS: &str = "aggregations";
     /// Server-side evaluations of the global model.
-    pub const EVALS: &str = "evals";
+    pub(crate) const EVALS: &str = "evals";
     /// Checkpoints written to durable storage.
     pub const CHECKPOINTS_SAVED: &str = "checkpoints_saved";
     /// Version notifications sent to in-flight clients (SEAFL²).
-    pub const NOTIFICATIONS_SENT: &str = "notifications_sent";
+    pub(crate) const NOTIFICATIONS_SENT: &str = "notifications_sent";
     /// Bytes sent server→client, modeled as dispatches × model size. The
     /// measured wire bytes, retransmits included, are in `seafl-server`'s
     /// report file.
-    pub const NET_BYTES_SENT: &str = "net_bytes_sent";
+    pub(crate) const NET_BYTES_SENT: &str = "net_bytes_sent";
     /// Bytes received client→server, modeled as updates × model size (the
     /// measured value is in `seafl-server`'s report file).
-    pub const NET_BYTES_RECEIVED: &str = "net_bytes_received";
+    pub(crate) const NET_BYTES_RECEIVED: &str = "net_bytes_received";
     /// Worker links resumed via the replay history (always 0 in simulation).
-    pub const NET_RECONNECTS: &str = "net_reconnects";
+    pub(crate) const NET_RECONNECTS: &str = "net_reconnects";
     /// Workers quarantined by the transport idle timeout (always 0 in
     /// simulation; distinct from `clients_quarantined`, which counts
     /// simulated devices).
-    pub const NET_WORKERS_QUARANTINED: &str = "net_workers_quarantined";
+    pub(crate) const NET_WORKERS_QUARANTINED: &str = "net_workers_quarantined";
     /// Raw f32 bytes of every update snapshot passing the codec seam
     /// (4 bytes per coordinate; counted whether or not a codec is armed).
-    pub const CODEC_BYTES_RAW: &str = "codec_bytes_raw";
+    pub(crate) const CODEC_BYTES_RAW: &str = "codec_bytes_raw";
     /// Bytes those snapshots occupy after codec encoding. Equal to
     /// `codec_bytes_raw` under the default identity codec; the run's
     /// compression ratio is `codec_bytes_encoded / codec_bytes_raw`.
-    pub const CODEC_BYTES_ENCODED: &str = "codec_bytes_encoded";
+    pub(crate) const CODEC_BYTES_ENCODED: &str = "codec_bytes_encoded";
 
     /// Gauge: sessions in flight, sampled at each aggregation.
-    pub const IN_FLIGHT: &str = "in_flight";
+    pub(crate) const IN_FLIGHT: &str = "in_flight";
 
     /// Gauge: pending events on the virtual clock, sampled at each
     /// aggregation.
-    pub const QUEUE_DEPTH: &str = "queue_depth";
+    pub(crate) const QUEUE_DEPTH: &str = "queue_depth";
 
     /// Gauge: fleet-table rows that ever left their default state (the
     /// sparse working set a checkpoint serializes), sampled at each
     /// aggregation.
-    pub const RESIDENT_RECORDS: &str = "resident_records";
+    pub(crate) const RESIDENT_RECORDS: &str = "resident_records";
 
     /// Gauge: client shards made so far in this process, sampled at each
     /// aggregation. It counts where the images live, not what the run
     /// simulated: a wire server's remote jobs and a resumed run's earlier
     /// rounds made theirs elsewhere. So it stays out of the registry
     /// digest.
-    pub const RESIDENT_SHARDS: &str = "resident_shards";
+    pub(crate) const RESIDENT_SHARDS: &str = "resident_shards";
 
     /// Histogram: staleness (rounds) of each *aggregated* update, measured
     /// at aggregation time.
     pub const STALENESS_ROUNDS: &str = "staleness_rounds";
     /// Histogram: simulated seconds from dispatch to scheduled upload, per
     /// session.
-    pub const SESSION_SIM_SECS: &str = "session_sim_secs";
+    pub(crate) const SESSION_SIM_SECS: &str = "session_sim_secs";
     /// Histogram: simulated seconds between consecutive aggregations.
-    pub const ROUND_INTERVAL_SIM_SECS: &str = "round_interval_sim_secs";
+    pub(crate) const ROUND_INTERVAL_SIM_SECS: &str = "round_interval_sim_secs";
     /// Histogram: clients selected per dispatch.
-    pub const COHORT_SIZE: &str = "cohort_size";
+    pub(crate) const COHORT_SIZE: &str = "cohort_size";
     /// Histogram: buffered updates at each aggregation trigger.
-    pub const BUFFER_OCCUPANCY: &str = "buffer_occupancy";
+    pub(crate) const BUFFER_OCCUPANCY: &str = "buffer_occupancy";
     /// Histogram: Shannon entropy (nats) of each round's aggregation
-    /// weights ([`super::weight_entropy`]).
+    /// weights (`super::weight_entropy`).
     pub const WEIGHT_ENTROPY_NATS: &str = "weight_entropy_nats";
 }
 
@@ -211,12 +212,12 @@ pub mod bounds {
         &[0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0];
     /// Simulated seconds, log-ish spacing (session lengths and round
     /// intervals share it so the two distributions compare directly).
-    pub const SIM_SECS: &[f64] =
+    pub(crate) const SIM_SECS: &[f64] =
         &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0];
     /// Cohort / buffer sizes, powers of two.
-    pub const COHORT: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+    pub(crate) const COHORT: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
     /// Weight entropy in nats; ln(64) ≈ 4.16 caps realistic buffer sizes.
-    pub const ENTROPY_NATS: &[f64] =
+    pub(crate) const ENTROPY_NATS: &[f64] =
         &[0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5];
 }
 
@@ -224,7 +225,7 @@ pub mod bounds {
 /// normalized weights; zero-or-negative entries are skipped. Uniform
 /// weights over `n` updates give `ln(n)`; a single dominant weight gives
 /// ~0. Returns 0.0 when the weights don't sum to a positive value.
-pub fn weight_entropy(weights: &[f32]) -> f64 {
+pub(crate) fn weight_entropy(weights: &[f32]) -> f64 {
     let total: f64 = weights.iter().filter(|&&w| w > 0.0).map(|&w| w as f64).sum();
     if total <= 0.0 {
         return 0.0;
@@ -247,7 +248,7 @@ pub fn weight_entropy(weights: &[f32]) -> f64 {
 /// meta record carries `"resumed": true`). Every recording method is a
 /// no-op when the mode is [`ObsMode::Off`].
 #[derive(Debug)]
-pub struct Obs {
+pub(crate) struct Obs {
     mode: ObsMode,
     registry: MetricsRegistry,
     phases: PhaseTable,
@@ -259,7 +260,7 @@ pub struct Obs {
 impl Obs {
     /// A disabled instance (placeholder before `drive` installs the real
     /// one).
-    pub fn off() -> Self {
+    pub(crate) fn off() -> Self {
         Obs {
             mode: ObsMode::Off,
             registry: MetricsRegistry::new(),
@@ -274,7 +275,7 @@ impl Obs {
     /// [`ObsMode::Full`], creating parent directories; panics with the
     /// offending path on I/O failure — an unwritable stream the run was
     /// explicitly asked for is not a condition to silently drop.
-    pub fn new(cfg: &ObsConfig) -> Self {
+    pub(crate) fn new(cfg: &ObsConfig) -> Self {
         cfg.validate();
         if cfg.mode == ObsMode::Off {
             return Obs::off();
@@ -301,37 +302,27 @@ impl Obs {
         }
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> ObsMode {
-        self.mode
-    }
-
     /// True unless the mode is [`ObsMode::Off`].
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.mode != ObsMode::Off
     }
 
-    /// True when a JSONL stream is attached ([`ObsMode::Full`]).
-    pub fn streaming(&self) -> bool {
-        self.writer.is_some()
-    }
-
     /// Increment counter `name` (no-op when disabled).
-    pub fn count(&mut self, name: &'static str) {
+    pub(crate) fn count(&mut self, name: &'static str) {
         if self.enabled() {
             self.registry.inc(name);
         }
     }
 
     /// Observe `v` into histogram `name` (no-op when disabled).
-    pub fn observe(&mut self, name: &'static str, bounds: &'static [f64], v: f64) {
+    pub(crate) fn observe(&mut self, name: &'static str, bounds: &'static [f64], v: f64) {
         if self.enabled() {
             self.registry.observe(name, bounds, v);
         }
     }
 
     /// Set gauge `name` (no-op when disabled).
-    pub fn gauge(&mut self, name: &'static str, v: f64) {
+    pub(crate) fn gauge(&mut self, name: &'static str, v: f64) {
         if self.enabled() {
             self.registry.set_gauge(name, v);
         }
@@ -340,7 +331,7 @@ impl Obs {
     /// Start a real-time span: `Some(now)` when enabled, `None` when off
     /// (so disabled runs never read the clock). Close with
     /// [`span_end`](Obs::span_end).
-    pub fn span_start(&self) -> Option<Instant> {
+    pub(crate) fn span_start(&self) -> Option<Instant> {
         if self.enabled() {
             Some(Instant::now())
         } else {
@@ -350,7 +341,7 @@ impl Obs {
 
     /// Close a span opened by [`span_start`](Obs::span_start), folding the
     /// elapsed real time into `phase`'s totals.
-    pub fn span_end(&mut self, phase: Phase, start: Option<Instant>) {
+    pub(crate) fn span_end(&mut self, phase: Phase, start: Option<Instant>) {
         if let Some(start) = start {
             self.phases.record(phase, start.elapsed());
         }
@@ -358,7 +349,7 @@ impl Obs {
 
     /// Write one JSONL record. The closure is evaluated only when a stream
     /// is attached, so record rendering costs nothing in `Off`/`Summary`.
-    pub fn emit(&mut self, record: impl FnOnce() -> String) {
+    pub(crate) fn emit(&mut self, record: impl FnOnce() -> String) {
         if let Some(w) = self.writer.as_mut() {
             let line = record();
             writeln!(w, "{line}").expect("obs: JSONL write failed");
@@ -369,7 +360,7 @@ impl Obs {
     /// since the previous aggregation into
     /// [`names::ROUND_INTERVAL_SIM_SECS`] (first aggregation sets the
     /// baseline only).
-    pub fn round_interval(&mut self, now_secs: f64) {
+    pub(crate) fn round_interval(&mut self, now_secs: f64) {
         if !self.enabled() {
             return;
         }
@@ -383,18 +374,13 @@ impl Obs {
         self.last_aggregate_secs = Some(now_secs);
     }
 
-    /// Terminal real-time phase totals so far.
-    pub fn phases(&self) -> &PhaseTable {
-        &self.phases
-    }
-
     /// Finish the run: add the `ledger` counters, emit the JSONL summary
     /// record, flush the stream and snapshot everything into an
     /// [`ObsSummary`]. `trace_counts` is the per-kind tally from
     /// `TraceLog::kind_counts`; `ledger` holds the counters the run's
     /// result already records. Like a live counter, which exists only once
     /// it fires, a ledger counter is added only when nonzero.
-    pub fn finish(
+    pub(crate) fn finish(
         &mut self,
         t_end: f64,
         rounds: u64,
@@ -444,7 +430,7 @@ pub struct ObsSummary {
     pub registry_digest: String,
     /// Real seconds from engine start to termination.
     pub wall_secs: f64,
-    /// Per-phase real-time totals, in [`Phase::ALL`] order.
+    /// Per-phase real-time totals, in `Phase::ALL` order.
     pub phases: Vec<PhaseSummary>,
     /// Final counter values by name.
     pub counters: BTreeMap<String, u64>,
@@ -500,7 +486,7 @@ mod tests {
     fn off_records_nothing_and_reads_no_clock() {
         let mut obs = Obs::new(&ObsConfig::off());
         assert!(!obs.enabled());
-        assert!(!obs.streaming());
+        assert!(obs.writer.is_none());
         obs.count(names::EVALS);
         obs.observe(names::COHORT_SIZE, bounds::COHORT, 5.0);
         obs.gauge(names::IN_FLIGHT, 3.0);
@@ -517,7 +503,7 @@ mod tests {
     fn summary_mode_collects_without_streaming() {
         let mut obs = Obs::new(&ObsConfig::default());
         assert!(obs.enabled());
-        assert!(!obs.streaming());
+        assert!(obs.writer.is_none());
         obs.count(names::CHECKPOINTS_SAVED);
         obs.round_interval(10.0);
         obs.round_interval(25.0);

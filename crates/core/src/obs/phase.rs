@@ -22,7 +22,7 @@ use std::time::Duration;
 /// checkpoint writes ([`Checkpoint`](Phase::Checkpoint)) and update
 /// compression at the codec seam ([`Codec`](Phase::Codec)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Cohort selection and dispatch bookkeeping (`refill`).
     Dispatch,
     /// Local training through the trainer pool (`train_cohort`).
@@ -57,7 +57,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in reporting order.
-    pub const ALL: [Phase; 11] = [
+    pub(crate) const ALL: [Phase; 11] = [
         Phase::Dispatch,
         Phase::Train,
         Phase::Admission,
@@ -73,7 +73,7 @@ impl Phase {
 
     /// Stable snake_case label used in `ObsSummary`, `*_runs.json` and the
     /// report tables.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Dispatch => "dispatch",
             Phase::Train => "train",
@@ -96,31 +96,31 @@ impl Phase {
 
 /// Accumulated real-time spans per [`Phase`].
 #[derive(Clone, Debug, Default)]
-pub struct PhaseTable {
+pub(crate) struct PhaseTable {
     nanos: [u64; Phase::ALL.len()],
     calls: [u64; Phase::ALL.len()],
 }
 
 impl PhaseTable {
     /// Fold one measured span into `phase`'s totals.
-    pub fn record(&mut self, phase: Phase, elapsed: Duration) {
+    pub(crate) fn record(&mut self, phase: Phase, elapsed: Duration) {
         self.nanos[phase.idx()] += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.calls[phase.idx()] += 1;
     }
 
     /// Accumulated seconds spent in `phase`.
-    pub fn secs(&self, phase: Phase) -> f64 {
+    pub(crate) fn secs(&self, phase: Phase) -> f64 {
         self.nanos[phase.idx()] as f64 / 1e9
     }
 
     /// Spans recorded for `phase`.
-    pub fn calls(&self, phase: Phase) -> u64 {
+    pub(crate) fn calls(&self, phase: Phase) -> u64 {
         self.calls[phase.idx()]
     }
 
     /// Every phase's totals in reporting order (phases never entered
     /// included, with zero calls — the schema is fixed per run).
-    pub fn summaries(&self) -> Vec<PhaseSummary> {
+    pub(crate) fn summaries(&self) -> Vec<PhaseSummary> {
         Phase::ALL
             .iter()
             .map(|&p| PhaseSummary {
@@ -136,7 +136,7 @@ impl PhaseTable {
 /// [`crate::obs::ObsSummary`] (and from there into `*_runs.json`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseSummary {
-    /// [`Phase::name`] label.
+    /// `Phase::name` label.
     pub name: String,
     /// Spans recorded.
     pub calls: u64,

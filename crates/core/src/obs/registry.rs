@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// The exact count/sum/min/max ride along, so summaries never lose the
 /// tails to bucketing.
 #[derive(Clone, Debug)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     bounds: &'static [f64],
     /// `bounds.len() + 1` entries; the last is the overflow bucket.
     counts: Vec<u64>,
@@ -30,7 +30,7 @@ pub struct Histogram {
 impl Histogram {
     /// Empty histogram over `bounds` (must be non-empty, finite, strictly
     /// ascending — the fixed catalogs in [`crate::obs::bounds`] all are).
-    pub fn new(bounds: &'static [f64]) -> Self {
+    pub(crate) fn new(bounds: &'static [f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram: empty bucket bounds");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
@@ -47,7 +47,7 @@ impl Histogram {
     }
 
     /// Record one observation.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         let idx = self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len());
         self.counts[idx] += 1;
         self.count += 1;
@@ -57,27 +57,17 @@ impl Histogram {
     }
 
     /// The bucket upper bounds this histogram was built over.
-    pub fn bounds(&self) -> &'static [f64] {
+    pub(crate) fn bounds(&self) -> &'static [f64] {
         self.bounds
     }
 
     /// Per-bucket counts (`bounds.len() + 1` entries; last = overflow).
-    pub fn counts(&self) -> &[u64] {
+    pub(crate) fn counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Smallest observation (0.0 when empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -86,20 +76,11 @@ impl Histogram {
     }
 
     /// Largest observation (0.0 when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.max
-        }
-    }
-
-    /// Mean observation (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
         }
     }
 
@@ -108,7 +89,7 @@ impl Histogram {
     /// `[min, max]`. Returns 0.0 for an empty histogram. Exact for the
     /// extremes (`q = 0` → min, `q = 1` → max); within a bucket the error
     /// is bounded by the bucket width.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -136,7 +117,7 @@ impl Histogram {
     }
 
     /// Compact serializable snapshot (count, sum, extremes, p50/p95).
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             sum: self.sum,
@@ -148,7 +129,7 @@ impl Histogram {
     }
 }
 
-/// Serializable snapshot of one [`Histogram`] (what `*_runs.json` and the
+/// Serializable snapshot of one `Histogram` (what `*_runs.json` and the
 /// JSONL summary record carry).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HistogramSummary {
@@ -166,7 +147,7 @@ pub struct HistogramSummary {
     pub p95: f64,
 }
 
-/// A named collection of counters, gauges and [`Histogram`]s.
+/// A named collection of counters, gauges and `Histogram`s.
 ///
 /// Backed by `BTreeMap`s so iteration order — and therefore
 /// [`digest`](MetricsRegistry::digest) — is deterministic.
@@ -178,13 +159,10 @@ pub struct HistogramSummary {
 ///
 /// let mut reg = MetricsRegistry::new();
 /// reg.inc("updates_received");
-/// reg.add("updates_received", 2);
+/// reg.inc("updates_received");
 /// reg.observe("staleness_rounds", bounds::STALENESS_ROUNDS, 3.0);
 ///
-/// assert_eq!(reg.counter("updates_received"), 3);
-/// let h = reg.histogram("staleness_rounds").unwrap();
-/// assert_eq!(h.count(), 1);
-/// assert_eq!(h.quantile(0.5), 3.0);
+/// assert_eq!(reg.counter("updates_received"), 2);
 /// // Same recording sequence ⇒ same digest, bit for bit.
 /// assert_eq!(reg.digest(), reg.clone().digest());
 /// ```
@@ -207,7 +185,7 @@ impl MetricsRegistry {
     }
 
     /// Add `delta` to counter `name`.
-    pub fn add(&mut self, name: &'static str, delta: u64) {
+    pub(crate) fn add(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
@@ -217,13 +195,8 @@ impl MetricsRegistry {
     }
 
     /// Set gauge `name` to `v` (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, v: f64) {
+    pub(crate) fn set_gauge(&mut self, name: &'static str, v: f64) {
         self.gauges.insert(name, v);
-    }
-
-    /// Current value of gauge `name`, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Record `v` into histogram `name`, creating it over `bounds` on first
@@ -241,34 +214,24 @@ impl MetricsRegistry {
         h.observe(v);
     }
 
-    /// Histogram `name`, if anything was ever observed into it.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&n, &v)| (n, v))
     }
 
     /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
         self.gauges.iter().map(|(&n, &v)| (n, v))
     }
 
     /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(&n, h)| (n, h))
-    }
-
-    /// True when nothing has ever been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Order-sensitive FNV-1a 64 fingerprint over every metric's name and
     /// exact value bits, except the
-    /// [`RESIDENT_SHARDS`](super::names::RESIDENT_SHARDS) gauge.
+    /// `RESIDENT_SHARDS` gauge.
     /// Contains no wall-clock-derived state, so equal digests mean the two
     /// runs observed the bit-identical metric stream — the obs counterpart
     /// of the model/trace digests.
@@ -320,7 +283,7 @@ mod tests {
         // Below the first bound lands in the first bucket.
         h.observe(-3.0);
         assert_eq!(h.counts(), &[2, 2, 1, 1]);
-        assert_eq!(h.count(), 6);
+        assert_eq!(h.count, 6);
         assert_eq!(h.min(), -3.0);
         assert_eq!(h.max(), 100.0);
     }
@@ -328,11 +291,9 @@ mod tests {
     #[test]
     fn empty_histogram_is_all_zeros() {
         let h = Histogram::new(BOUNDS);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0.0);
+        assert_eq!(h.count, 0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-        assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
         let s = h.summary();
         assert_eq!(s, HistogramSummary::default());
@@ -388,9 +349,7 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.counter("x"), 1);
         assert_eq!(a.counter("never"), 0);
-        assert_eq!(a.gauge("g"), Some(1.5));
-        assert!(!a.is_empty());
-        assert!(MetricsRegistry::new().is_empty());
+        assert_eq!(a.gauges.get("g"), Some(&1.5));
     }
 
     #[test]
@@ -409,7 +368,7 @@ mod tests {
         let plain = a.digest();
         a.set_gauge(crate::obs::names::RESIDENT_SHARDS, 7.0);
         assert_eq!(a.digest(), plain);
-        assert_eq!(a.gauge(crate::obs::names::RESIDENT_SHARDS), Some(7.0));
+        assert_eq!(a.gauges.get(crate::obs::names::RESIDENT_SHARDS), Some(&7.0));
     }
 
     #[test]

@@ -9,11 +9,11 @@ use crate::update::ModelUpdate;
 #[derive(Clone, Copy, Debug)]
 pub struct FedAsyncPolicy {
     /// Devices kept training concurrently.
-    pub concurrency: usize,
+    pub(crate) concurrency: usize,
     /// Base mixing rate α.
-    pub mixing_alpha: f32,
+    pub(crate) mixing_alpha: f32,
     /// Polynomial staleness exponent `a` (0 = constant mixing).
-    pub poly_a: f32,
+    pub(crate) poly_a: f32,
 }
 
 impl ServerPolicy for FedAsyncPolicy {

@@ -17,7 +17,7 @@ use seafl_sim::{Fleet, SimRng};
 #[derive(Clone, Copy, Debug)]
 pub struct FedAvgPolicy {
     /// Cohort size C sampled at each synchronous barrier.
-    pub clients_per_round: usize,
+    pub(crate) clients_per_round: usize,
 }
 
 impl ServerPolicy for FedAvgPolicy {

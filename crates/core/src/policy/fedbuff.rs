@@ -10,11 +10,11 @@ use crate::update::ModelUpdate;
 #[derive(Clone, Copy, Debug)]
 pub struct FedBuffPolicy {
     /// Devices kept training concurrently (M).
-    pub concurrency: usize,
+    pub(crate) concurrency: usize,
     /// Buffered updates per aggregation (K).
-    pub buffer_k: usize,
+    pub(crate) buffer_k: usize,
     /// Server mixing coefficient ϑ.
-    pub theta: f32,
+    pub(crate) theta: f32,
 }
 
 impl ServerPolicy for FedBuffPolicy {

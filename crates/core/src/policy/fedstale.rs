@@ -19,13 +19,13 @@ use crate::update::ModelUpdate;
 /// under-represented in the global model — the opposite bias correction to
 /// SEAFL's Eq. 4 damping (which trusts stale gradients less), in the spirit
 /// of FedStaleWeight's staleness-aware fair aggregation.
-pub struct FedStaleWeightPolicy {
+pub(crate) struct FedStaleWeightPolicy {
     /// Devices kept training concurrently (M).
-    pub concurrency: usize,
+    pub(crate) concurrency: usize,
     /// Buffered updates per aggregation (K).
-    pub buffer_k: usize,
+    pub(crate) buffer_k: usize,
     /// Server mixing coefficient ϑ (Eq. 8-style).
-    pub theta: f32,
+    pub(crate) theta: f32,
     /// Updates observed per client (running-mean denominator).
     obs: Vec<u64>,
     /// Running mean of each client's observed staleness.
@@ -34,7 +34,7 @@ pub struct FedStaleWeightPolicy {
 
 impl FedStaleWeightPolicy {
     /// Fresh policy with zeroed per-client staleness statistics.
-    pub fn new(concurrency: usize, buffer_k: usize, theta: f32, num_clients: usize) -> Self {
+    pub(crate) fn new(concurrency: usize, buffer_k: usize, theta: f32, num_clients: usize) -> Self {
         FedStaleWeightPolicy {
             concurrency,
             buffer_k,

@@ -21,10 +21,10 @@ mod fedbuff;
 mod fedstale;
 mod seafl;
 
-pub use fedasync::FedAsyncPolicy;
-pub use fedavg::FedAvgPolicy;
-pub use fedbuff::FedBuffPolicy;
-pub use fedstale::FedStaleWeightPolicy;
+pub(crate) use fedasync::FedAsyncPolicy;
+pub(crate) use fedavg::FedAvgPolicy;
+pub(crate) use fedbuff::FedBuffPolicy;
+pub(crate) use fedstale::FedStaleWeightPolicy;
 pub use seafl::{SeaflPolicy, StalenessPolicy};
 
 use crate::checkpoint::{BinReader, BinWriter, CodecError};
@@ -35,24 +35,22 @@ use seafl_sim::{Fleet, SimRng, TerminationReason};
 
 /// What the engine is about to do when it asks a policy for a cohort.
 pub struct DispatchCtx {
-    /// Server round counter (completed aggregations).
-    pub round: u64,
     /// Clients currently training.
-    pub active: usize,
+    pub(crate) active: usize,
     /// Updates waiting in the buffer for the next aggregation.
-    pub buffered: usize,
+    pub(crate) buffered: usize,
     /// The experiment's client-selection policy.
-    pub selection: SelectionPolicy,
+    pub(crate) selection: SelectionPolicy,
 }
 
 /// One in-flight training session, as visible to policy hooks.
 pub struct InFlight {
     /// The training client's id.
-    pub client: usize,
+    pub(crate) client: usize,
     /// Server round when the session was dispatched.
     pub born_round: u64,
     /// Whether a partial-upload notification was already sent (SEAFL²).
-    pub notified: bool,
+    pub(crate) notified: bool,
 }
 
 /// Read-only server state handed to the aggregation-trigger and
@@ -80,20 +78,7 @@ pub enum Admission {
 
 /// The argument of the deprecated [`ServerPolicy::drained_termination`]; the
 /// engine never builds one.
-pub struct DrainCtx {
-    /// Server round counter (completed aggregations).
-    pub round: u64,
-    /// Virtual-clock time when the queue drained, seconds.
-    pub now_secs: f64,
-    /// The experiment's round budget.
-    pub max_rounds: u64,
-    /// The experiment's virtual-time budget, seconds.
-    pub max_sim_time: f64,
-    /// Round at which the injected server crash fires (`None` = never).
-    pub crash_round: Option<u64>,
-    /// Whether `stop_at_accuracy` has been reached.
-    pub reached_target: bool,
-}
+pub struct DrainCtx;
 
 /// Algorithm-specific server behaviour plugged into the unified engine.
 ///
@@ -200,7 +185,7 @@ pub trait ServerPolicy: Send {
 
     /// Produce the next global model. The default composes
     /// [`weights_for_buffer`](ServerPolicy::weights_for_buffer) →
-    /// [`weighted_average`] → [`mix_into_global`](ServerPolicy::mix_into_global);
+    /// `weighted_average` → [`mix_into_global`](ServerPolicy::mix_into_global);
     /// FedAsync overrides it with its sequential per-update fold.
     fn aggregate(&mut self, global: &[f32], updates: &[ModelUpdate], round: u64) -> Vec<f32> {
         assert!(!updates.is_empty(), "{}: empty buffer", self.name());
@@ -243,7 +228,7 @@ const PAR_AVG_CHUNK: usize = 16_384;
 
 /// Weighted average of `updates` with weights `w` (Σw = 1) — Eq. 7's
 /// buffer combination, shared by every weight-based policy.
-pub fn weighted_average(updates: &[ModelUpdate], weights: &[f32]) -> Vec<f32> {
+pub(crate) fn weighted_average(updates: &[ModelUpdate], weights: &[f32]) -> Vec<f32> {
     let dim = updates[0].params.len();
     for u in updates {
         assert_eq!(u.params.len(), dim, "weighted_average: mixed model sizes");

@@ -17,9 +17,13 @@
 //! * All floating-point work stays within one job; nothing is reduced across
 //!   jobs, so there is no reduction-order sensitivity to begin with.
 //!
-//! `threads = 1` short-circuits rayon entirely and replays the exact
-//! pre-pool sequential code path; `threads = 0` uses the global rayon pool;
-//! `threads >= 2` runs on a dedicated pool of that size. The
+//! `threads = 1` trains every cohort sequentially on the calling thread;
+//! `threads = 0` uses the global rayon pool; `threads >= 2` runs on a
+//! dedicated pool of that size. [`TrainerPool::run`] installs the dedicated
+//! pool when there is one and otherwise calls its closure directly, so
+//! rayon work inside it — such as the idle scan of a fleet above 4 096
+//! bitset words (262 144 clients) — runs on the global pool at both
+//! `threads = 0` and `threads = 1`. The
 //! `tests/parallel_determinism.rs` suite pins the bitwise guarantee across
 //! all algorithms.
 //!
@@ -53,8 +57,6 @@ pub struct TrainJob<'a> {
 /// A pool of per-worker scratch [`LocalTrainer`]s plus the rayon runtime the
 /// cohort fan-out runs on.
 pub struct TrainerPool {
-    /// The configured `threads` knob (0 = rayon default, 1 = sequential).
-    threads: usize,
     /// Effective worker count.
     workers: usize,
     /// Dedicated rayon pool when `threads >= 2`; `None` means the global
@@ -74,8 +76,9 @@ struct Inner {
 
 impl TrainerPool {
     /// Build a pool around a prototype trainer. `threads` semantics:
-    /// `0` = size to the global rayon pool, `1` = exact sequential code
-    /// path, `n >= 2` = dedicated rayon pool of `n` threads.
+    /// `0` = size to the global rayon pool, `1` = train cohorts
+    /// sequentially on the calling thread, `n >= 2` = dedicated rayon pool
+    /// of `n` threads.
     pub fn new(proto: LocalTrainer, threads: usize) -> Self {
         let rt = threads.ge(&2).then(|| {
             rayon::ThreadPoolBuilder::new()
@@ -91,26 +94,16 @@ impl TrainerPool {
         // One scratch trainer per worker, cloned once up front so the hot
         // path never constructs models.
         let idle = (0..workers).map(|_| proto.clone()).collect();
-        TrainerPool { threads, workers, rt, inner: Mutex::new(Inner { proto, idle }), batch_size }
+        TrainerPool { workers, rt, inner: Mutex::new(Inner { proto, idle }), batch_size }
     }
 
-    /// The configured `threads` knob (0 = rayon default).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Effective number of workers jobs can run on concurrently.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// True when the pool replays the exact sequential code path.
-    pub fn is_sequential(&self) -> bool {
+    /// True when cohorts train sequentially on the calling thread.
+    pub(crate) fn is_sequential(&self) -> bool {
         self.workers == 1
     }
 
     /// Batches per local epoch for a shard of `n` samples.
-    pub fn batches_per_epoch(&self, n: usize) -> usize {
+    pub(crate) fn batches_per_epoch(&self, n: usize) -> usize {
         n.div_ceil(self.batch_size)
     }
 
@@ -130,7 +123,7 @@ impl TrainerPool {
     /// Run `f` with exclusive access to one scratch trainer (evaluation,
     /// gradient probes). The trainer's state is unspecified on entry — load
     /// it before use.
-    pub fn with_trainer<R>(&self, f: impl FnOnce(&mut LocalTrainer) -> R) -> R {
+    pub(crate) fn with_trainer<R>(&self, f: impl FnOnce(&mut LocalTrainer) -> R) -> R {
         let mut trainer = self.checkout();
         let r = f(&mut trainer);
         self.checkin(trainer);
@@ -140,7 +133,7 @@ impl TrainerPool {
     /// Execute `f` inside this pool's rayon runtime (the global pool when no
     /// dedicated one exists), so `par_iter` calls inside `f` are bounded by
     /// the configured thread count.
-    pub fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
+    pub(crate) fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         match &self.rt {
             Some(p) => p.install(f),
             None => f(),
@@ -255,22 +248,21 @@ mod tests {
         let (_, _, proto) = shards_and_global();
         let seq = TrainerPool::new(proto.clone(), 1);
         assert!(seq.is_sequential());
-        assert_eq!(seq.workers(), 1);
-        assert_eq!(seq.threads(), 1);
+        assert_eq!(seq.workers, 1);
         let three = TrainerPool::new(proto.clone(), 3);
-        assert_eq!(three.workers(), 3);
+        assert_eq!(three.workers, 3);
         assert!(!three.is_sequential());
         let auto = TrainerPool::new(proto, 0);
-        assert_eq!(auto.threads(), 0);
-        assert!(auto.workers() >= 1);
+        assert!(auto.workers >= 1);
     }
 
     #[test]
     fn batches_per_epoch_matches_trainer() {
         let (_, _, proto) = shards_and_global();
-        let pool = TrainerPool::new(proto.clone(), 1);
-        for n in [1usize, 15, 16, 17, 80] {
-            assert_eq!(pool.batches_per_epoch(n), proto.batches_per_epoch(n));
+        assert_eq!(proto.batch_size(), 16);
+        let pool = TrainerPool::new(proto, 1);
+        for (n, batches) in [(1usize, 1usize), (15, 1), (16, 1), (17, 2), (80, 5), (81, 6)] {
+            assert_eq!(pool.batches_per_epoch(n), batches, "n = {n}");
         }
     }
 

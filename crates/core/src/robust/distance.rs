@@ -23,19 +23,10 @@ pub enum DistanceMetric {
 }
 
 impl DistanceMetric {
-    /// Stable snake_case label (config tables, reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            DistanceMetric::L2 => "l2",
-            DistanceMetric::Cosine => "cosine",
-            DistanceMetric::ParameterDrift => "parameter_drift",
-        }
-    }
-
     /// Distance between updates `a` and `b`, relative to the current
     /// `global` model where the metric calls for it. Always finite and
     /// non-negative for finite inputs.
-    pub fn distance(self, a: &[f32], b: &[f32], global: &[f32]) -> f64 {
+    pub(crate) fn distance(self, a: &[f32], b: &[f32], global: &[f32]) -> f64 {
         assert_eq!(a.len(), b.len(), "distance: mixed model sizes");
         match self {
             DistanceMetric::L2 => {
@@ -129,12 +120,5 @@ mod tests {
         let g = vec![0.0f32; 3];
         assert_eq!(DistanceMetric::Cosine.distance(&[0.0; 3], &[1.0, 0.0, 0.0], &g), 0.0);
         assert_eq!(DistanceMetric::ParameterDrift.distance(&[0.0; 3], &[0.0; 3], &g), 0.0);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(DistanceMetric::L2.name(), "l2");
-        assert_eq!(DistanceMetric::Cosine.name(), "cosine");
-        assert_eq!(DistanceMetric::ParameterDrift.name(), "parameter_drift");
     }
 }

@@ -1,5 +1,5 @@
 //! Byzantine-robust aggregation: a pluggable screening/combination layer
-//! between the hygiene sanitizer ([`crate::sanitize`]) and the policy's
+//! between the hygiene sanitizer (`crate::sanitize`) and the policy's
 //! weighting/mix step.
 //!
 //! The sanitizer rejects *malformed* updates (NaN, exploded norms); this
@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The default rule, [`RobustAggregator::Mean`], is a literal pass-through
-//! to [`crate::policy::weighted_average`] — runs with robustness disabled
+//! to `crate::policy::weighted_average` — runs with robustness disabled
 //! are bit-identical to builds that predate this module, which the
 //! refactor-guard fixtures pin.
 //!
@@ -76,32 +76,8 @@ pub enum RobustAggregator {
 }
 
 impl RobustAggregator {
-    /// Stable snake_case label (CLI, reports, bench arm names).
-    pub fn name(self) -> &'static str {
-        match self {
-            RobustAggregator::Mean => "mean",
-            RobustAggregator::CoordMedian => "coord_median",
-            RobustAggregator::TrimmedMean { .. } => "trimmed_mean",
-            RobustAggregator::NormClip { .. } => "norm_clip",
-            RobustAggregator::Krum { .. } => "krum",
-        }
-    }
-
-    /// Parse a CLI label into a rule with canonical parameters
-    /// (`trimmed_mean` β = 0.2, `norm_clip` τ = 1.0, `krum` f = 1, m = 1).
-    pub fn from_label(s: &str) -> Option<RobustAggregator> {
-        match s {
-            "mean" => Some(RobustAggregator::Mean),
-            "coord_median" => Some(RobustAggregator::CoordMedian),
-            "trimmed_mean" => Some(RobustAggregator::TrimmedMean { beta: 0.2 }),
-            "norm_clip" => Some(RobustAggregator::NormClip { tau: 1.0 }),
-            "krum" => Some(RobustAggregator::Krum { f: 1, multi: 1 }),
-            _ => None,
-        }
-    }
-
     /// Reject out-of-range parameters with a readable message.
-    pub fn validate(self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(self) -> Result<(), ConfigError> {
         match self {
             RobustAggregator::Mean | RobustAggregator::CoordMedian => Ok(()),
             RobustAggregator::TrimmedMean { beta } => {
@@ -142,7 +118,7 @@ pub struct RobustConfig {
 
 impl RobustConfig {
     /// Validate the rule's parameters.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         self.rule.validate()
     }
 }
@@ -151,9 +127,9 @@ impl RobustConfig {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScreenOutcome {
     /// Client ids whose updates were screened out, in buffer order.
-    pub screened: Vec<usize>,
+    pub(crate) screened: Vec<usize>,
     /// Updates norm-clipped in place this call.
-    pub clipped: usize,
+    pub(crate) clipped: usize,
 }
 
 /// The engine-resident robust layer: the configured rule and nothing
@@ -171,21 +147,16 @@ impl RobustLayer {
         RobustLayer { cfg }
     }
 
-    /// The configured rule.
-    pub fn rule(&self) -> RobustAggregator {
-        self.cfg.rule
-    }
-
     /// True for the pass-through default. The engine skips the `Robust`
     /// phase span (and this layer entirely) when this holds, which is what
     /// keeps disabled-robustness runs bit-identical to the seed.
-    pub fn is_mean(&self) -> bool {
+    pub(crate) fn is_mean(&self) -> bool {
         matches!(self.cfg.rule, RobustAggregator::Mean)
     }
 
     /// True when [`screen`](RobustLayer::screen) can drop or mutate
     /// updates (Krum screens, NormClip clips).
-    pub fn screens(&self) -> bool {
+    pub(crate) fn screens(&self) -> bool {
         matches!(self.cfg.rule, RobustAggregator::NormClip { .. } | RobustAggregator::Krum { .. })
     }
 
@@ -261,7 +232,7 @@ impl RobustLayer {
     /// calls [`weighted_average`] verbatim; rank-based rules replace the
     /// average with their robust statistic and ignore or renormalize the
     /// weights as the rule demands.
-    pub fn combine(&self, updates: &[ModelUpdate], weights: &[f32]) -> Vec<f32> {
+    pub(crate) fn combine(&self, updates: &[ModelUpdate], weights: &[f32]) -> Vec<f32> {
         match self.cfg.rule {
             RobustAggregator::Mean
             | RobustAggregator::NormClip { .. }
@@ -351,7 +322,7 @@ pub struct DetectionStats {
 }
 
 /// Score `detected` against `attackers` (both sorted ascending).
-pub fn detection_stats(attackers: &[usize], detected: &[usize]) -> DetectionStats {
+pub(crate) fn detection_stats(attackers: &[usize], detected: &[usize]) -> DetectionStats {
     let tp = detected.iter().filter(|d| attackers.binary_search(d).is_ok()).count();
     let fp = detected.len() - tp;
     let fnn =
@@ -385,16 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip_and_validate() {
-        for label in ["mean", "coord_median", "trimmed_mean", "norm_clip", "krum"] {
-            let rule = RobustAggregator::from_label(label).unwrap();
-            assert_eq!(rule.name(), label);
-            rule.validate().unwrap();
-        }
-        assert!(RobustAggregator::from_label("majority_vote").is_none());
-    }
-
-    #[test]
     fn validate_rejects_bad_parameters() {
         let e = RobustAggregator::TrimmedMean { beta: 0.5 }.validate().unwrap_err();
         assert!(e.to_string().contains("beta"), "{e}");
@@ -404,6 +365,14 @@ mod tests {
         let e = RobustAggregator::Krum { f: 1, multi: 0 }.validate().unwrap_err();
         assert!(e.to_string().contains("multi"), "{e}");
         RobustConfig::default().validate().unwrap();
+        for rule in [
+            RobustAggregator::CoordMedian,
+            RobustAggregator::TrimmedMean { beta: 0.2 },
+            RobustAggregator::NormClip { tau: 1.0 },
+            RobustAggregator::Krum { f: 1, multi: 1 },
+        ] {
+            rule.validate().unwrap();
+        }
     }
 
     #[test]

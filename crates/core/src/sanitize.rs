@@ -23,7 +23,7 @@ use seafl_sim::RejectCause;
 
 /// Check one update against the sanitizer rules. `Ok(())` means the update
 /// may be aggregated.
-pub fn check_update(
+pub(crate) fn check_update(
     update: &ModelUpdate,
     global: &[f32],
     cfg: &ResilienceConfig,
@@ -44,7 +44,7 @@ pub fn check_update(
 }
 
 /// Split a drained buffer into aggregatable updates and rejections.
-pub fn sanitize_updates(
+pub(crate) fn sanitize_updates(
     updates: Vec<ModelUpdate>,
     global: &[f32],
     cfg: &ResilienceConfig,

@@ -23,19 +23,13 @@ pub struct ModelUpdate {
 
 impl ModelUpdate {
     /// Staleness `S_k = t − t_k` of this update at server round `t`.
-    pub fn staleness(&self, current_round: u64) -> u64 {
+    pub(crate) fn staleness(&self, current_round: u64) -> u64 {
         current_round.saturating_sub(self.born_round)
-    }
-
-    /// True when this update came from a partial (interrupted) training
-    /// session.
-    pub fn is_partial(&self, full_epochs: usize) -> bool {
-        self.epochs_completed < full_epochs
     }
 
     /// Encode bit-exactly — a corrupt client may have planted NaNs in
     /// `params`, and a checkpoint must carry them unchanged.
-    pub fn encode(&self, w: &mut BinWriter) {
+    pub(crate) fn encode(&self, w: &mut BinWriter) {
         w.usize(self.client_id);
         w.vec_f32(&self.params);
         w.usize(self.num_samples);
@@ -45,7 +39,7 @@ impl ModelUpdate {
     }
 
     /// Inverse of [`ModelUpdate::encode`].
-    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+    pub(crate) fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
         Ok(ModelUpdate {
             client_id: r.usize()?,
             params: r.vec_f32()?,
@@ -79,11 +73,5 @@ mod tests {
         // born_round can never exceed current round in a correct engine, but
         // saturate defensively.
         assert_eq!(upd(9, 5).staleness(7), 0);
-    }
-
-    #[test]
-    fn partial_detection() {
-        assert!(upd(0, 3).is_partial(5));
-        assert!(!upd(0, 5).is_partial(5));
     }
 }

@@ -23,7 +23,7 @@ pub enum ImportanceMode {
 /// `beta = None` encodes an infinite staleness limit, for which the factor
 /// degenerates to the constant `α` (the limit of Eq. 4 as β → ∞), matching
 /// the paper's "SEAFL with ∞ staleness limit" arm in Fig. 5.
-pub fn staleness_factor(alpha: f32, beta: Option<u64>, staleness: u64) -> f32 {
+pub(crate) fn staleness_factor(alpha: f32, beta: Option<u64>, staleness: u64) -> f32 {
     assert!(alpha >= 0.0, "staleness_factor: negative alpha");
     match beta {
         None => alpha,
@@ -35,7 +35,7 @@ pub fn staleness_factor(alpha: f32, beta: Option<u64>, staleness: u64) -> f32 {
 }
 
 /// Eq. 5: `s_t^k = μ · (Θ + 1) / 2`, cosine normalized to [0, 1].
-pub fn importance_factor(
+pub(crate) fn importance_factor(
     mu: f32,
     mode: ImportanceMode,
     update_params: &[f32],

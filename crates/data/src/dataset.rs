@@ -50,19 +50,19 @@ impl ImageDataset {
         self.labels.is_empty()
     }
 
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.num_classes
     }
 
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.channels
     }
 
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
@@ -71,7 +71,7 @@ impl ImageDataset {
     }
 
     /// Size of one image in scalars.
-    pub fn image_len(&self) -> usize {
+    pub(crate) fn image_len(&self) -> usize {
         self.channels * self.height * self.width
     }
 
@@ -143,15 +143,6 @@ impl ImageDataset {
         idx.shuffle(rng);
         idx.chunks(batch_size).map(|c| c.to_vec()).collect()
     }
-
-    /// Per-class sample counts (length `num_classes`).
-    pub fn class_histogram(&self) -> Vec<usize> {
-        let mut h = vec![0usize; self.num_classes];
-        for &y in &self.labels {
-            h[y] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -159,6 +150,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl ImageDataset {
+        /// Per-class sample counts (length `num_classes`).
+        pub(crate) fn class_histogram(&self) -> Vec<usize> {
+            let mut h = vec![0usize; self.num_classes];
+            for &y in &self.labels {
+                h[y] += 1;
+            }
+            h
+        }
+    }
 
     fn tiny() -> ImageDataset {
         // 4 images of 1x2x2, labels 0..=3 mod 2

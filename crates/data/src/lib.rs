@@ -8,15 +8,15 @@
 //! offline, so this crate provides procedurally generated class-prototype
 //! image datasets with matched shapes and tunable difficulty
 //! ([`synthetic`]), the same Dirichlet/IID/shard partitioners
-//! ([`partition`]), and the Zipf/Pareto device-speed samplers the paper's
+//! (`partition`), and the Zipf/Pareto device-speed samplers the paper's
 //! testbed uses ([`sampling`]). See DESIGN.md §2 for why this substitution
 //! preserves the experimental signal.
 
-pub mod dataset;
-pub mod partition;
+pub(crate) mod dataset;
+pub(crate) mod partition;
 pub mod sampling;
 pub mod synthetic;
 
 pub use dataset::ImageDataset;
 pub use partition::{dirichlet_partition, iid_partition, quantity_skew_partition, shard_partition};
-pub use synthetic::{SyntheticSpec, SyntheticTask, TaskPlan, TrainPlan};
+pub use synthetic::{SyntheticSpec, TaskPlan, TrainPlan};

@@ -190,45 +190,46 @@ pub fn quantity_skew_partition(
     out
 }
 
-/// Measure partition skew: the mean across clients of the total-variation
-/// distance between the client's label distribution and the global one.
-/// 0 = perfectly IID, →1 = each client owns disjoint labels.
-pub fn label_skew(labels: &[usize], partition: &[Vec<usize>]) -> f64 {
-    let num_classes = labels.iter().copied().max().map_or(0, |m| m + 1);
-    if num_classes == 0 || partition.is_empty() {
-        return 0.0;
-    }
-    let mut global = vec![0.0f64; num_classes];
-    for &y in labels {
-        global[y] += 1.0;
-    }
-    let total = labels.len() as f64;
-    global.iter_mut().for_each(|g| *g /= total);
-
-    let mut acc = 0.0;
-    let mut counted = 0usize;
-    for part in partition {
-        if part.is_empty() {
-            continue;
-        }
-        let mut local = vec![0.0f64; num_classes];
-        for &i in part {
-            local[labels[i]] += 1.0;
-        }
-        let n = part.len() as f64;
-        let tv: f64 =
-            local.iter().zip(global.iter()).map(|(&l, &g)| (l / n - g).abs()).sum::<f64>() / 2.0;
-        acc += tv;
-        counted += 1;
-    }
-    acc / counted as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Measure partition skew: the mean across clients of the total-variation
+    /// distance between the client's label distribution and the global one.
+    /// 0 = perfectly IID, →1 = each client owns disjoint labels.
+    pub(crate) fn label_skew(labels: &[usize], partition: &[Vec<usize>]) -> f64 {
+        let num_classes = labels.iter().copied().max().map_or(0, |m| m + 1);
+        if num_classes == 0 || partition.is_empty() {
+            return 0.0;
+        }
+        let mut global = vec![0.0f64; num_classes];
+        for &y in labels {
+            global[y] += 1.0;
+        }
+        let total = labels.len() as f64;
+        global.iter_mut().for_each(|g| *g /= total);
+
+        let mut acc = 0.0;
+        let mut counted = 0usize;
+        for part in partition {
+            if part.is_empty() {
+                continue;
+            }
+            let mut local = vec![0.0f64; num_classes];
+            for &i in part {
+                local[labels[i]] += 1.0;
+            }
+            let n = part.len() as f64;
+            let tv: f64 =
+                local.iter().zip(global.iter()).map(|(&l, &g)| (l / n - g).abs()).sum::<f64>()
+                    / 2.0;
+            acc += tv;
+            counted += 1;
+        }
+        acc / counted as f64
+    }
 
     fn labels_balanced(classes: usize, per_class: usize) -> Vec<usize> {
         (0..classes * per_class).map(|i| i % classes).collect()

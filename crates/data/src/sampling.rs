@@ -11,8 +11,8 @@ use rand_distr::{Distribution, Pareto, Zipf};
 /// second or two while a heavy tail idles for up to `max_seconds`.
 #[derive(Clone, Copy, Debug)]
 pub struct ZipfIdle {
-    pub s: f64,
-    pub max_seconds: u64,
+    pub(crate) s: f64,
+    pub(crate) max_seconds: u64,
 }
 
 impl ZipfIdle {
@@ -53,11 +53,6 @@ impl ParetoSpeed {
         let p = Pareto::new(self.scale, self.shape).expect("valid pareto");
         p.sample(rng).min(self.cap)
     }
-
-    /// Sample a whole fleet of `n` factors.
-    pub fn sample_fleet(&self, n: usize, rng: &mut impl Rng) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +87,7 @@ mod tests {
     fn pareto_bounds_and_tail() {
         let p = ParetoSpeed::paper_default();
         let mut rng = StdRng::seed_from_u64(2);
-        let fleet = p.sample_fleet(5000, &mut rng);
+        let fleet: Vec<f64> = (0..5000).map(|_| p.sample(&mut rng)).collect();
         assert!(fleet.iter().all(|&v| (1.0..=20.0).contains(&v)));
         let median = {
             let mut f = fleet.clone();
@@ -111,8 +106,11 @@ mod tests {
     #[test]
     fn samplers_deterministic_per_seed() {
         let p = ParetoSpeed::paper_default();
-        let a = p.sample_fleet(10, &mut StdRng::seed_from_u64(3));
-        let b = p.sample_fleet(10, &mut StdRng::seed_from_u64(3));
+        let fleet = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..10).map(|_| p.sample(&mut rng)).collect::<Vec<f64>>()
+        };
+        let (a, b) = (fleet(3), fleet(3));
         assert_eq!(a, b);
     }
 }

@@ -84,13 +84,6 @@ impl SyntheticSpec {
         }
     }
 
-    /// Override the class count (e.g. 47 for EMNIST-balanced-like runs).
-    pub fn with_classes(mut self, n: usize) -> Self {
-        assert!(n >= 2, "need at least two classes");
-        self.num_classes = n;
-        self
-    }
-
     /// Generate a full task: per-class prototypes plus train/test sets.
     pub fn generate(
         &self,
@@ -100,7 +93,7 @@ impl SyntheticSpec {
     ) -> SyntheticTask {
         let TaskPlan { train, test } = self.plan(train_per_class, test_per_class, seed);
         let all: Vec<usize> = (0..train.len()).collect();
-        SyntheticTask { spec: *self, train: train.subset(&all), test }
+        SyntheticTask { train: train.subset(&all), test }
     }
 
     /// Plan a task without making its training set: the prototypes, where
@@ -299,7 +292,6 @@ impl TrainPlan {
 /// A generated task: spec + train + test sets.
 #[derive(Clone)]
 pub struct SyntheticTask {
-    pub spec: SyntheticSpec,
     pub train: ImageDataset,
     pub test: ImageDataset,
 }
@@ -467,13 +459,5 @@ mod tests {
         assert!(shifts.iter().any(|&(s, b)| s != s0 || b != b0));
         // sigma = 0 is the identity shift.
         assert_eq!(sample_feature_shift(0.0, &mut rng), (1.0, 0.0));
-    }
-
-    #[test]
-    fn with_classes_overrides() {
-        let s = SyntheticSpec::emnist_like().with_classes(47);
-        let t = s.generate(1, 1, 0);
-        assert_eq!(t.train.num_classes(), 47);
-        assert_eq!(t.train.len(), 47);
     }
 }

@@ -30,18 +30,18 @@ use seafl_sim::digest::xxh64;
 /// Frame magic: "SEAFL wire, format 2". Format 1 differed only in its
 /// checksum; the new magic makes an old peer fail as `BadMagic`, not as a
 /// checksum mismatch.
-pub const MAGIC: [u8; 4] = *b"SFW2";
+pub(crate) const MAGIC: [u8; 4] = *b"SFW2";
 
 /// Fixed header size in bytes (everything before the payload).
-pub const HEADER_LEN: usize = 25;
+pub(crate) const HEADER_LEN: usize = 25;
 
 /// Wire-protocol version carried in the `Hello` handshake. Bump on any
 /// incompatible change to frames or messages.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub(crate) const PROTOCOL_VERSION: u32 = 3;
 
 /// Largest payload a decoder accepts by default (8 MiB). A length prefix
 /// beyond the limit is treated as corruption, not as an allocation request.
-pub const DEFAULT_MAX_PAYLOAD: usize = 8 << 20;
+pub(crate) const DEFAULT_MAX_PAYLOAD: usize = 8 << 20;
 
 /// What a frame carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub enum FrameKind {
     /// Handshake rejection; payload is a UTF-8 reason.
     Reject,
     /// Sequenced like `Data`, but a non-final fragment: the message
-    /// continues in the next offset ([`crate::link::Link`] splits and
+    /// continues in the next offset (`crate::link::Link` splits and
     /// reassembles).
     Part,
 }
@@ -93,11 +93,11 @@ impl FrameKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
     /// Frame kind.
-    pub kind: FrameKind,
+    pub(crate) kind: FrameKind,
     /// Sequence number (Data, Part), cumulative ack (Ack), or 0.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Message bytes.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
 }
 
 impl Frame {
@@ -107,7 +107,7 @@ impl Frame {
     }
 
     /// Bytes this frame occupies on the wire.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         HEADER_LEN + self.payload.len()
     }
 
@@ -193,24 +193,19 @@ impl Default for FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// Decoder with the [`DEFAULT_MAX_PAYLOAD`] cap.
+    /// Decoder with the `DEFAULT_MAX_PAYLOAD` cap.
     pub fn new() -> Self {
         FrameDecoder::with_max_payload(DEFAULT_MAX_PAYLOAD)
     }
 
     /// Decoder with an explicit payload cap.
-    pub fn with_max_payload(max_payload: usize) -> Self {
+    pub(crate) fn with_max_payload(max_payload: usize) -> Self {
         FrameDecoder { buf: Vec::new(), max_payload }
     }
 
     /// Append raw bytes from the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet decodable (a torn frame tail, or 0).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
     }
 
     /// Pop the next complete frame. `Ok(None)` means "need more bytes" —
@@ -273,7 +268,7 @@ mod tests {
             assert_eq!(dec.next_frame().unwrap().as_ref(), Some(f));
         }
         assert_eq!(dec.next_frame().unwrap(), None);
-        assert_eq!(dec.buffered(), 0);
+        assert_eq!(dec.buf.len(), 0);
     }
 
     #[test]
@@ -297,7 +292,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes[..bytes.len() - 2]);
         assert_eq!(dec.next_frame().unwrap(), None);
-        assert_eq!(dec.buffered(), bytes.len() - 2);
+        assert_eq!(dec.buf.len(), bytes.len() - 2);
     }
 
     #[test]

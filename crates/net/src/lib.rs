@@ -18,43 +18,41 @@
 //!
 //! Layers, bottom up:
 //!
-//! * [`frame`] — length-prefixed, FNV-checksummed frames over a byte
+//! * `frame` — length-prefixed, FNV-checksummed frames over a byte
 //!   stream; hostile input (torn, corrupt, oversized) is detected, never
 //!   trusted.
-//! * [`link`] — the one sequenced endpoint both peers hold: offset-numbered
+//! * `link` — the one sequenced endpoint both peers hold: offset-numbered
 //!   frames, cumulative acks, RTO retransmit, a bounded replay history, a
 //!   deduplicating receiver and message fragmentation — exactly-once
 //!   in-order delivery of whole messages plus resume-after-reconnect.
 //! * [`msg`] — the application messages (handshake, model, assignment,
 //!   outcome), encoded with the checkpoint codec.
-//! * [`transport`] — the [`transport::Transport`] seam: blocking
+//! * [`transport`] — the `transport::Transport` seam: blocking
 //!   frame-granular send/recv over TCP or UDS, with a timeout (the client
 //!   polls its one link) or without (the server's reader threads).
-//! * [`lossy`] — deterministic, seeded fault injection (drop / duplicate /
+//! * `lossy` — deterministic, seeded fault injection (drop / duplicate /
 //!   reorder / delay / forced disconnect) wrapping any transport.
-//! * [`server`] / [`client`] — the two endpoints; `src/bin/` wraps them as
+//! * [`server`] / `client` — the two endpoints; `src/bin/` wraps them as
 //!   the `seafl-server` and `seafl-client` binaries. The server reads each
 //!   connection on its own thread into one event queue and sleeps on that
 //!   queue; the client blocks in its single link's read.
 
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod frame;
-pub mod link;
-pub mod lossy;
+pub(crate) mod client;
+pub(crate) mod frame;
+pub(crate) mod link;
+pub(crate) mod lossy;
 pub mod msg;
 pub mod preset;
 pub mod server;
 pub mod transport;
 
 pub use client::NetClient;
-pub use frame::{Frame, FrameDecoder, FrameError, FrameKind, PROTOCOL_VERSION};
-pub use link::{Link, RecvLink, ReplayGap, SendLink, MAX_MESSAGE};
-pub use lossy::LossyTransport;
-pub use msg::Msg;
+pub(crate) use frame::FrameError;
+pub use frame::{Frame, FrameDecoder, FrameKind};
 pub use server::{NetServer, NetStats};
-pub use transport::{Endpoint, NetListener, StreamTransport, Transport};
+pub use transport::Endpoint;
 
 /// Every failure carries the endpoint or peer it happened on — a refused
 /// bind, a dead peer and a corrupt stream all read differently in logs.
@@ -156,7 +154,7 @@ impl std::error::Error for NetError {
 
 impl NetError {
     /// Build the Io variant with context, for `map_err` chains.
-    pub fn io(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> NetError {
+    pub(crate) fn io(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> NetError {
         let context = context.into();
         move |source| NetError::Io { context, source }
     }

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 /// Sender half of a sequenced link.
 #[derive(Debug)]
-pub struct SendLink {
+pub(crate) struct SendLink {
     next_offset: u64,
     acked: u64,
     history: VecDeque<Frame>,
@@ -44,16 +44,16 @@ pub struct SendLink {
 
 /// A resume request reached back past the bounded replay history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplayGap {
+pub(crate) struct ReplayGap {
     /// Offset the peer asked to resume from.
-    pub requested: u64,
+    pub(crate) requested: u64,
     /// Oldest offset still retained.
-    pub oldest: u64,
+    pub(crate) oldest: u64,
 }
 
 impl SendLink {
     /// Fresh sender keeping at most `cap` unacked frames for replay.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         SendLink { next_offset: 0, acked: 0, history: VecDeque::new(), cap: cap.max(1) }
     }
 
@@ -61,7 +61,7 @@ impl SendLink {
     /// retain it for replay. If the history is full the oldest retained
     /// frame is evicted — past that point a peer needing it back can only
     /// be refused.
-    pub fn stamp(&mut self, kind: FrameKind, payload: Vec<u8>) -> &Frame {
+    pub(crate) fn stamp(&mut self, kind: FrameKind, payload: Vec<u8>) -> &Frame {
         self.history.push_back(Frame::new(kind, self.next_offset, payload));
         self.next_offset += 1;
         while self.history.len() > self.cap {
@@ -73,7 +73,7 @@ impl SendLink {
     /// Process a cumulative ack: everything below `upto` is delivered and
     /// can be dropped from the history. Returns `true` if the ack advanced
     /// (i.e. new frames were confirmed).
-    pub fn on_ack(&mut self, upto: u64) -> bool {
+    pub(crate) fn on_ack(&mut self, upto: u64) -> bool {
         if upto <= self.acked {
             return false;
         }
@@ -86,19 +86,19 @@ impl SendLink {
 
     /// Frames sent but not yet covered by a cumulative ack, oldest first
     /// (the go-back-N retransmit set).
-    pub fn unacked(&self) -> impl Iterator<Item = &Frame> {
+    pub(crate) fn unacked(&self) -> impl Iterator<Item = &Frame> {
         self.history.iter().filter(move |f| f.offset >= self.acked)
     }
 
     /// Number of unacked frames in flight.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         (self.next_offset - self.acked) as usize
     }
 
     /// Replay every retained frame from `from` (the resuming peer's next
     /// expected offset) onward, or report the gap if the bounded history
     /// no longer reaches back that far.
-    pub fn replay_from(&self, from: u64) -> Result<Vec<Frame>, ReplayGap> {
+    pub(crate) fn replay_from(&self, from: u64) -> Result<Vec<Frame>, ReplayGap> {
         if from >= self.next_offset {
             return Ok(Vec::new());
         }
@@ -108,28 +108,18 @@ impl SendLink {
         }
         Ok(self.history.iter().filter(|f| f.offset >= from).cloned().collect())
     }
-
-    /// Next sequence offset to be assigned.
-    pub fn next_offset(&self) -> u64 {
-        self.next_offset
-    }
-
-    /// Highest cumulative ack seen.
-    pub fn acked(&self) -> u64 {
-        self.acked
-    }
 }
 
 /// Receiver half of a sequenced link.
 #[derive(Debug, Default)]
-pub struct RecvLink {
+pub(crate) struct RecvLink {
     next: u64,
     pending: BTreeMap<u64, Frame>,
 }
 
 impl RecvLink {
     /// Fresh receiver expecting offset 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RecvLink::default()
     }
 
@@ -137,7 +127,7 @@ impl RecvLink {
     /// order (possibly none, if `frame` arrived ahead of a gap) and
     /// whether `frame` was a duplicate of something already delivered or
     /// parked (duplicates produce no deliveries and mutate nothing).
-    pub fn accept(&mut self, frame: Frame) -> (Vec<Frame>, bool) {
+    pub(crate) fn accept(&mut self, frame: Frame) -> (Vec<Frame>, bool) {
         if frame.offset < self.next || self.pending.contains_key(&frame.offset) {
             return (Vec::new(), true);
         }
@@ -151,7 +141,7 @@ impl RecvLink {
     }
 
     /// Cumulative ack to advertise: the next offset this receiver expects.
-    pub fn cumulative_ack(&self) -> u64 {
+    pub(crate) fn cumulative_ack(&self) -> u64 {
         self.next
     }
 }
@@ -160,22 +150,22 @@ impl RecvLink {
 /// model). The one size cap above the per-frame payload cap: a peer that
 /// streams fragments past it is cut off ([`FrameError::Oversized`])
 /// before the buffer grows.
-pub const MAX_MESSAGE: usize = 64 << 20;
+pub(crate) const MAX_MESSAGE: usize = 64 << 20;
 
 /// What one [`Link::poll`] or [`Link::on_frame`] saw.
 #[derive(Debug, Default)]
-pub struct Polled {
+pub(crate) struct Polled {
     /// Wire bytes of the frame read (0: the wait elapsed, or the link is
     /// down).
-    pub received: u64,
+    pub(crate) received: u64,
     /// Wire bytes of the ack written in reply.
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Messages this frame completed, in order.
-    pub messages: Vec<Vec<u8>>,
+    pub(crate) messages: Vec<Vec<u8>>,
 }
 
 /// One end of a resumable, sequenced, fragmenting link (see module docs).
-pub struct Link {
+pub(crate) struct Link {
     /// `None` while down; pushes still land in the replay history.
     transport: Option<Box<dyn Transport>>,
     send: SendLink,
@@ -210,7 +200,7 @@ fn write(transport: &mut Option<Box<dyn Transport>>, frame: &Frame) -> u64 {
 impl Link {
     /// A link with no connection yet, configured from the transport knobs
     /// (replay history, fragment size, RTO base).
-    pub fn new(knobs: &TransportConfig) -> Link {
+    pub(crate) fn new(knobs: &TransportConfig) -> Link {
         Link {
             transport: None,
             send: SendLink::new(knobs.replay_history),
@@ -224,30 +214,30 @@ impl Link {
     }
 
     /// Whether a connection is attached.
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.transport.is_some()
     }
 
     /// Drop the connection (the peer may resume on a new one).
-    pub fn detach(&mut self) {
+    pub(crate) fn detach(&mut self) {
         self.transport = None;
     }
 
     /// Frames sent and not yet acked.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.send.in_flight()
     }
 
     /// Next offset this end expects — what a handshake tells the peer to
     /// replay from.
-    pub fn recv_next(&self) -> u64 {
+    pub(crate) fn recv_next(&self) -> u64 {
         self.recv.cumulative_ack()
     }
 
     /// The gap, if a peer expecting `peer_next` can no longer be served
     /// from the replay history. Check before [`Link::attach`]: a handshake
     /// must refuse such a peer, not welcome it.
-    pub fn replay_gap(&self, peer_next: u64) -> Option<ReplayGap> {
+    pub(crate) fn replay_gap(&self, peer_next: u64) -> Option<ReplayGap> {
         self.send.replay_from(peer_next).err()
     }
 
@@ -255,7 +245,7 @@ impl Link {
     /// (fates drawn from `(seed, loss_link)`), replay everything from
     /// `peer_next` on and restart the RTO clock. Returns the bytes
     /// replayed. Panics if `peer_next` lies in a [`Link::replay_gap`].
-    pub fn attach(
+    pub(crate) fn attach(
         &mut self,
         stream: StreamTransport,
         loss: LossConfig,
@@ -290,7 +280,7 @@ impl Link {
     /// write it if the link is up. Returns the bytes written — a down link
     /// only means "delivered after the reconnect", never "lost". Panics
     /// past [`MAX_MESSAGE`]: the peer would refuse the message.
-    pub fn push(&mut self, message: &[u8]) -> u64 {
+    pub(crate) fn push(&mut self, message: &[u8]) -> u64 {
         assert!(message.len() <= MAX_MESSAGE, "message of {} bytes exceeds cap", message.len());
         let mut sent = 0;
         let mut rest = message;
@@ -311,7 +301,7 @@ impl Link {
     /// Wait up to `wait` for one frame on the attached connection and
     /// process it ([`Link::on_frame`]). A failed read drops the
     /// connection; a down link hears nothing.
-    pub fn poll(&mut self, wait: Duration) -> Result<Polled, FrameError> {
+    pub(crate) fn poll(&mut self, wait: Duration) -> Result<Polled, FrameError> {
         let Some(t) = self.transport.as_mut() else { return Ok(Polled::default()) };
         match t.recv(wait) {
             Ok(Some(frame)) => self.on_frame(frame),
@@ -336,7 +326,7 @@ impl Link {
     /// handed up when its `Data` frame lands. A peer whose fragments
     /// outgrow [`MAX_MESSAGE`] is cut off — connection and partial
     /// message dropped — before any growth past the cap.
-    pub fn on_frame(&mut self, frame: Frame) -> Result<Polled, FrameError> {
+    pub(crate) fn on_frame(&mut self, frame: Frame) -> Result<Polled, FrameError> {
         let mut out = Polled { received: frame.wire_len() as u64, ..Polled::default() };
         match frame.kind {
             FrameKind::Ack => {
@@ -369,14 +359,14 @@ impl Link {
 
     /// When the RTO clock runs out (`None`: nothing in flight). The
     /// moment [`Link::retransmit_due`] would act, if the link is up.
-    pub fn rto_deadline(&self) -> Option<Instant> {
+    pub(crate) fn rto_deadline(&self) -> Option<Instant> {
         self.rto_deadline
     }
 
     /// Go-back-N: if the link is up and the RTO clock has run out at
     /// `now`, rewrite every unacked frame and double the RTO up to its
     /// cap. Returns `(frames, bytes)` rewritten.
-    pub fn retransmit_due(&mut self, now: Instant) -> (u64, u64) {
+    pub(crate) fn retransmit_due(&mut self, now: Instant) -> (u64, u64) {
         if self.transport.is_none() || self.rto_deadline.is_none_or(|d| now < d) {
             return (0, 0);
         }
@@ -664,7 +654,7 @@ mod tests {
         }
         assert!(tx.on_ack(3));
         assert!(!tx.on_ack(1), "stale cumulative ack must be ignored");
-        assert_eq!(tx.acked(), 3);
+        assert_eq!(tx.acked, 3);
         assert_eq!(tx.in_flight(), 1);
     }
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 /// A [`Transport`] whose outgoing frames suffer seeded, reproducible
 /// faults.
-pub struct LossyTransport<T: Transport> {
+pub(crate) struct LossyTransport<T: Transport> {
     inner: T,
     cfg: LossConfig,
     seed: u64,
@@ -31,18 +31,8 @@ pub struct LossyTransport<T: Transport> {
 
 impl<T: Transport> LossyTransport<T> {
     /// Wrap `inner`; fates are drawn from `(seed, link, frame_index)`.
-    pub fn new(inner: T, cfg: LossConfig, seed: u64, link: u64) -> Self {
+    pub(crate) fn new(inner: T, cfg: LossConfig, seed: u64, link: u64) -> Self {
         LossyTransport { inner, cfg, seed, link, sent: 0, held: None, tripped: false }
-    }
-
-    /// Frames offered to `send` so far (including dropped ones).
-    pub fn frames_sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Whether the one-shot forced disconnect has already fired.
-    pub fn disconnect_tripped(&self) -> bool {
-        self.tripped
     }
 }
 
@@ -179,7 +169,7 @@ mod tests {
         t.send(&data(1)).unwrap();
         let err = t.send(&data(2)).unwrap_err();
         assert!(err.to_string().contains("injected disconnect"), "got {err}");
-        assert!(t.disconnect_tripped());
+        assert!(t.tripped);
         // After the trip (as after a real reconnect) sends flow again.
         t.send(&data(3)).unwrap();
         assert_eq!(offsets(&t.inner), vec![0, 1, 3]);

@@ -2,7 +2,7 @@
 //!
 //! Handshake messages (`Hello`/`Welcome`/`Reject`) ride unsequenced
 //! frames of the matching [`crate::frame::FrameKind`]; everything else is
-//! pushed whole through a [`crate::link::Link`], so model downloads,
+//! pushed whole through a `crate::link::Link`, so model downloads,
 //! assignments and outcome uploads all inherit the link layer's
 //! exactly-once in-order delivery, its resume-after-reconnect replay and
 //! its fragmentation — a message here is never split, indexed or
@@ -21,7 +21,7 @@ use seafl_sim::rng::SimRngState;
 
 /// One application message.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Msg {
+pub(crate) enum Msg {
     /// Client → server: identify and (for `worker > 0`) resume.
     Hello {
         /// Wire-protocol version ([`crate::frame::PROTOCOL_VERSION`]).
@@ -84,7 +84,7 @@ pub enum Msg {
 
 impl Msg {
     /// Encode into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = BinWriter::new();
         match self {
             Msg::Hello { protocol, config_hash, worker, recv_next } => {
@@ -122,7 +122,7 @@ impl Msg {
     }
 
     /// Decode a frame payload; trailing bytes are an error.
-    pub fn decode(payload: &[u8]) -> Result<Msg, CodecError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Msg, CodecError> {
         let mut r = BinReader::new(payload);
         let msg = match r.u8()? {
             0 => Msg::Hello {
@@ -168,7 +168,7 @@ fn write_outcome_header(w: &mut BinWriter, generation: u64, client_id: u64) {
 
 /// The bytes of `Msg::Model { generation, params }.encode()`, written
 /// straight from the borrowed parameters (no owned copy of the model).
-pub fn encode_model(generation: u64, params: &[f32]) -> Vec<u8> {
+pub(crate) fn encode_model(generation: u64, params: &[f32]) -> Vec<u8> {
     let mut w = BinWriter::new();
     write_model(&mut w, generation, params);
     w.into_bytes()
@@ -178,7 +178,7 @@ pub fn encode_model(generation: u64, params: &[f32]) -> Vec<u8> {
 /// where `blob` is [`encode_outcome`] or — with `codec` armed as
 /// `(codec, reference)` — [`encode_outcome_coded`], written into one
 /// buffer: the blob is never staged on its own.
-pub fn encode_outcome_msg(
+pub(crate) fn encode_outcome_msg(
     generation: u64,
     client_id: u64,
     outcome: &TrainOutcome,
@@ -389,5 +389,98 @@ mod tests {
         // packed mode, not a silent wrong answer.
         let blob = encode_outcome_coded(&outcome, rng_sample(), &GenDelta, &reference);
         assert!(decode_outcome_coded(&blob, &GenDelta, &reference[..3]).is_err());
+    }
+
+    /// SplitMix64: a dependency-free seeded stream for the mutation test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn mutated_bytes_never_panic_a_decoder() {
+        use seafl_core::{build_codec, CodecConfig, GenDelta, QuantInt8, TopK};
+        let reference = vec![0.25f32, -1.0, 3.5, 0.0, 7.25, -0.5];
+        let outcome = TrainOutcome {
+            snapshots: vec![vec![0.5, -1.0, 9.0, -0.0, 7.25, f32::NAN], reference.clone()],
+            epoch_losses: vec![0.9, 0.4],
+        };
+        let identity = build_codec(&CodecConfig::default());
+        let codecs: [&dyn UpdateCodec; 4] = [&*identity, &GenDelta, &TopK::new(2), &QuantInt8];
+
+        // Valid encodings: every message, the plain and coded outcome blobs,
+        // and both borrowing encoders.
+        let mut seeds: Vec<Vec<u8>> = [
+            Msg::Hello { protocol: 1, config_hash: 0xdead_beef, worker: 2, recv_next: 9 },
+            Msg::Welcome { worker: 3, resume_from: 17 },
+            Msg::Reject { reason: "config hash mismatch".into() },
+            Msg::Model { generation: 2, params: reference.clone() },
+            Msg::Assign {
+                generation: 2,
+                client_id: 5,
+                epochs: 3,
+                keep_snapshots: true,
+                rng: rng_sample(),
+            },
+            Msg::Outcome { generation: 2, client_id: 5, blob: vec![9; 40] },
+            Msg::Done,
+        ]
+        .iter()
+        .map(Msg::encode)
+        .collect();
+        seeds.push(encode_outcome(&outcome, rng_sample()));
+        seeds.push(encode_model(4, &reference));
+        seeds.push(encode_outcome_msg(4, 1, &outcome, rng_sample(), None));
+        for &codec in &codecs[1..] {
+            seeds.push(encode_outcome_coded(&outcome, rng_sample(), codec, &reference));
+            seeds.push(encode_outcome_msg(4, 1, &outcome, rng_sample(), Some((codec, &reference))));
+        }
+
+        let mut rng = Mix(0x5eaf1);
+        for case in 0..20_000 {
+            let mut bytes = seeds[rng.below(seeds.len())].clone();
+            match rng.below(4) {
+                0 if !bytes.is_empty() => {
+                    let i = rng.below(bytes.len());
+                    bytes[i] ^= 1 << rng.below(8);
+                }
+                1 => bytes.truncate(rng.below(bytes.len() + 1)),
+                2 if bytes.len() >= 8 => {
+                    let len = match rng.below(5) {
+                        0 => u64::MAX,
+                        1 => u64::from(u32::MAX),
+                        2 => 1 << 40,
+                        3 => 0,
+                        _ => rng.next(),
+                    };
+                    let at = rng.below(bytes.len() - 7);
+                    bytes[at..at + 8].copy_from_slice(&len.to_le_bytes());
+                }
+                _ => {
+                    let other = &seeds[rng.below(seeds.len())];
+                    bytes.truncate(rng.below(bytes.len() + 1));
+                    bytes.extend_from_slice(&other[rng.below(other.len() + 1)..]);
+                }
+            }
+            let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = Msg::decode(&bytes);
+                let _ = decode_outcome(&bytes);
+                for &codec in &codecs {
+                    let _ = decode_outcome_coded(&bytes, codec, &reference);
+                }
+            }));
+            assert!(decoded.is_ok(), "case {case}: a decoder panicked on {bytes:02x?}");
+        }
     }
 }

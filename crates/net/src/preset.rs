@@ -13,7 +13,7 @@ use seafl_nn::ModelKind;
 use seafl_sim::FleetConfig;
 
 /// Algorithm from its stable label (the `--algorithm` flag).
-pub fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
+pub(crate) fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
     Ok(match name {
         "seafl" => Algorithm::seafl(5, 3, Some(4)),
         "seafl2" => Algorithm::seafl2(5, 3, 4),

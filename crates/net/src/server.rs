@@ -4,7 +4,7 @@
 //! The engine's event loop never knows it is networked — it calls
 //! [`CohortTrainer::train_cohort`] with a cohort and gets outcomes back.
 //! Inside, the server pushes the round's global model to each worker that
-//! needs it and one `Assign` per job, each down that worker's [`Link`]
+//! needs it and one `Assign` per job, each down that worker's `Link`
 //! (which fragments, acks, retransmits and replays — none of that lives
 //! here), then pumps events until the cohort is served. Every adopted
 //! connection gets one reader thread that decodes its frames into the
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 /// Server-side loss injection uses link ids offset by this, keeping them
 /// disjoint from the client-side links (which use the worker's `--link`).
-pub const SERVER_LINK_BASE: u64 = 1_000;
+pub(crate) const SERVER_LINK_BASE: u64 = 1_000;
 
 /// The longest the pump waits without looking at the listener: accepting
 /// stays a non-blocking poll, so a (re)connecting worker waits at most

@@ -1,14 +1,14 @@
 //! The transport seam: frame-granular send/recv over real sockets.
 //!
 //! Everything above this module speaks [`Frame`]s; everything below is a
-//! byte stream. [`StreamTransport`] adapts blocking TCP or unix-domain
-//! streams: [`Transport::recv`] waits at most a timeout (the client's
-//! poll), [`StreamTransport::recv_blocking`] waits for as long as it
-//! takes (a server reader thread, which [`StreamTransport::shutdown`]
-//! wakes from another thread through a [`StreamTransport::try_clone`]).
-//! [`NetListener`] accepts connections without blocking the server's
-//! event pump. The [`Transport`] trait is object-safe so the lossy fault
-//! injector ([`crate::lossy::LossyTransport`]) can wrap any
+//! byte stream. `StreamTransport` adapts blocking TCP or unix-domain
+//! streams: `Transport::recv` waits at most a timeout (the client's
+//! poll), `StreamTransport::recv_blocking` waits for as long as it
+//! takes (a server reader thread, which `StreamTransport::shutdown`
+//! wakes from another thread through a `StreamTransport::try_clone`).
+//! `NetListener` accepts connections without blocking the server's
+//! event pump. The `Transport` trait is object-safe so the lossy fault
+//! injector (`crate::lossy::LossyTransport`) can wrap any
 //! implementation transparently.
 
 use crate::frame::{Frame, FrameDecoder};
@@ -82,7 +82,7 @@ impl std::fmt::Display for Endpoint {
 
 /// Object-safe frame pipe. `Send` so a boxed transport can live inside
 /// the engine's [`seafl_core::CohortTrainer`].
-pub trait Transport: Send {
+pub(crate) trait Transport: Send {
     /// Write one frame, flushing it onto the wire.
     fn send(&mut self, frame: &Frame) -> Result<(), NetError>;
 
@@ -114,7 +114,7 @@ enum StreamKind {
 
 /// A connected byte-stream transport (TCP or UDS) with an incremental
 /// frame decoder on the read side.
-pub struct StreamTransport {
+pub(crate) struct StreamTransport {
     stream: StreamKind,
     decoder: FrameDecoder,
     peer: String,
@@ -127,7 +127,7 @@ pub struct StreamTransport {
 
 impl StreamTransport {
     /// Connect to `ep` (one attempt; callers layer retry/backoff on top).
-    pub fn connect(ep: &Endpoint) -> Result<StreamTransport, NetError> {
+    pub(crate) fn connect(ep: &Endpoint) -> Result<StreamTransport, NetError> {
         let peer = ep.to_string();
         let stream = match ep {
             Endpoint::Tcp(addr) => {
@@ -151,7 +151,7 @@ impl StreamTransport {
     /// A second handle on the same connection, for another thread. Both
     /// share the socket (and its read timeout), not the frame decoder nor
     /// the cached timeout: only one of them should read.
-    pub fn try_clone(&self) -> Result<StreamTransport, NetError> {
+    pub(crate) fn try_clone(&self) -> Result<StreamTransport, NetError> {
         let context = format!("clone the connection to {}", self.peer);
         let stream = match &self.stream {
             StreamKind::Tcp(s) => StreamKind::Tcp(s.try_clone().map_err(NetError::io(context))?),
@@ -164,7 +164,7 @@ impl StreamTransport {
     /// Shut the connection down in both directions: the peer reads EOF,
     /// and a read blocked on any handle to it returns. Errors (the peer
     /// is already gone) are ignored — the connection is over either way.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let _ = match &self.stream {
             StreamKind::Tcp(s) => s.shutdown(Shutdown::Both),
             #[cfg(unix)]
@@ -175,7 +175,7 @@ impl StreamTransport {
     /// Read the next frame, waiting as long as it takes: a reader
     /// thread's loop. Ends in an error once the peer closes or the
     /// connection is [`StreamTransport::shutdown`].
-    pub fn recv_blocking(&mut self) -> Result<Frame, NetError> {
+    pub(crate) fn recv_blocking(&mut self) -> Result<Frame, NetError> {
         // A timeout can still fire if another handle re-armed the shared
         // socket's; it only means "read again".
         loop {
@@ -274,7 +274,7 @@ enum ListenerKind {
 }
 
 /// A non-blocking listener the server polls between protocol work.
-pub struct NetListener {
+pub(crate) struct NetListener {
     kind: ListenerKind,
     local: Endpoint,
 }
@@ -283,7 +283,7 @@ impl NetListener {
     /// Bind `ep`. For TCP with port 0 the returned listener's
     /// [`NetListener::local_endpoint`] carries the actual port; for UDS a
     /// stale socket file at the path is removed first.
-    pub fn bind(ep: &Endpoint) -> Result<NetListener, NetError> {
+    pub(crate) fn bind(ep: &Endpoint) -> Result<NetListener, NetError> {
         match ep {
             Endpoint::Tcp(addr) => {
                 let l =
@@ -315,12 +315,12 @@ impl NetListener {
     }
 
     /// The endpoint actually bound (resolves TCP port 0).
-    pub fn local_endpoint(&self) -> &Endpoint {
+    pub(crate) fn local_endpoint(&self) -> &Endpoint {
         &self.local
     }
 
     /// Accept one pending connection, if any.
-    pub fn accept(&self) -> Result<Option<StreamTransport>, NetError> {
+    pub(crate) fn accept(&self) -> Result<Option<StreamTransport>, NetError> {
         let accepted = match &self.kind {
             ListenerKind::Tcp(l) => match l.accept() {
                 Ok((s, addr)) => {

@@ -8,12 +8,12 @@ use seafl_tensor::Tensor;
 /// The backward pass uses the cached *output* mask (`y > 0` ⇔ `x > 0`), so
 /// only a bitmask-equivalent tensor is retained.
 #[derive(Clone)]
-pub struct Relu {
+pub(crate) struct Relu {
     mask: Option<Vec<bool>>,
 }
 
 impl Relu {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Relu { mask: None }
     }
 }
@@ -27,10 +27,6 @@ impl Default for Relu {
 impl Layer for Relu {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "relu"
     }
 
     fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
@@ -53,105 +49,6 @@ impl Layer for Relu {
             if !m {
                 *g = 0.0;
             }
-        }
-        grad_out
-    }
-}
-
-/// Hyperbolic tangent activation (used by the classical LeNet-5 variant).
-#[derive(Clone)]
-pub struct Tanh {
-    output: Option<Tensor>,
-}
-
-impl Tanh {
-    pub fn new() -> Self {
-        Tanh { output: None }
-    }
-}
-
-impl Default for Tanh {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Tanh {
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        let y = x.map(f32::tanh);
-        if train {
-            self.output = Some(y.clone());
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let y = self.output.take().expect("Tanh::backward called without forward(train=true)");
-        // d tanh(x)/dx = 1 - tanh(x)^2
-        grad_out.zip(&y, |g, t| g * (1.0 - t * t))
-    }
-}
-
-/// Inverted dropout: during training each activation is zeroed with
-/// probability `p` and survivors are scaled by `1/(1−p)`, so inference is
-/// the identity. The mask RNG is owned by the layer and seeded explicitly —
-/// simulation determinism is preserved.
-#[derive(Clone)]
-pub struct Dropout {
-    p: f32,
-    rng: rand::rngs::StdRng,
-    mask: Option<Vec<f32>>,
-}
-
-impl Dropout {
-    pub fn new(p: f32, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "Dropout: p must be in [0, 1)");
-        use rand::SeedableRng;
-        Dropout { p, rng: rand::rngs::StdRng::seed_from_u64(seed), mask: None }
-    }
-}
-
-impl Layer for Dropout {
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "dropout"
-    }
-
-    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
-            if train {
-                self.mask = Some(vec![1.0; x.len()]);
-            }
-            return x;
-        }
-        use rand::Rng;
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let mask: Vec<f32> =
-            (0..x.len()).map(|_| if self.rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
-        for (v, &m) in x.as_mut_slice().iter_mut().zip(mask.iter()) {
-            *v *= m;
-        }
-        self.mask = Some(mask);
-        x
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let mask = self.mask.take().expect("Dropout::backward called without forward(train=true)");
-        assert_eq!(mask.len(), grad_out.len(), "Dropout: gradient shape mismatch");
-        for (g, &m) in grad_out.as_mut_slice().iter_mut().zip(mask.iter()) {
-            *g *= m;
         }
         grad_out
     }
@@ -181,61 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn tanh_gradient_finite_difference() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_slice(&[0.3, -1.2, 2.0]);
-        t.forward(x.clone(), true);
-        let g = t.backward(Tensor::full(Shape::d1(3), 1.0));
-        let eps = 1e-3;
-        for i in 0..3 {
-            let fd =
-                ((x.as_slice()[i] + eps).tanh() - (x.as_slice()[i] - eps).tanh()) / (2.0 * eps);
-            assert!((g.as_slice()[i] - fd).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "without forward")]
     fn relu_backward_without_forward_panics() {
         Relu::new().backward(Tensor::zeros(Shape::d1(1)));
-    }
-
-    #[test]
-    fn dropout_inference_is_identity() {
-        let mut d = Dropout::new(0.5, 0);
-        let x = Tensor::from_slice(&[1.0, -2.0, 3.0]);
-        assert_eq!(d.forward(x.clone(), false), x);
-    }
-
-    #[test]
-    fn dropout_preserves_expectation_and_masks_gradient() {
-        let mut d = Dropout::new(0.3, 7);
-        let n = 20_000;
-        let x = Tensor::full(Shape::d1(n), 1.0);
-        let y = d.forward(x, true);
-        // Inverted dropout: E[y] = 1.
-        assert!((y.mean() - 1.0).abs() < 0.03, "mean {}", y.mean());
-        let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
-        let frac = zeros as f64 / n as f64;
-        assert!((frac - 0.3).abs() < 0.02, "dropped fraction {frac}");
-        // Backward routes gradient only through survivors, with scaling.
-        let g = d.backward(Tensor::full(Shape::d1(n), 1.0));
-        for (gi, yi) in g.as_slice().iter().zip(y.as_slice().iter()) {
-            assert_eq!(gi == &0.0, yi == &0.0);
-        }
-    }
-
-    #[test]
-    fn dropout_deterministic_per_seed() {
-        let x = Tensor::full(Shape::d1(64), 1.0);
-        let a = Dropout::new(0.5, 3).forward(x.clone(), true);
-        let b = Dropout::new(0.5, 3).forward(x, true);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "p must be in")]
-    fn dropout_p_one_panics() {
-        Dropout::new(1.0, 0);
     }
 }

@@ -12,9 +12,8 @@ use seafl_tensor::{init, Shape, Tensor};
 /// forward pass is a GEMM against a gathered im2col view of the input —
 /// patches are packed straight into the kernel's panels, never materialized.
 #[derive(Clone)]
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     geom: Conv2dGeom,
-    out_channels: usize,
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
@@ -26,27 +25,17 @@ impl Conv2d {
     /// He-normal initialized convolution; `geom` fixes the input spatial
     /// dimensions (models in this project are built for a fixed input size,
     /// like the paper's 28×28 / 32×32 datasets).
-    pub fn new(geom: Conv2dGeom, out_channels: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(geom: Conv2dGeom, out_channels: usize, rng: &mut impl Rng) -> Self {
         assert!(out_channels > 0, "Conv2d: zero output channels");
         let patch = geom.patch_len();
         Conv2d {
             geom,
-            out_channels,
             weight: init::he_normal(Shape::d2(out_channels, patch), patch, rng),
             bias: Tensor::zeros(Shape::d1(out_channels)),
             grad_weight: Tensor::zeros(Shape::d2(out_channels, patch)),
             grad_bias: Tensor::zeros(Shape::d1(out_channels)),
             cached_input: None,
         }
-    }
-
-    pub fn geom(&self) -> &Conv2dGeom {
-        &self.geom
-    }
-
-    /// Output shape for a given batch size.
-    pub fn out_shape(&self, batch: usize) -> Shape {
-        Shape::d4(batch, self.out_channels, self.geom.out_h(), self.geom.out_w())
     }
 
     fn take_input(&mut self) -> Tensor {
@@ -64,10 +53,6 @@ impl Conv2d {
 impl Layer for Conv2d {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "conv2d"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
@@ -148,7 +133,6 @@ mod tests {
         let x = Tensor::zeros(Shape::d4(2, 1, 28, 28));
         let y = c.forward(x, false);
         assert_eq!(y.shape(), Shape::d4(2, 6, 24, 24));
-        assert_eq!(c.out_shape(2), y.shape());
     }
 
     #[test]
@@ -184,7 +168,7 @@ mod tests {
         let mut params_only = full.clone();
         for step in 0..2 {
             let x = rng_tensor(Shape::d4(3, 2, 6, 5), 10 + step);
-            let gout = rng_tensor(full.out_shape(3), 20 + step);
+            let gout = rng_tensor(Shape::d4(3, 3, 3, 3), 20 + step);
             full.forward(x.clone(), true);
             full.backward(gout.clone());
             params_only.forward(x, true);

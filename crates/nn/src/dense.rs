@@ -11,7 +11,7 @@ use seafl_tensor::{init, matmul, Shape, Tensor};
 /// * bias `[out_features]`
 /// * output `[batch, out_features]`
 #[derive(Clone)]
-pub struct Dense {
+pub(crate) struct Dense {
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
@@ -23,7 +23,7 @@ pub struct Dense {
 
 impl Dense {
     /// Xavier-uniform initialized dense layer.
-    pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
         assert!(in_features > 0 && out_features > 0, "Dense: zero-sized layer");
         let weight = init::xavier_uniform(
             Shape::d2(out_features, in_features),
@@ -43,28 +43,16 @@ impl Dense {
     }
 
     /// He-normal initialized variant (hidden layers of ReLU MLPs).
-    pub fn new_he(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new_he(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
         let mut d = Self::new(in_features, out_features, rng);
         d.weight = init::he_normal(Shape::d2(out_features, in_features), in_features, rng);
         d
-    }
-
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    pub fn out_features(&self) -> usize {
-        self.out_features
     }
 }
 
 impl Layer for Dense {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "dense"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {

@@ -5,12 +5,12 @@ use seafl_tensor::{Shape, Tensor};
 
 /// Reshape a rank-4 batch to rank-2 rows, preserving the batch dimension.
 #[derive(Clone)]
-pub struct Flatten {
+pub(crate) struct Flatten {
     cached_shape: Option<Shape>,
 }
 
 impl Flatten {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Flatten { cached_shape: None }
     }
 }
@@ -24,10 +24,6 @@ impl Default for Flatten {
 impl Layer for Flatten {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "flatten"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {

@@ -12,10 +12,7 @@ use seafl_tensor::Tensor;
 ///   be called at most once per `forward(.., true)` call, after that call.
 /// * `params` / `grads` expose parameters and their gradients in a stable
 ///   order, so optimizers and the flatten/unflatten machinery can zip them.
-pub trait Layer: Send {
-    /// Human-readable layer kind, used in summaries and error messages.
-    fn name(&self) -> &'static str;
-
+pub(crate) trait Layer: Send {
     /// Clone the layer behind the trait object (parameters, buffers and any
     /// internal RNG state included). This is what lets a whole [`Model`] be
     /// duplicated for the per-worker trainer pool without re-running weight
@@ -85,9 +82,6 @@ mod tests {
     #[derive(Clone)]
     struct Identity;
     impl Layer for Identity {
-        fn name(&self) -> &'static str {
-            "identity"
-        }
         fn clone_layer(&self) -> Box<dyn Layer> {
             Box::new(self.clone())
         }

@@ -4,13 +4,13 @@ use seafl_tensor::{stats, Shape, Tensor};
 
 /// Combined softmax + cross-entropy with the standard fused gradient
 /// `(softmax(z) − onehot(y)) / batch`.
-pub struct SoftmaxCrossEntropy;
+pub(crate) struct SoftmaxCrossEntropy;
 
 impl SoftmaxCrossEntropy {
     /// Mean cross-entropy loss over the batch.
     ///
     /// `logits`: `[batch, classes]`, `labels`: class indices.
-    pub fn loss(logits: &Tensor, labels: &[usize]) -> f32 {
+    pub(crate) fn loss(logits: &Tensor, labels: &[usize]) -> f32 {
         let (b, c) = (logits.shape().dim(0), logits.shape().dim(1));
         assert_eq!(b, labels.len(), "loss: label count mismatch");
         assert!(b > 0, "loss: empty batch");
@@ -24,7 +24,7 @@ impl SoftmaxCrossEntropy {
     }
 
     /// Loss and gradient in one pass. Gradient shape matches `logits`.
-    pub fn loss_and_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    pub(crate) fn loss_and_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         let (b, c) = (logits.shape().dim(0), logits.shape().dim(1));
         assert_eq!(b, labels.len(), "loss_and_grad: label count mismatch");
         assert!(b > 0, "loss_and_grad: empty batch");

@@ -14,7 +14,7 @@ use seafl_tensor::conv::Conv2dGeom;
 ///
 /// conv(1→6, 5×5, pad 2) → pool 2 → conv(6→16, 5×5) → pool 2 →
 /// fc 400→120 → fc 120→84 → fc 84→classes, ReLU throughout.
-pub fn lenet5(num_classes: usize, rng: &mut impl Rng) -> Sequential {
+pub(crate) fn lenet5(num_classes: usize, rng: &mut impl Rng) -> Sequential {
     let g1 = Conv2dGeom { in_c: 1, in_h: 28, in_w: 28, k_h: 5, k_w: 5, stride: 1, pad: 2 };
     let g2 = Conv2dGeom { in_c: 6, in_h: 14, in_w: 14, k_h: 5, k_w: 5, stride: 1, pad: 0 };
     Sequential::new()

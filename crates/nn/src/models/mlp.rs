@@ -8,7 +8,7 @@ use rand::Rng;
 
 /// `in_features → hidden → hidden → classes` ReLU MLP. Accepts either
 /// rank-2 `[batch, features]` or rank-4 image input (flattened internally).
-pub fn mlp(
+pub(crate) fn mlp(
     in_features: usize,
     hidden: usize,
     num_classes: usize,

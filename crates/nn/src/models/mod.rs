@@ -43,38 +43,26 @@ impl ModelKind {
     /// Instantiate the architecture with weights drawn from `seed`.
     pub fn build(&self, seed: u64) -> Model {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (net, classes) = match *self {
-            ModelKind::LeNet5 { num_classes } => {
-                (lenet::lenet5(num_classes, &mut rng), num_classes)
-            }
+        let net = match *self {
+            ModelKind::LeNet5 { num_classes } => lenet::lenet5(num_classes, &mut rng),
             ModelKind::ResNet18 { num_classes, width_base } => {
-                (resnet::resnet18(num_classes, width_base, &mut rng), num_classes)
+                resnet::resnet18(num_classes, width_base, &mut rng)
             }
             ModelKind::ResNet18Gn { num_classes, width_base } => {
-                (resnet::resnet18_gn(num_classes, width_base, &mut rng), num_classes)
+                resnet::resnet18_gn(num_classes, width_base, &mut rng)
             }
             ModelKind::Vgg16 { num_classes, width_base } => {
-                (vgg::vgg16(num_classes, width_base, &mut rng), num_classes)
+                vgg::vgg16(num_classes, width_base, &mut rng)
             }
             ModelKind::Mlp { in_features, hidden, num_classes } => {
-                (mlp::mlp(in_features, hidden, num_classes, &mut rng), num_classes)
+                mlp::mlp(in_features, hidden, num_classes, &mut rng)
             }
         };
-        Model { net, kind: *self, num_classes: classes }
-    }
-
-    pub fn num_classes(&self) -> usize {
-        match *self {
-            ModelKind::LeNet5 { num_classes }
-            | ModelKind::ResNet18 { num_classes, .. }
-            | ModelKind::ResNet18Gn { num_classes, .. }
-            | ModelKind::Vgg16 { num_classes, .. }
-            | ModelKind::Mlp { num_classes, .. } => num_classes,
-        }
+        Model { net }
     }
 }
 
-/// A trainable classifier: a [`Sequential`] network plus the bookkeeping FL
+/// A trainable classifier: a `Sequential` network plus the bookkeeping FL
 /// needs — most importantly [`Model::params_flat`] / [`Model::set_params_flat`],
 /// which expose the *entire* model state (trainable parameters followed by
 /// batch-norm running statistics) as one `Vec<f32>`. All of SEAFL's
@@ -82,42 +70,22 @@ impl ModelKind {
 #[derive(Clone)]
 pub struct Model {
     net: Sequential,
-    kind: ModelKind,
-    num_classes: usize,
 }
 
 impl Model {
-    pub fn kind(&self) -> ModelKind {
-        self.kind
-    }
-
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
     /// Number of trainable scalars.
     pub fn num_params(&self) -> usize {
         self.net.num_params()
     }
 
     /// Number of buffer scalars (batch-norm running stats).
-    pub fn num_buffer_elems(&self) -> usize {
+    pub(crate) fn num_buffer_elems(&self) -> usize {
         self.net.buffers().iter().map(|b| b.len()).sum()
     }
 
     /// Length of the flat state vector (`num_params + num_buffer_elems`).
-    pub fn flat_len(&self) -> usize {
+    pub(crate) fn flat_len(&self) -> usize {
         self.num_params() + self.num_buffer_elems()
-    }
-
-    /// Architecture summary string.
-    pub fn summary(&self) -> String {
-        self.net.summary()
-    }
-
-    /// Forward pass producing logits.
-    pub fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        self.net.forward(x, train)
     }
 
     /// One SGD step on a batch; returns the batch loss.
@@ -130,7 +98,7 @@ impl Model {
     /// Accumulate gradients on a batch without stepping (used for the
     /// convergence-rate experiments, which need ‖∇f(w)‖²). Returns the loss.
     /// The gradient of the input batch is never formed
-    /// ([`Layer::backward_params`]).
+    /// (`Layer::backward_params`).
     pub fn accumulate_grads(&mut self, x: Tensor, labels: &[usize]) -> f32 {
         let logits = self.net.forward(x, true);
         let (loss, grad) = SoftmaxCrossEntropy::loss_and_grad(&logits, labels);
@@ -196,11 +164,6 @@ impl Model {
         }
         out
     }
-
-    /// Access to the underlying network (used by custom training loops).
-    pub fn net_mut(&mut self) -> &mut Sequential {
-        &mut self.net
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +174,7 @@ mod tests {
     #[test]
     fn lenet_output_shape_and_params() {
         let mut m = ModelKind::LeNet5 { num_classes: 10 }.build(0);
-        let y = m.forward(Tensor::zeros(Shape::d4(2, 1, 28, 28)), false);
+        let y = m.net.forward(Tensor::zeros(Shape::d4(2, 1, 28, 28)), false);
         assert_eq!(y.shape(), Shape::d2(2, 10));
         // Classic LeNet-5 parameter count (conv 5x5 variant, 10 classes):
         // c1: 6*25+6=156, c2: 16*150+16=2416, fc1: 400*120+120=48120,
@@ -223,7 +186,7 @@ mod tests {
     #[test]
     fn resnet18_shapes_and_depth() {
         let mut m = ModelKind::ResNet18 { num_classes: 10, width_base: 8 }.build(1);
-        let y = m.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
+        let y = m.net.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
         assert_eq!(y.shape(), Shape::d2(1, 10));
         // 8 residual blocks (2 per stage), stem conv+bn, fc: buffers exist.
         assert!(m.num_buffer_elems() > 0);
@@ -235,7 +198,7 @@ mod tests {
     fn resnet18_gn_has_no_buffers() {
         let mut m = ModelKind::ResNet18Gn { num_classes: 10, width_base: 2 }.build(8);
         assert_eq!(m.num_buffer_elems(), 0, "GroupNorm must not carry running stats");
-        let y = m.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
+        let y = m.net.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
         assert_eq!(y.shape(), Shape::d2(1, 10));
         // Same trainable-parameter count as the batch-norm variant.
         let bn = ModelKind::ResNet18 { num_classes: 10, width_base: 2 }.build(8);
@@ -247,14 +210,14 @@ mod tests {
     fn resnet18_gn_odd_width_builds() {
         // width 3 makes channel counts 3/6/12/24; group fitting must cope.
         let mut m = ModelKind::ResNet18Gn { num_classes: 4, width_base: 3 }.build(9);
-        let y = m.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
+        let y = m.net.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
         assert_eq!(y.shape(), Shape::d2(1, 4));
     }
 
     #[test]
     fn vgg16_shapes() {
         let mut m = ModelKind::Vgg16 { num_classes: 10, width_base: 8 }.build(2);
-        let y = m.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
+        let y = m.net.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
         assert_eq!(y.shape(), Shape::d2(1, 10));
     }
 
@@ -311,7 +274,7 @@ mod tests {
                 shape,
                 (0..shape.len()).map(|i| ((i * 37 % 101) as f32) / 50.0 - 1.0).collect(),
             );
-            let labels: Vec<usize> = (0..shape.dim(0)).map(|i| i % kind.num_classes()).collect();
+            let labels: Vec<usize> = (0..shape.dim(0)).collect();
             let mut fast = kind.build(11);
             let mut reference = fast.clone();
             let mut opt_fast = Sgd::new(0.05).with_momentum(0.9);

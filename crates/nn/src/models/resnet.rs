@@ -18,14 +18,14 @@ use seafl_tensor::conv::Conv2dGeom;
 /// `width_base = 64` gives the standard 11.2 M-parameter network; the SEAFL
 /// experiments use smaller widths so hundreds of simulated clients can train
 /// on one CPU while preserving the architecture's depth and skip structure.
-pub fn resnet18(num_classes: usize, width_base: usize, rng: &mut impl Rng) -> Sequential {
+pub(crate) fn resnet18(num_classes: usize, width_base: usize, rng: &mut impl Rng) -> Sequential {
     resnet18_with_norm(num_classes, width_base, NormKind::Batch, rng)
 }
 
 /// ResNet-18 with group normalization — the batch-independent variant
 /// commonly substituted in federated learning, where batch-norm running
 /// statistics mix poorly across non-IID clients.
-pub fn resnet18_gn(num_classes: usize, width_base: usize, rng: &mut impl Rng) -> Sequential {
+pub(crate) fn resnet18_gn(num_classes: usize, width_base: usize, rng: &mut impl Rng) -> Sequential {
     resnet18_with_norm(num_classes, width_base, NormKind::Group(2), rng)
 }
 

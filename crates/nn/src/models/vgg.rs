@@ -21,7 +21,7 @@ const M: usize = 0;
 ///
 /// `width_base = 64` recovers the standard channel plan
 /// `[64,64, M, 128,128, M, 256,256,256, M, 512,512,512, M, 512,512,512, M]`.
-pub fn vgg16(num_classes: usize, width_base: usize, rng: &mut impl Rng) -> Sequential {
+pub(crate) fn vgg16(num_classes: usize, width_base: usize, rng: &mut impl Rng) -> Sequential {
     assert!(width_base >= 1, "vgg16: width_base must be >= 1");
     let w = width_base;
     let cfg = [

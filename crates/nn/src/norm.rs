@@ -14,14 +14,14 @@ const EPS: f32 = 1e-5;
 /// [`crate::Model`]'s buffers), matching what PLATO/PyTorch ship between
 /// server and clients.
 #[derive(Clone)]
-pub struct BatchNorm2d {
+pub(crate) struct BatchNorm2d {
     channels: usize,
     gamma: Tensor,
     beta: Tensor,
     grad_gamma: Tensor,
     grad_beta: Tensor,
-    pub running_mean: Vec<f32>,
-    pub running_var: Vec<f32>,
+    pub(crate) running_mean: Vec<f32>,
+    pub(crate) running_var: Vec<f32>,
     momentum: f32,
     cache: Option<BnCache>,
 }
@@ -34,7 +34,7 @@ struct BnCache {
 }
 
 impl BatchNorm2d {
-    pub fn new(channels: usize) -> Self {
+    pub(crate) fn new(channels: usize) -> Self {
         assert!(channels > 0, "BatchNorm2d: zero channels");
         BatchNorm2d {
             channels,
@@ -47,10 +47,6 @@ impl BatchNorm2d {
             momentum: 0.1,
             cache: None,
         }
-    }
-
-    pub fn channels(&self) -> usize {
-        self.channels
     }
 
     /// Per-channel iteration helper: calls `f(channel, slice)` for each
@@ -71,10 +67,6 @@ impl BatchNorm2d {
 impl Layer for BatchNorm2d {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "batchnorm2d"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
@@ -212,7 +204,7 @@ impl Layer for BatchNorm2d {
 /// buffers — the norm of choice for federated learning, where batch-norm's
 /// running statistics mix poorly across non-IID clients.
 #[derive(Clone)]
-pub struct GroupNorm {
+pub(crate) struct GroupNorm {
     channels: usize,
     groups: usize,
     gamma: Tensor,
@@ -230,7 +222,7 @@ struct GnCache {
 }
 
 impl GroupNorm {
-    pub fn new(channels: usize, groups: usize) -> Self {
+    pub(crate) fn new(channels: usize, groups: usize) -> Self {
         assert!(
             groups > 0 && channels.is_multiple_of(groups),
             "GroupNorm: channels {channels} not divisible by groups {groups}"
@@ -250,10 +242,6 @@ impl GroupNorm {
 impl Layer for GroupNorm {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "groupnorm"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {

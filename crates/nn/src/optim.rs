@@ -1,22 +1,24 @@
-//! SGD optimizer with momentum and weight decay.
+//! SGD optimizer with momentum.
 
 use crate::layer::Layer;
 
-/// Stochastic gradient descent with classical (heavyball) momentum and L2
-/// weight decay — the optimizer the paper's experiments use (`η` in
-/// Algorithm 1).
+/// L2 weight-decay coefficient of [`Sgd::step`]. Always 0: the term is kept
+/// so the update's floating-point arithmetic stays exactly as it was.
+const WEIGHT_DECAY: f32 = 0.0;
+
+/// Stochastic gradient descent with classical (heavyball) momentum — the
+/// optimizer the paper's experiments use (`η` in Algorithm 1).
 #[derive(Clone)]
 pub struct Sgd {
     pub lr: f32,
-    pub momentum: f32,
-    pub weight_decay: f32,
+    pub(crate) momentum: f32,
     velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "Sgd: non-positive learning rate");
-        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
     }
 
     pub fn with_momentum(mut self, momentum: f32) -> Self {
@@ -25,17 +27,11 @@ impl Sgd {
         self
     }
 
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        assert!(wd >= 0.0, "Sgd: negative weight decay");
-        self.weight_decay = wd;
-        self
-    }
-
     /// Apply one update step to all parameters of `layer` using its
     /// accumulated gradients, then zero the gradients.
     ///
     /// `v ← m·v + g + wd·w ; w ← w − lr·v`
-    pub fn step(&mut self, layer: &mut (impl Layer + ?Sized)) {
+    pub(crate) fn step(&mut self, layer: &mut (impl Layer + ?Sized)) {
         // Velocity buffers are lazily sized on first use and then reused.
         {
             let params = layer.params();
@@ -51,7 +47,7 @@ impl Sgd {
         // Collect gradient snapshots first (grads() and params_mut() cannot
         // be borrowed simultaneously through the trait).
         let grads: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.as_slice().to_vec()).collect();
-        let (lr, mom, wd) = (self.lr, self.momentum, self.weight_decay);
+        let (lr, mom, wd) = (self.lr, self.momentum, WEIGHT_DECAY);
         for ((param, grad), vel) in
             layer.params_mut().into_iter().zip(grads.iter()).zip(self.velocity.iter_mut())
         {
@@ -128,19 +124,6 @@ mod tests {
         };
         let _ = &mut rng;
         assert!(run(0.9) < run(0.0));
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut d = Dense::new(4, 4, &mut rng);
-        let norm_before: f32 = d.params()[0].norm();
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        // Zero gradient steps: only decay acts.
-        for _ in 0..10 {
-            opt.step(&mut d);
-        }
-        assert!(d.params()[0].norm() < norm_before * 0.7);
     }
 
     #[test]

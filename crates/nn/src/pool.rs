@@ -6,14 +6,14 @@ use seafl_tensor::{Shape, Tensor};
 
 /// Max pooling over `k × k` windows.
 #[derive(Clone)]
-pub struct MaxPool2d {
+pub(crate) struct MaxPool2d {
     k: usize,
     stride: usize,
     cached: Option<(Vec<u32>, Shape)>,
 }
 
 impl MaxPool2d {
-    pub fn new(k: usize, stride: usize) -> Self {
+    pub(crate) fn new(k: usize, stride: usize) -> Self {
         assert!(k > 0 && stride > 0, "MaxPool2d: zero kernel or stride");
         MaxPool2d { k, stride, cached: None }
     }
@@ -22,10 +22,6 @@ impl MaxPool2d {
 impl Layer for MaxPool2d {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "maxpool2d"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
@@ -44,54 +40,14 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Average pooling over `k × k` windows.
-#[derive(Clone)]
-pub struct AvgPool2d {
-    k: usize,
-    stride: usize,
-    cached_shape: Option<Shape>,
-}
-
-impl AvgPool2d {
-    pub fn new(k: usize, stride: usize) -> Self {
-        assert!(k > 0 && stride > 0, "AvgPool2d: zero kernel or stride");
-        AvgPool2d { k, stride, cached_shape: None }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "avgpool2d"
-    }
-
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_shape = Some(x.shape());
-        }
-        conv::avgpool2d_forward(&x, self.k, self.stride)
-    }
-
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let shape = self
-            .cached_shape
-            .take()
-            .expect("AvgPool2d::backward called without forward(train=true)");
-        conv::avgpool2d_backward(&grad_out, self.k, self.stride, shape)
-    }
-}
-
 /// Global average pooling `[n, c, h, w] -> [n, c]` (ResNet head).
 #[derive(Clone)]
-pub struct GlobalAvgPool {
+pub(crate) struct GlobalAvgPool {
     cached_shape: Option<Shape>,
 }
 
 impl GlobalAvgPool {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         GlobalAvgPool { cached_shape: None }
     }
 }
@@ -105,10 +61,6 @@ impl Default for GlobalAvgPool {
 impl Layer for GlobalAvgPool {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "global_avgpool"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
@@ -139,16 +91,6 @@ mod tests {
         assert_eq!(y.as_slice(), &[5.0]);
         let g = p.backward(Tensor::from_slice(&[7.0]).reshape(Shape::d4(1, 1, 1, 1)));
         assert_eq!(g.as_slice(), &[0.0, 7.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn avgpool_layer_gradient_uniform() {
-        let mut p = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec(Shape::d4(1, 1, 2, 2), vec![1.0, 2.0, 3.0, 4.0]);
-        let y = p.forward(x, true);
-        assert!((y.as_slice()[0] - 2.5).abs() < 1e-6);
-        let g = p.backward(Tensor::full(Shape::d4(1, 1, 1, 1), 4.0));
-        assert!(g.as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-6));
     }
 
     #[test]

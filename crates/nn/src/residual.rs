@@ -11,7 +11,7 @@ use seafl_tensor::Tensor;
 
 /// Which normalization the block's conv layers use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NormKind {
+pub(crate) enum NormKind {
     /// Batch normalization (the standard ResNet recipe; running statistics
     /// travel with the model state).
     Batch,
@@ -30,7 +30,7 @@ impl NormKind {
 
     /// Largest divisor of `channels` that does not exceed the requested
     /// group count (GroupNorm requires divisibility).
-    pub fn fit_groups(requested: usize, channels: usize) -> usize {
+    pub(crate) fn fit_groups(requested: usize, channels: usize) -> usize {
         (1..=requested.clamp(1, channels)).rev().find(|&g| channels.is_multiple_of(g)).unwrap_or(1)
     }
 }
@@ -39,7 +39,7 @@ impl NormKind {
 /// conv-bn-relu-conv-bn and `shortcut` is identity or a strided 1×1
 /// conv-bn projection when the shape changes.
 #[derive(Clone)]
-pub struct ResidualBlock {
+pub(crate) struct ResidualBlock {
     main: Sequential,
     shortcut: Option<Sequential>,
     final_relu: Relu,
@@ -47,21 +47,8 @@ pub struct ResidualBlock {
 }
 
 impl ResidualBlock {
-    /// Build a basic block mapping `[in_c, h, w]` to
-    /// `[out_c, h/stride, w/stride]` with batch normalization.
-    pub fn new(
-        in_c: usize,
-        out_c: usize,
-        h: usize,
-        w: usize,
-        stride: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Self::with_norm(in_c, out_c, h, w, stride, NormKind::Batch, rng)
-    }
-
     /// Build a basic block with an explicit normalization choice.
-    pub fn with_norm(
+    pub(crate) fn with_norm(
         in_c: usize,
         out_c: usize,
         h: usize,
@@ -95,10 +82,6 @@ impl ResidualBlock {
 impl Layer for ResidualBlock {
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "residual_block"
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
@@ -187,7 +170,7 @@ mod tests {
     #[test]
     fn identity_block_shape_preserved() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut b = ResidualBlock::new(4, 4, 6, 6, 1, &mut rng);
+        let mut b = ResidualBlock::with_norm(4, 4, 6, 6, 1, NormKind::Batch, &mut rng);
         let x = Tensor::zeros(Shape::d4(2, 4, 6, 6));
         let y = b.forward(x, false);
         assert_eq!(y.shape(), Shape::d4(2, 4, 6, 6));
@@ -198,7 +181,7 @@ mod tests {
     #[test]
     fn strided_block_downsamples_with_projection() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut b = ResidualBlock::new(4, 8, 6, 6, 2, &mut rng);
+        let mut b = ResidualBlock::with_norm(4, 8, 6, 6, 2, NormKind::Batch, &mut rng);
         let x = Tensor::zeros(Shape::d4(1, 4, 6, 6));
         let y = b.forward(x, false);
         assert_eq!(y.shape(), Shape::d4(1, 8, 3, 3));
@@ -208,7 +191,7 @@ mod tests {
     #[test]
     fn backward_produces_input_shaped_gradient() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut b = ResidualBlock::new(3, 6, 4, 4, 2, &mut rng);
+        let mut b = ResidualBlock::with_norm(3, 6, 4, 4, 2, NormKind::Batch, &mut rng);
         let x = Tensor::full(Shape::d4(2, 3, 4, 4), 0.1);
         let y = b.forward(x.clone(), true);
         let g = b.backward(Tensor::full(y.shape(), 1.0));
@@ -221,7 +204,7 @@ mod tests {
         // Zero out the main path's final BN gamma so the main branch
         // contributes nothing; the skip path must still carry gradient.
         let mut rng = StdRng::seed_from_u64(3);
-        let mut b = ResidualBlock::new(2, 2, 4, 4, 1, &mut rng);
+        let mut b = ResidualBlock::with_norm(2, 2, 4, 4, 1, NormKind::Batch, &mut rng);
         let x = Tensor::full(Shape::d4(1, 2, 4, 4), 0.5);
         let y = b.forward(x.clone(), true);
         let g = b.backward(Tensor::full(y.shape(), 1.0));

@@ -5,44 +5,26 @@ use seafl_tensor::Tensor;
 
 /// A stack of layers applied in order. Itself a [`Layer`], so sequentials
 /// nest (residual blocks hold one for their main path).
-pub struct Sequential {
+pub(crate) struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
 
 impl Sequential {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sequential { layers: Vec::new() }
     }
 
     /// Builder-style push.
     #[allow(clippy::should_implement_trait)] // builder `add`, not arithmetic
-    pub fn add(mut self, layer: impl Layer + 'static) -> Self {
+    pub(crate) fn add(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
         self
     }
 
     /// Push a pre-boxed layer (for dynamically built architectures).
-    pub fn add_boxed(mut self, layer: Box<dyn Layer>) -> Self {
+    pub(crate) fn add_boxed(mut self, layer: Box<dyn Layer>) -> Self {
         self.layers.push(layer);
         self
-    }
-
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// One-line-per-layer architecture summary.
-    pub fn summary(&self) -> String {
-        let mut s = String::new();
-        for (i, l) in self.layers.iter().enumerate() {
-            s.push_str(&format!("{:>3}: {:<16} {:>9} params\n", i, l.name(), l.num_params()));
-        }
-        s.push_str(&format!("total: {} params", self.num_params()));
-        s
     }
 }
 
@@ -59,10 +41,6 @@ impl Clone for Sequential {
 }
 
 impl Layer for Sequential {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
     fn clone_layer(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -172,14 +150,5 @@ mod tests {
                 gin.as_slice()[idx]
             );
         }
-    }
-
-    #[test]
-    fn summary_mentions_layers() {
-        let net = two_layer();
-        let s = net.summary();
-        assert!(s.contains("dense"));
-        assert!(s.contains("relu"));
-        assert!(s.contains("total"));
     }
 }

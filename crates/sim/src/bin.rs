@@ -80,7 +80,7 @@ impl BinWriter {
     }
 
     /// Write a `u128`, little-endian.
-    pub fn u128(&mut self, v: u128) {
+    pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -95,12 +95,12 @@ impl BinWriter {
     }
 
     /// Write an `f64` as its IEEE-754 bit pattern (NaN-exact).
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Append raw bytes with no framing.
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -255,7 +255,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Read a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, CodecError> {
+    pub(crate) fn u128(&mut self) -> Result<u128, CodecError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
@@ -319,7 +319,7 @@ impl<'a> BinReader<'a> {
     }
 
     /// Read an `f64` from its bit pattern (NaN-exact).
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
 

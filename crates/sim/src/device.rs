@@ -15,15 +15,14 @@ use seafl_data::sampling::{ParetoSpeed, ZipfIdle};
 /// `latency + bytes / bandwidth`.
 #[derive(Clone, Debug)]
 pub struct DeviceProfile {
-    pub id: usize,
     /// Fixed compute-speed multiplier (≥ 1; 1 = fastest tier).
     pub speed_factor: f64,
     /// Optional per-epoch idle-period generator.
     pub idle: Option<ZipfIdle>,
     /// Uplink bandwidth, bytes/second.
-    pub up_bandwidth: f64,
+    pub(crate) up_bandwidth: f64,
     /// Downlink bandwidth, bytes/second.
-    pub down_bandwidth: f64,
+    pub(crate) down_bandwidth: f64,
     /// One-way network latency, seconds.
     pub latency: f64,
 }
@@ -107,8 +106,7 @@ impl FleetConfig {
         assert!(self.num_devices > 0, "FleetConfig: zero devices");
         let mut rng = stream_rng(master_seed, streams::FLEET);
         (0..self.num_devices)
-            .map(|id| DeviceProfile {
-                id,
+            .map(|_| DeviceProfile {
                 speed_factor: self.pareto_speed.map_or(1.0, |p| p.sample(&mut rng)),
                 idle: self.zipf_idle,
                 up_bandwidth: self.up_bandwidth,
@@ -164,11 +162,6 @@ impl Fleet {
         self.cfg.num_devices == 0
     }
 
-    /// The fleet-level timing config.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
     /// Derive device `id`'s profile, bit-identical to the eager
     /// [`FleetConfig::build`] entry at the same index.
     pub fn profile(&self, id: ClientId) -> DeviceProfile {
@@ -190,7 +183,6 @@ impl Fleet {
             }
         };
         DeviceProfile {
-            id: k,
             speed_factor,
             idle: self.cfg.zipf_idle,
             up_bandwidth: self.cfg.up_bandwidth,
@@ -217,7 +209,6 @@ mod tests {
     #[test]
     fn epoch_compute_scales_with_speed_factor() {
         let slow = DeviceProfile {
-            id: 0,
             speed_factor: 4.0,
             idle: None,
             up_bandwidth: 1e6,
@@ -230,7 +221,6 @@ mod tests {
     #[test]
     fn network_times() {
         let d = DeviceProfile {
-            id: 0,
             speed_factor: 1.0,
             idle: None,
             up_bandwidth: 1e6,
@@ -244,7 +234,6 @@ mod tests {
     #[test]
     fn idle_time_zero_without_model() {
         let d = DeviceProfile {
-            id: 0,
             speed_factor: 1.0,
             idle: None,
             up_bandwidth: 1.0,
@@ -295,7 +284,6 @@ mod tests {
                 // may never depend on visit order.
                 for k in [63usize, 0, 17, 5, 63, 31] {
                     let p = lazy.profile(ClientId::new(k));
-                    assert_eq!(p.id, eager[k].id);
                     assert_eq!(
                         p.speed_factor.to_bits(),
                         eager[k].speed_factor.to_bits(),

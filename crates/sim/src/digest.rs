@@ -22,7 +22,7 @@
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Fold `bytes` into an in-progress FNV-1a state `h`.
 pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {

@@ -4,7 +4,7 @@
 //! uploads are lost on flaky links, background load makes a device
 //! temporarily slow, and buggy or adversarial clients ship numerically
 //! broken updates. A [`FaultPlan`] pre-samples all of those behaviours per
-//! device from its own RNG stream ([`crate::rng::streams::FAULTS`]), so
+//! device from its own RNG stream (`crate::rng::streams::FAULTS`), so
 //!
 //! * a plan is a pure function of `(FaultConfig, num_devices, master_seed)`
 //!   — two runs with the same inputs replay the same faults event for
@@ -75,11 +75,11 @@ pub enum CorruptionKind {
 /// A temporary per-device slowdown: between `start` and `end` (sim
 /// seconds), local compute runs `factor`× slower.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpeedSpike {
-    pub start: f64,
-    pub end: f64,
+pub(crate) struct SpeedSpike {
+    pub(crate) start: f64,
+    pub(crate) end: f64,
     /// Multiplier on epoch compute time while the spike is active (≥ 1).
-    pub factor: f64,
+    pub(crate) factor: f64,
 }
 
 /// Fleet-level fault model: which faults exist and how often. All
@@ -187,13 +187,13 @@ impl Default for FaultConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviceFaults {
     /// Sim time at which the device dies for good (never uploads after).
-    pub crash_at: Option<f64>,
+    pub(crate) crash_at: Option<f64>,
     /// Per-attempt upload loss probability.
     pub drop_prob: f64,
     /// Temporary slowdown window.
-    pub spike: Option<SpeedSpike>,
+    pub(crate) spike: Option<SpeedSpike>,
     /// Corruption applied to every update this device uploads.
-    pub corruption: Option<CorruptionKind>,
+    pub(crate) corruption: Option<CorruptionKind>,
 }
 
 impl DeviceFaults {
@@ -273,12 +273,8 @@ impl FaultPlan {
 
     /// A plan that injects nothing (what every experiment gets by default).
     /// O(1) storage — no per-device allocation.
-    pub fn none(num_devices: usize) -> Self {
+    pub(crate) fn none(num_devices: usize) -> Self {
         FaultPlan { master_seed: 0, num_devices, devices: Vec::new(), server_crash_round: None }
-    }
-
-    pub fn num_devices(&self) -> usize {
-        self.num_devices
     }
 
     pub fn device(&self, k: usize) -> &DeviceFaults {
@@ -288,17 +284,6 @@ impl FaultPlan {
         } else {
             &self.devices[k]
         }
-    }
-
-    /// True when no device (and not the server) has any fault scheduled.
-    pub fn is_noop(&self) -> bool {
-        self.server_crash_round.is_none()
-            && self.devices.iter().all(|d| {
-                d.crash_at.is_none()
-                    && d.drop_prob == 0.0
-                    && d.spike.is_none()
-                    && d.corruption.is_none()
-            })
     }
 
     /// Round at which the server dies, if the plan drew one.
@@ -316,11 +301,6 @@ impl FaultPlan {
     /// Sim time at which device `k` permanently crashes, if ever.
     pub fn crash_time(&self, k: usize) -> Option<f64> {
         self.device(k).crash_at
-    }
-
-    /// True iff device `k` is dead at sim time `t`.
-    pub fn crashed_by(&self, k: usize, t: f64) -> bool {
-        self.device(k).crash_at.is_some_and(|c| c <= t)
     }
 
     /// Compute-time multiplier for device `k` at sim time `t` (1.0 =
@@ -429,7 +409,7 @@ impl AttackKind {
 
 /// Fleet-level adversarial model: how many devices are attackers and what
 /// they do. Off by default ([`AttackConfig::none`]); the attacker draw uses
-/// its own RNG stream ([`crate::rng::streams::ATTACKS`]), so arming the
+/// its own RNG stream (`crate::rng::streams::ATTACKS`), so arming the
 /// channel never perturbs fault plans, selection, or training.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AttackConfig {
@@ -542,7 +522,7 @@ impl AttackPlan {
 
     /// A plan with no attackers (what every experiment gets by default).
     /// O(1) storage — no per-device allocation.
-    pub fn none(num_devices: usize) -> Self {
+    pub(crate) fn none(num_devices: usize) -> Self {
         AttackPlan {
             master_seed: 0,
             collude_radius: 0.0,
@@ -551,11 +531,6 @@ impl AttackPlan {
             replay: std::collections::BTreeMap::new(),
             collusion_target: None,
         }
-    }
-
-    /// True when no device attacks.
-    pub fn is_noop(&self) -> bool {
-        self.assignments.iter().all(Option::is_none)
     }
 
     /// Attack assigned to device `k` (`None` = honest device).
@@ -653,6 +628,26 @@ impl AttackPlan {
 mod tests {
     use super::*;
 
+    impl FaultPlan {
+        /// True when no device (and not the server) has any fault scheduled.
+        pub(crate) fn is_noop(&self) -> bool {
+            self.server_crash_round.is_none()
+                && self.devices.iter().all(|d| {
+                    d.crash_at.is_none()
+                        && d.drop_prob == 0.0
+                        && d.spike.is_none()
+                        && d.corruption.is_none()
+                })
+        }
+    }
+
+    impl AttackPlan {
+        /// True when no device attacks.
+        pub(crate) fn is_noop(&self) -> bool {
+            self.assignments.iter().all(Option::is_none)
+        }
+    }
+
     fn chaotic() -> FaultConfig {
         FaultConfig {
             crash_prob: 0.3,
@@ -674,7 +669,7 @@ mod tests {
         let plan = FaultPlan::none(10);
         assert!(plan.is_noop());
         assert!(FaultConfig::none().is_noop());
-        assert_eq!(plan.num_devices(), 10);
+        assert_eq!(plan.num_devices, 10);
         for k in 0..10 {
             assert!(!plan.upload_attempt_fails(k, 0));
             assert_eq!(plan.crash_time(k), None);
@@ -684,7 +679,7 @@ mod tests {
         // A no-op *config* builds the same sparse plan without touching RNG.
         let built = FaultPlan::build(&FaultConfig::none(), 10, 42);
         assert!(built.is_noop());
-        assert_eq!(built.num_devices(), 10);
+        assert_eq!(built.num_devices, 10);
     }
 
     #[test]
@@ -740,17 +735,6 @@ mod tests {
         assert!(!crashes.is_empty(), "crash_prob=0.3 over 200 devices produced none");
         assert!(crashes.iter().all(|&t| (10.0..=500.0).contains(&t)));
         assert!(crashes.len() < 200);
-    }
-
-    #[test]
-    fn crashed_by_is_a_step_function() {
-        let mut plan = FaultPlan::none(2);
-        plan.devices = vec![DeviceFaults::healthy(); 2];
-        plan.devices[0].crash_at = Some(100.0);
-        assert!(!plan.crashed_by(0, 99.9));
-        assert!(plan.crashed_by(0, 100.0));
-        assert!(plan.crashed_by(0, 1e9));
-        assert!(!plan.crashed_by(1, 1e9));
     }
 
     #[test]

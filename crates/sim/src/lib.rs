@@ -10,26 +10,25 @@
 //! ([`SimTime`]), an event queue ([`EventQueue`], a binary heap ordered by
 //! time, then by scheduling order, so ties break deterministically) and
 //! per-device compute/idle/network models
-//! ([`DeviceProfile`]). Model training is *real* (the `seafl-nn` stack);
+//! (`DeviceProfile`). Model training is *real* (the `seafl-nn` stack);
 //! only time is simulated, so every experiment is exactly reproducible from
 //! a seed.
 
 pub mod bin;
-pub mod device;
+pub(crate) mod device;
 pub mod digest;
-pub mod event;
+pub(crate) mod event;
 pub mod faults;
-pub mod id;
-pub mod loss;
+pub(crate) mod id;
+pub(crate) mod loss;
 pub mod rng;
-pub mod time;
+pub(crate) mod time;
 pub mod trace;
 
-pub use device::{DeviceProfile, Fleet, FleetConfig};
+pub use device::{Fleet, FleetConfig};
 pub use event::EventQueue;
 pub use faults::{
-    AttackConfig, AttackKind, AttackPlan, ConfigError, CorruptionKind, DeviceFaults, FaultConfig,
-    FaultPlan, SpeedSpike,
+    AttackConfig, AttackKind, AttackPlan, ConfigError, CorruptionKind, FaultConfig, FaultPlan,
 };
 pub use id::ClientId;
 pub use loss::{FrameFate, LossConfig};

@@ -60,7 +60,7 @@ pub fn stream_rng(master_seed: u64, stream_id: u64) -> SimRng {
 /// decisions) — a stateful RNG there would entangle otherwise independent
 /// components, while a counter keeps every draw addressable and
 /// replay-stable.
-pub fn unit_from_counter(master_seed: u64, stream_id: u64, counter: u64) -> f64 {
+pub(crate) fn unit_from_counter(master_seed: u64, stream_id: u64, counter: u64) -> f64 {
     let mixed = splitmix64(master_seed ^ splitmix64(stream_id) ^ splitmix64(!counter));
     // 53 high bits → uniform double in [0, 1).
     (mixed >> 11) as f64 / (1u64 << 53) as f64
@@ -90,21 +90,6 @@ impl LazyStreams {
     pub fn new(master_seed: u64, base: u64, len: usize) -> Self {
         assert!(len <= u32::MAX as usize, "stream table of {len} exceeds the u32 id space");
         LazyStreams { master_seed, base, len, touched: std::collections::BTreeMap::new() }
-    }
-
-    /// Number of streams in the family (touched or not).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the family is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Streams currently materialized (the sparse-checkpoint record count).
-    pub fn resident(&self) -> usize {
-        self.touched.len()
     }
 
     /// Mutable access to client `k`'s stream, materializing it on first
@@ -167,30 +152,30 @@ pub mod streams {
     /// Dirichlet (or other) partitioning.
     pub const PARTITION: u64 = 2;
     /// Fleet speed/idle assignment.
-    pub const FLEET: u64 = 3;
+    pub(crate) const FLEET: u64 = 3;
     /// Model weight initialization.
     pub const INIT: u64 = 4;
     /// Server-side client selection.
     pub const SELECTION: u64 = 5;
     /// Fault-plan sampling (crash times, straggler spikes, corruption).
-    pub const FAULTS: u64 = 6;
+    pub(crate) const FAULTS: u64 = 6;
     /// Adversarial attack-plan sampling (attacker set + kind assignment).
     /// Its own stream, so arming attacks never moves a fault draw.
-    pub const ATTACKS: u64 = 7;
+    pub(crate) const ATTACKS: u64 = 7;
     /// Shared collusion-target generation (drawn lazily once the model
     /// dimension is known; see `AttackPlan::collusion_target`).
-    pub const ATTACK_TARGET: u64 = 8;
+    pub(crate) const ATTACK_TARGET: u64 = 8;
     /// Base id for per-client local-training streams; client `k` uses
     /// `CLIENT_BASE + k`.
     pub const CLIENT_BASE: u64 = 1000;
     /// Base id for per-device idle-period draws.
     pub const IDLE_BASE: u64 = 1_000_000;
     /// Base id for per-device counter-based upload-attempt fault draws.
-    pub const FAULT_ATTEMPT_BASE: u64 = 2_000_000;
+    pub(crate) const FAULT_ATTEMPT_BASE: u64 = 2_000_000;
     /// Base id for per-link counter-based wire-loss draws (the
     /// `LossyTransport` in `seafl-net`); link `l` decides the fate of its
     /// `n`-th sent frame from `(master_seed, NET_LOSS_BASE + l, n)`.
-    pub const NET_LOSS_BASE: u64 = 3_000_000;
+    pub(crate) const NET_LOSS_BASE: u64 = 3_000_000;
 }
 
 #[cfg(test)]
@@ -269,21 +254,21 @@ mod tests {
     #[test]
     fn lazy_streams_match_eager_derivation() {
         let mut lazy = LazyStreams::new(42, streams::CLIENT_BASE, 16);
-        assert_eq!(lazy.resident(), 0);
+        assert_eq!(lazy.touched.len(), 0);
         // First touch must be bit-identical to the eager table entry.
         let mut eager = stream_rng(42, streams::CLIENT_BASE + 7);
         assert_eq!(lazy.get_mut(7).gen::<u64>(), eager.gen::<u64>());
-        assert_eq!(lazy.resident(), 1);
+        assert_eq!(lazy.touched.len(), 1);
         // Subsequent touches continue the same stream.
         assert_eq!(lazy.get_mut(7).gen::<u64>(), eager.gen::<u64>());
-        assert_eq!(lazy.resident(), 1);
+        assert_eq!(lazy.touched.len(), 1);
         // Peek of an untouched stream is fresh and does not materialize.
         let mut peeked = lazy.peek(3);
         assert_eq!(peeked.gen::<u64>(), stream_rng(42, streams::CLIENT_BASE + 3).gen::<u64>());
-        assert_eq!(lazy.resident(), 1);
+        assert_eq!(lazy.touched.len(), 1);
         // Set stores an advanced state back.
         lazy.set(3, peeked);
-        assert_eq!(lazy.resident(), 2);
+        assert_eq!(lazy.touched.len(), 2);
         let mut expect = stream_rng(42, streams::CLIENT_BASE + 3);
         let _ = expect.gen::<u64>();
         assert_eq!(lazy.get_mut(3).gen::<u64>(), expect.gen::<u64>());
@@ -295,7 +280,7 @@ mod tests {
         let mut r = BinReader::new(&bytes);
         let mut restored = LazyStreams::decode(&mut r, 42, streams::CLIENT_BASE, 16).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.resident(), 2);
+        assert_eq!(restored.touched.len(), 2);
         assert_eq!(restored.get_mut(7).gen::<u64>(), lazy.get_mut(7).gen::<u64>());
         // Untouched entries in the restored table are fresh streams.
         assert_eq!(

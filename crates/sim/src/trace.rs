@@ -105,7 +105,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// Stable snake_case kind label, bridging trace events to structured
     /// observability records (`TraceLog::kind_counts`, the obs summary).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TraceEvent::ClientStart { .. } => "client_start",
             TraceEvent::Upload { .. } => "upload",
@@ -127,7 +127,7 @@ impl TraceEvent {
     }
 
     /// Write this event, tag-encoded.
-    pub fn encode(&self, w: &mut BinWriter) {
+    pub(crate) fn encode(&self, w: &mut BinWriter) {
         match *self {
             TraceEvent::ClientStart { id, round } => {
                 w.u8(0);
@@ -227,7 +227,7 @@ impl TraceEvent {
     }
 
     /// Read one event written by [`TraceEvent::encode`].
-    pub fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
+    pub(crate) fn decode(r: &mut BinReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8()? {
             0 => TraceEvent::ClientStart { id: r.client_id()?, round: r.u64()? },
             1 => {
@@ -281,7 +281,7 @@ impl TraceEvent {
 }
 
 /// One trace record: the virtual time of an event and the event.
-pub type Entry = (SimTime, TraceEvent);
+pub(crate) type Entry = (SimTime, TraceEvent);
 
 /// Where two traces first disagree: the index of the first differing entry
 /// and each trace's entry there (`None` past a trace's end), or `None` when
@@ -386,7 +386,7 @@ impl TraceLog {
         h
     }
 
-    /// Event tallies by [`TraceEvent::kind`], in kind order — the
+    /// Event tallies by `TraceEvent::kind`, in kind order — the
     /// trace-to-structured-record bridge consumed by the obs summary.
     pub fn kind_counts(&self) -> std::collections::BTreeMap<&'static str, u64> {
         let mut out = std::collections::BTreeMap::new();

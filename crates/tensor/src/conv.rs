@@ -4,13 +4,14 @@
 //! is *virtual*. Each call works on a zero-padded copy of its input
 //! (borrowed unchanged when `pad == 0`) and two `u32` offset tables —
 //! `patch[p] = ci·hp·wp + ky·wp + kx` and `pos[j] = oy·s·wp + ox·s` — so
-//! the patch matrix is the [`Gather`] view `cols[p][j] = padded[patch[p] +
+//! the patch matrix is the `Gather` view `cols[p][j] = padded[patch[p] +
 //! pos[j]]`, handed straight to the GEMM packer. No `cols` tensor is
 //! materialized and nothing is retained for the backward pass —
 //! `conv2d_backward` takes the original input instead. The input gradient
 //! folds back through the same tables, scattering into a padded scratch
-//! image that is then cropped; [`col2im`] uses that one fold, and it and
-//! [`im2col`] remain as the reference implementations (tests).
+//! image that is then cropped. The test module's `im2col` and `col2im`
+//! (the latter over that same fold) are the references the tests compare
+//! against.
 //!
 //! All parallel reductions here (the per-image GEMMs, `grad_bias`) use
 //! fixed accumulation orders, so results are bitwise identical for any
@@ -56,53 +57,6 @@ fn out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
     assert!(padded >= kernel, "kernel {kernel} larger than padded input {padded}");
     assert!(stride > 0, "stride must be positive");
     (padded - kernel) / stride + 1
-}
-
-/// Unfold `input [n, c, h, w]` into `[n*oh*ow, c*kh*kw]` patch rows.
-///
-/// Reference implementation: the hot path packs patches through
-/// [`Gather`] views (see the module docs); this materialized form is what
-/// those views are tested against, and what external callers wanting an
-/// explicit patch matrix get.
-pub fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
-    let shape = input.shape();
-    assert_eq!(shape.rank(), 4, "im2col expects NCHW rank-4 input");
-    let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
-    assert_eq!((c, h, w), (g.in_c, g.in_h, g.in_w), "im2col: geometry mismatch");
-
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let patch = g.patch_len();
-    let rows_per_img = oh * ow;
-    let mut out = vec![0.0f32; n * rows_per_img * patch];
-    let x = input.as_slice();
-    let img_stride = c * h * w;
-
-    out.par_chunks_mut(rows_per_img * patch).enumerate().for_each(|(ni, img_rows)| {
-        let img = &x[ni * img_stride..(ni + 1) * img_stride];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = &mut img_rows[(oy * ow + ox) * patch..(oy * ow + ox + 1) * patch];
-                let mut idx = 0;
-                for ci in 0..c {
-                    let chan = &img[ci * h * w..(ci + 1) * h * w];
-                    for ky in 0..g.k_h {
-                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                        for kx in 0..g.k_w {
-                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                            row[idx] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                chan[iy as usize * w + ix as usize]
-                            } else {
-                                0.0
-                            };
-                            idx += 1;
-                        }
-                    }
-                }
-            }
-        }
-    });
-
-    Tensor::from_vec(Shape::d2(n * rows_per_img, patch), out)
 }
 
 /// A geometry over its zero-padded input: images of `in_c × hp × wp`
@@ -171,28 +125,6 @@ impl Padded {
             img[uo..uo + g.in_w].copy_from_slice(&xp[po..po + g.in_w]);
         }
     }
-}
-
-/// Fold patch-row gradients `[n*oh*ow, c*kh*kw]` back into an input gradient
-/// `[n, c, h, w]`, accumulating overlapping contributions.
-pub fn col2im(cols: &Tensor, n: usize, g: &Conv2dGeom) -> Tensor {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let patch = g.patch_len();
-    assert_eq!(cols.shape().dim(0), n * oh * ow, "col2im: row count mismatch");
-    assert_eq!(cols.shape().dim(1), patch, "col2im: patch length mismatch");
-
-    let img_stride = g.in_c * g.in_h * g.in_w;
-    let mut out = vec![0.0f32; n * img_stride];
-    let cv = cols.as_slice();
-    let rows_per_img = oh * ow;
-    let geo = Padded::new(g);
-
-    // Parallel over images: each image's gradient is written by one task.
-    out.par_chunks_mut(img_stride).enumerate().for_each(|(ni, img)| {
-        geo.fold(&cv[ni * rows_per_img * patch..(ni + 1) * rows_per_img * patch], img, g);
-    });
-
-    Tensor::from_vec(Shape::d4(n, g.in_c, g.in_h, g.in_w), out)
 }
 
 /// Convolution forward pass, im2col-free.
@@ -266,10 +198,10 @@ pub fn conv2d_backward(
 /// for a layer whose input gradient nobody reads.
 ///
 /// * `grad_bias` — per-(image, channel) partial sums computed in parallel
-///   (each a fixed 4-lane [`sum_blocked`]), then folded across images in
+///   (each a fixed 4-lane `sum_blocked`), then folded across images in
 ///   image order: a deterministic blocked reduction.
 /// * `grad_weight` — one packed GEMM `[oc, patch] = G × cols` over
-///   `k = n·oh·ow` with *both* operands [`Gather`] views: the gradient read
+///   `k = n·oh·ow` with *both* operands `Gather` views: the gradient read
 ///   channel-major, the patch matrix gathered from the zero-padded input.
 pub fn conv2d_backward_params(
     grad_out: &Tensor,
@@ -413,71 +345,6 @@ pub fn maxpool2d_backward(grad_out: &Tensor, argmax: &[u32], input_shape: Shape)
     Tensor::from_vec(input_shape, grad_in)
 }
 
-/// Average-pooling forward over `k × k` windows with the given stride.
-pub fn avgpool2d_forward(input: &Tensor, k: usize, stride: usize) -> Tensor {
-    let s = input.shape();
-    assert_eq!(s.rank(), 4, "avgpool expects rank-4");
-    let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
-    let oh = out_dim(h, k, stride, 0);
-    let ow = out_dim(w, k, stride, 0);
-    let inv = 1.0 / (k * k) as f32;
-
-    let x = input.as_slice();
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    for ni in 0..n {
-        for ci in 0..c {
-            let chan_off = (ni * c + ci) * h * w;
-            let out_off = (ni * c + ci) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            acc += x[chan_off + (oy * stride + ky) * w + (ox * stride + kx)];
-                        }
-                    }
-                    out[out_off + oy * ow + ox] = acc * inv;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(Shape::d4(n, c, oh, ow), out)
-}
-
-/// Average-pooling backward: spread each output gradient uniformly over its
-/// window.
-pub fn avgpool2d_backward(
-    grad_out: &Tensor,
-    k: usize,
-    stride: usize,
-    input_shape: Shape,
-) -> Tensor {
-    let s = grad_out.shape();
-    let (n, c, oh, ow) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
-    let (h, w) = (input_shape.dim(2), input_shape.dim(3));
-    let inv = 1.0 / (k * k) as f32;
-
-    let gv = grad_out.as_slice();
-    let mut grad_in = vec![0.0f32; input_shape.len()];
-    for ni in 0..n {
-        for ci in 0..c {
-            let chan_off = (ni * c + ci) * h * w;
-            let out_off = (ni * c + ci) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = gv[out_off + oy * ow + ox] * inv;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            grad_in[chan_off + (oy * stride + ky) * w + (ox * stride + kx)] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(input_shape, grad_in)
-}
-
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
 pub fn global_avgpool(input: &Tensor) -> Tensor {
     let s = input.shape();
@@ -508,6 +375,75 @@ pub fn global_avgpool_backward(grad_out: &Tensor, input_shape: Shape) -> Tensor 
 mod tests {
     use super::*;
     use crate::pack::Operand;
+
+    /// Unfold `input [n, c, h, w]` into `[n*oh*ow, c*kh*kw]` patch rows.
+    ///
+    /// Reference implementation: the hot path packs patches through
+    /// [`Gather`] views (see the module docs); this materialized form is what
+    /// those views are tested against.
+    fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
+        let shape = input.shape();
+        assert_eq!(shape.rank(), 4, "im2col expects NCHW rank-4 input");
+        let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
+        assert_eq!((c, h, w), (g.in_c, g.in_h, g.in_w), "im2col: geometry mismatch");
+
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let patch = g.patch_len();
+        let rows_per_img = oh * ow;
+        let mut out = vec![0.0f32; n * rows_per_img * patch];
+        let x = input.as_slice();
+        let img_stride = c * h * w;
+
+        out.par_chunks_mut(rows_per_img * patch).enumerate().for_each(|(ni, img_rows)| {
+            let img = &x[ni * img_stride..(ni + 1) * img_stride];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = &mut img_rows[(oy * ow + ox) * patch..(oy * ow + ox + 1) * patch];
+                    let mut idx = 0;
+                    for ci in 0..c {
+                        let chan = &img[ci * h * w..(ci + 1) * h * w];
+                        for ky in 0..g.k_h {
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            for kx in 0..g.k_w {
+                                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                                row[idx] =
+                                    if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                        chan[iy as usize * w + ix as usize]
+                                    } else {
+                                        0.0
+                                    };
+                                idx += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        });
+
+        Tensor::from_vec(Shape::d2(n * rows_per_img, patch), out)
+    }
+
+    /// Fold patch-row gradients `[n*oh*ow, c*kh*kw]` back into an input gradient
+    /// `[n, c, h, w]`, accumulating overlapping contributions.
+    fn col2im(cols: &Tensor, n: usize, g: &Conv2dGeom) -> Tensor {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let patch = g.patch_len();
+        assert_eq!(cols.shape().dim(0), n * oh * ow, "col2im: row count mismatch");
+        assert_eq!(cols.shape().dim(1), patch, "col2im: patch length mismatch");
+
+        let img_stride = g.in_c * g.in_h * g.in_w;
+        let mut out = vec![0.0f32; n * img_stride];
+        let cv = cols.as_slice();
+        let rows_per_img = oh * ow;
+        let geo = Padded::new(g);
+
+        // Parallel over images: each image's gradient is written by one task.
+        out.par_chunks_mut(img_stride).enumerate().for_each(|(ni, img)| {
+            geo.fold(&cv[ni * rows_per_img * patch..(ni + 1) * rows_per_img * patch], img, g);
+        });
+
+        Tensor::from_vec(Shape::d4(n, g.in_c, g.in_h, g.in_w), out)
+    }
 
     fn seq_tensor(shape: Shape) -> Tensor {
         Tensor::from_vec(shape, (0..shape.len()).map(|i| i as f32).collect())
@@ -1010,19 +946,6 @@ mod tests {
         assert_eq!(gin.get4(0, 0, 3, 1), 3.0);
         assert_eq!(gin.get4(0, 0, 3, 3), 4.0);
         assert!((gin.sum() - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn avgpool_forward_and_backward_conserve_mass() {
-        let x = seq_tensor(Shape::d4(1, 2, 4, 4));
-        let out = avgpool2d_forward(&x, 2, 2);
-        assert_eq!(out.shape(), Shape::d4(1, 2, 2, 2));
-        // First window mean of [0,1,4,5] = 2.5
-        assert!((out.get4(0, 0, 0, 0) - 2.5).abs() < 1e-6);
-        let gout = Tensor::full(out.shape(), 1.0);
-        let gin = avgpool2d_backward(&gout, 2, 2, x.shape());
-        // Each input cell receives 1/4 from exactly one window.
-        assert!((gin.sum() - gout.sum()).abs() < 1e-5);
     }
 
     #[test]

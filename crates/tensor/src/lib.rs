@@ -12,11 +12,11 @@
 //! * [`matmul`] — a packed, cache-blocked, rayon-parallel SGEMM (BLIS-style
 //!   MC/KC/NC blocking over an `MR×NR` micro-kernel) plus matrix–vector
 //!   products.
-//! * [`microkernel`] — the register-blocked micro-kernel: scalar baseline,
+//! * `microkernel` — the register-blocked micro-kernel: scalar baseline,
 //!   and an AVX variant chosen at run time on x86_64 CPUs that have it,
 //!   bitwise identical to the scalar one (separate mul+add, no FMA).
-//! * [`pack`] — operand views and panel packing for the GEMM, including
-//!   the offset-table [`pack::Gather`] view that makes convolution
+//! * `pack` — operand views and panel packing for the GEMM, including
+//!   the offset-table `pack::Gather` view that makes convolution
 //!   im2col-free, and the per-thread scratch arena the panels live in.
 //! * [`conv`] — im2col-free 2-D convolution over a zero-padded input
 //!   (forward, backward, and the parameter-only backward a network's first
@@ -33,11 +33,11 @@
 pub mod conv;
 pub mod init;
 pub mod matmul;
-pub mod microkernel;
-pub mod pack;
-pub mod shape;
+pub(crate) mod microkernel;
+pub(crate) mod pack;
+pub(crate) mod shape;
 pub mod stats;
-pub mod tensor;
+pub(crate) mod tensor;
 
 pub use microkernel::variant as kernel_variant;
 pub use shape::Shape;

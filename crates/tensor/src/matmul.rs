@@ -1,11 +1,11 @@
 //! Blocked, packed, rayon-parallel matrix multiplication.
 //!
 //! The hot path of every dense and convolutional layer. All entry points —
-//! [`matmul`], [`matmul_at_b`], [`matmul_a_bt`], [`matmul_into`] and the
-//! convolution GEMMs in [`crate::conv`] — route through one driver
+//! [`matmul`], [`matmul_at_b`], [`matmul_a_bt_bias`] and the convolution
+//! GEMMs in [`crate::conv`] — route through one routine
 //! (`gemm`) that packs cache-sized panels of its operands into per-thread
-//! scratch ([`crate::pack`]) and runs the register-blocked micro-kernel in
-//! [`crate::microkernel`] over them.
+//! scratch (`crate::pack`) and runs the register-blocked micro-kernel in
+//! `crate::microkernel` over them.
 //!
 //! # Blocking scheme
 //!
@@ -185,29 +185,6 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(Shape::d2(m, n), out)
 }
 
-/// `C = A × Bᵀ` where B is `[n,k]` row-major: result `[m,n]`.
-///
-/// Used for input gradients (`dX = dY W`). Bᵀ is likewise a pack-time view.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().rank(), 2);
-    assert_eq!(b.shape().rank(), 2);
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (n, k2) = (b.shape().dim(0), b.shape().dim(1));
-    assert_eq!(k, k2, "matmul_a_bt: inner dims differ");
-
-    let mut out = vec![0.0f32; m * n];
-    gemm(
-        &RowMajor::new(a.as_slice(), k),
-        &Transposed::new(b.as_slice(), k),
-        &mut out,
-        m,
-        k,
-        n,
-        CInit::Zero,
-    );
-    Tensor::from_vec(Shape::d2(m, n), out)
-}
-
 /// `C = A × Bᵀ + bias` (bias broadcast across rows): the fused dense-layer
 /// forward. C rows are initialized from `bias` before accumulation, saving
 /// the separate bias pass over the output.
@@ -230,43 +207,6 @@ pub fn matmul_a_bt_bias(a: &Tensor, b: &Tensor, bias: &[f32]) -> Tensor {
         CInit::ColBias(bias),
     );
     Tensor::from_vec(Shape::d2(m, n), out)
-}
-
-/// Raw kernel: `C[m,n] = A[m,k] × B[k,n]`, all row-major slices.
-pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "matmul_into: A buffer size");
-    assert_eq!(b.len(), k * n, "matmul_into: B buffer size");
-    assert_eq!(c.len(), m * n, "matmul_into: C buffer size");
-    gemm(&RowMajor::new(a, k), &RowMajor::new(b, n), c, m, k, n, CInit::Zero);
-}
-
-/// Rows of y per parallel work unit in [`matvec`].
-const MV_ROW_BLOCK: usize = 64;
-
-/// Matrix–vector product `y = A x` for A `[m,k]`, x `[k]`.
-///
-/// Parallel over row blocks; each element is one [`dot_blocked`], so the
-/// result is bitwise independent of thread count.
-pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
-    assert_eq!(a.shape().rank(), 2);
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    assert_eq!(x.len(), k, "matvec: vector length mismatch");
-    let av = a.as_slice();
-    let mut y = vec![0.0f32; m];
-
-    let body = |(blk, ys): (usize, &mut [f32])| {
-        let r0 = blk * MV_ROW_BLOCK;
-        for (i, yo) in ys.iter_mut().enumerate() {
-            *yo = dot_blocked(&av[(r0 + i) * k..(r0 + i + 1) * k], x);
-        }
-    };
-
-    if m * k >= PAR_THRESHOLD {
-        y.par_chunks_mut(MV_ROW_BLOCK).enumerate().for_each(body);
-    } else {
-        y.chunks_mut(MV_ROW_BLOCK).enumerate().for_each(body);
-    }
-    y
 }
 
 /// Dot product with a fixed 4-lane accumulator split: lane `l` sums
@@ -292,7 +232,7 @@ pub fn dot_blocked(a: &[f32], b: &[f32]) -> f32 {
 
 /// Sum with the same fixed 4-lane association as [`dot_blocked`]; the
 /// deterministic per-slice reduction under conv's parallel `grad_bias`.
-pub fn sum_blocked(a: &[f32]) -> f32 {
+pub(crate) fn sum_blocked(a: &[f32]) -> f32 {
     let split = a.len() - a.len() % 4;
     let mut lanes = [0.0f32; 4];
     for ca in a[..split].chunks_exact(4) {
@@ -413,7 +353,7 @@ mod tests {
 
             let a = rng_tensor(Shape::d2(m, k), (m + k + 2) as u64);
             let bt = rng_tensor(Shape::d2(n, k), (k + n + 3) as u64);
-            let fast = matmul_a_bt(&a, &bt);
+            let fast = matmul_a_bt_bias(&a, &bt, &vec![0.0; n]);
             let slow = matmul_naive(&a, &bt.transpose2());
             for (x, y) in fast.as_slice().iter().zip(slow.as_slice().iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "a_bt ({m},{k},{n})");
@@ -453,15 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn a_bt_matches_explicit_transpose() {
-        let a = rng_tensor(Shape::d2(6, 4), 9);
-        let b = rng_tensor(Shape::d2(5, 4), 10);
-        let fast = matmul_a_bt(&a, &b);
-        let slow = matmul_naive(&a, &b.transpose2());
-        assert!(fast.max_abs_diff(&slow) < 1e-4);
-    }
-
-    #[test]
     fn a_bt_bias_fuses_bias_row() {
         let a = rng_tensor(Shape::d2(6, 4), 20);
         let b = rng_tensor(Shape::d2(5, 4), 21);
@@ -480,45 +411,6 @@ mod tests {
                 };
                 assert_eq!(fused.get2(i, j).to_bits(), want.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn matmul_into_matches_matmul() {
-        let a = rng_tensor(Shape::d2(9, 5), 30);
-        let b = rng_tensor(Shape::d2(5, 7), 31);
-        let mut c = vec![f32::NAN; 63];
-        matmul_into(a.as_slice(), b.as_slice(), &mut c, 9, 5, 7);
-        let want = matmul(&a, &b);
-        for (x, y) in c.iter().zip(want.as_slice().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn matvec_matches_matmul() {
-        let a = rng_tensor(Shape::d2(7, 3), 11);
-        let x = vec![0.5, -1.0, 2.0];
-        let y = matvec(&a, &x);
-        let xm = Tensor::from_vec(Shape::d2(3, 1), x);
-        let ym = matmul(&a, &xm);
-        for i in 0..7 {
-            assert!((y[i] - ym.as_slice()[i]).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn matvec_parallel_path_matches_serial_rows() {
-        // 300×1200 crosses PAR_THRESHOLD; every row must equal its own
-        // dot_blocked regardless of how rows were split across workers.
-        let (m, k) = (300, 1200);
-        let a = rng_tensor(Shape::d2(m, k), 12);
-        let x: Vec<f32> = rng_tensor(Shape::d1(k), 13).into_vec();
-        let y = matvec(&a, &x);
-        for (i, yi) in y.iter().enumerate() {
-            let want = dot_blocked(&a.as_slice()[i * k..(i + 1) * k], &x);
-            assert_eq!(yi.to_bits(), want.to_bits(), "row {i}");
         }
     }
 
@@ -571,7 +463,7 @@ mod tests {
 
     #[test]
     fn cross_thread_digest_identity() {
-        // All four entry points, at sizes that cross PAR_THRESHOLD so the
+        // The three entry points, at sizes that cross PAR_THRESHOLD so the
         // 4-thread pool genuinely splits the work: the digest over every
         // output bit must be identical for 1 and 4 workers.
         let run = |threads: usize| -> u64 {
@@ -586,10 +478,8 @@ mod tests {
                 let at = rng_tensor(Shape::d2(300, 130), 3);
                 let c2 = matmul_at_b(&at, &b);
                 let bt = rng_tensor(Shape::d2(90, 300), 4);
-                let c3 = matmul_a_bt(&a, &bt);
-                let x: Vec<f32> = rng_tensor(Shape::d1(300), 5).into_vec();
-                let y = matvec(&a, &x);
-                digest(&[c1.as_slice(), c2.as_slice(), c3.as_slice(), &y])
+                let c3 = matmul_a_bt_bias(&a, &bt, &[0.0; 90]);
+                digest(&[c1.as_slice(), c2.as_slice(), c3.as_slice()])
             })
         };
         let d1 = run(1);

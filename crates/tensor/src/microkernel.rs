@@ -20,17 +20,17 @@
 //! the scalar kernel (see DESIGN.md §11).
 
 /// Rows of C one micro-kernel invocation produces.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 
 /// Columns of C one micro-kernel invocation produces.
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// `acc[i·NR + j] += Σ_{p<kc} a[p·MR + i] · b[p·NR + j]`.
 ///
 /// Dispatches to the AVX kernel when the CPU supports it (x86_64 builds,
 /// detected at run time); both paths produce bitwise-identical results.
 #[inline]
-pub fn kernel(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
+pub(crate) fn kernel(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
         // SAFETY: dispatch is gated on runtime AVX detection.
@@ -43,7 +43,7 @@ pub fn kernel(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
 /// dependency (each lane is a distinct output element), so LLVM vectorizes
 /// it across the `NR` columns without reassociating any per-element sum.
 #[inline]
-pub fn kernel_scalar(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
+pub(crate) fn kernel_scalar(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) {
     debug_assert!(a.len() >= kc * MR, "micro-kernel: A panel too short");
     debug_assert!(b.len() >= kc * NR, "micro-kernel: B panel too short");
     for p in 0..kc {
@@ -95,7 +95,7 @@ unsafe fn kernel_avx(kc: usize, a: &[f32], b: &[f32], acc: &mut [f32; MR * NR]) 
     _mm256_storeu_ps(pc.add(3 * NR), c3);
 }
 
-/// Name of the micro-kernel variant [`kernel`] dispatches to on this CPU,
+/// Name of the micro-kernel variant `kernel` dispatches to on this CPU,
 /// recorded in bench results so speedup trajectories attribute to the
 /// kernel.
 pub fn variant() -> &'static str {

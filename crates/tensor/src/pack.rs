@@ -30,7 +30,7 @@ use std::ops::{Deref, DerefMut};
 /// [`Operand::copy_col`] are the bulk entry points packing actually uses,
 /// overridden when a view has a contiguous (or otherwise cheap) layout in
 /// that direction.
-pub trait Operand: Sync {
+pub(crate) trait Operand: Sync {
     /// Element at row `r`, column `c`.
     fn at(&self, r: usize, c: usize) -> f32;
 
@@ -52,14 +52,14 @@ pub trait Operand: Sync {
 }
 
 /// Row-major matrix view over a borrowed slice with `cols` columns.
-pub struct RowMajor<'a> {
+pub(crate) struct RowMajor<'a> {
     data: &'a [f32],
     cols: usize,
 }
 
 impl<'a> RowMajor<'a> {
     /// View `data` as a row-major matrix with `cols` columns.
-    pub fn new(data: &'a [f32], cols: usize) -> Self {
+    pub(crate) fn new(data: &'a [f32], cols: usize) -> Self {
         RowMajor { data, cols }
     }
 }
@@ -82,7 +82,7 @@ impl Operand for RowMajor<'_> {
 /// length is `rows`. Columns of the logical matrix are contiguous in
 /// storage, so `copy_col` is a straight memcpy — packing Aᵀ panels costs
 /// the same as packing A.
-pub struct Transposed<'a> {
+pub(crate) struct Transposed<'a> {
     data: &'a [f32],
     rows: usize,
 }
@@ -90,7 +90,7 @@ pub struct Transposed<'a> {
 impl<'a> Transposed<'a> {
     /// View `data` (row-major with `rows` columns per storage row) as its
     /// transpose: a logical matrix with `rows` rows.
-    pub fn new(data: &'a [f32], rows: usize) -> Self {
+    pub(crate) fn new(data: &'a [f32], rows: usize) -> Self {
         Transposed { data, rows }
     }
 }
@@ -114,7 +114,7 @@ impl Operand for Transposed<'_> {
 /// output-position offsets) and the channel-major reading of an NCHW
 /// gradient — so packing a panel is a table-driven gather with no
 /// coordinate arithmetic and no halo branch.
-pub struct Gather<'a> {
+pub(crate) struct Gather<'a> {
     data: &'a [f32],
     rows: &'a [u32],
     cols: &'a [u32],
@@ -123,7 +123,7 @@ pub struct Gather<'a> {
 impl<'a> Gather<'a> {
     /// View `data` through the row and column offset tables (see
     /// [`offsets`]).
-    pub fn new(data: &'a [f32], rows: &'a [u32], cols: &'a [u32]) -> Self {
+    pub(crate) fn new(data: &'a [f32], rows: &'a [u32], cols: &'a [u32]) -> Self {
         Gather { data, rows, cols }
     }
 }
@@ -155,7 +155,7 @@ impl Operand for Gather<'_> {
 /// `dims = [(count_d, stride_d), …]`, outermost axis first, in row-major
 /// order — the tables a [`Gather`] reads through. Panics unless the largest
 /// offset is `< 2^32`.
-pub fn offsets(dims: &[(usize, usize)]) -> Vec<u32> {
+pub(crate) fn offsets(dims: &[(usize, usize)]) -> Vec<u32> {
     let extent: u128 = dims.iter().map(|&(n, s)| n.saturating_sub(1) as u128 * s as u128).sum();
     assert!(extent < 1 << 32, "gather offsets: largest offset {extent} must be < 2^32");
     let mut out = vec![0u32];
@@ -169,7 +169,7 @@ pub fn offsets(dims: &[(usize, usize)]) -> Vec<u32> {
 /// tiles: tile `t` holds rows `i0 + t·MR ..` as `kc` consecutive groups of
 /// `MR` values (zero-padded past the last real row) — exactly the order
 /// [`crate::microkernel::kernel`] reads its A panel in.
-pub fn pack_a<V: Operand + ?Sized>(
+pub(crate) fn pack_a<V: Operand + ?Sized>(
     v: &V,
     i0: usize,
     mc: usize,
@@ -197,7 +197,7 @@ pub fn pack_a<V: Operand + ?Sized>(
 /// tiles: tile `t` holds columns `j0 + t·NR ..` as `kc` consecutive groups
 /// of `NR` values (zero-padded past the last real column) — the B-panel
 /// order of [`crate::microkernel::kernel`].
-pub fn pack_b<V: Operand + ?Sized>(
+pub(crate) fn pack_b<V: Operand + ?Sized>(
     v: &V,
     p0: usize,
     kc: usize,
@@ -262,13 +262,13 @@ thread_local! {
 /// borrowed inside [`scratch_buf`] and `drop` — never while user code (or a
 /// nested parallel region) runs — so checkout order and rayon
 /// work-stealing can't conflict.
-pub struct ScratchBuf {
+pub(crate) struct ScratchBuf {
     v: Vec<f32>,
 }
 
 /// Check a zero-filled buffer of `len` floats out of the calling thread's
 /// scratch arena.
-pub fn scratch_buf(len: usize) -> ScratchBuf {
+pub(crate) fn scratch_buf(len: usize) -> ScratchBuf {
     let v = SCRATCH.with(|s| s.borrow_mut().acquire(len));
     ScratchBuf { v }
 }

@@ -25,26 +25,9 @@ impl Shape {
         Shape { dims: [rows, cols, 1, 1], rank: 2 }
     }
 
-    /// Rank-3 shape `[c, h, w]`.
-    pub fn d3(c: usize, h: usize, w: usize) -> Self {
-        Shape { dims: [c, h, w, 1], rank: 3 }
-    }
-
     /// Rank-4 shape `[n, c, h, w]` (NCHW batch layout).
     pub fn d4(n: usize, c: usize, h: usize, w: usize) -> Self {
         Shape { dims: [n, c, h, w], rank: 4 }
-    }
-
-    /// Build from a slice of 1–4 dimensions.
-    pub fn from_slice(dims: &[usize]) -> Self {
-        assert!(
-            (1..=4).contains(&dims.len()),
-            "Shape supports rank 1..=4, got rank {}",
-            dims.len()
-        );
-        let mut d = [1usize; 4];
-        d[..dims.len()].copy_from_slice(dims);
-        Shape { dims: d, rank: dims.len() as u8 }
     }
 
     /// Number of dimensions.
@@ -59,7 +42,7 @@ impl Shape {
     }
 
     /// All dimensions as a slice of length `rank`.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims[..self.rank()]
     }
 
@@ -73,38 +56,8 @@ impl Shape {
         self.len() == 0
     }
 
-    /// Row-major strides (in elements) for each dimension.
-    pub fn strides(&self) -> [usize; 4] {
-        let mut s = [1usize; 4];
-        for i in (0..self.rank().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * self.dims[i + 1];
-        }
-        s
-    }
-
-    /// Flat row-major offset of a rank-2 index.
-    #[inline]
-    pub fn at2(&self, r: usize, c: usize) -> usize {
-        debug_assert_eq!(self.rank(), 2);
-        debug_assert!(r < self.dims[0] && c < self.dims[1]);
-        r * self.dims[1] + c
-    }
-
-    /// Flat row-major offset of a rank-4 index.
-    #[inline]
-    pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
-        debug_assert_eq!(self.rank(), 4);
-        debug_assert!(n < self.dims[0] && c < self.dims[1] && h < self.dims[2] && w < self.dims[3]);
-        ((n * self.dims[1] + c) * self.dims[2] + h) * self.dims[3] + w
-    }
-
-    /// Shape with the same number of elements, flattened to rank 1.
-    pub fn flattened(&self) -> Shape {
-        Shape::d1(self.len())
-    }
-
     /// Reshape-compatibility check.
-    pub fn same_len(&self, other: &Shape) -> bool {
+    pub(crate) fn same_len(&self, other: &Shape) -> bool {
         self.len() == other.len()
     }
 }
@@ -126,28 +79,37 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
+    /// Flat offsets behind the test-only element accessors of `Tensor`.
+    impl Shape {
+        /// Flat row-major offset of a rank-2 index.
+        pub(crate) fn at2(&self, r: usize, c: usize) -> usize {
+            debug_assert_eq!(self.rank(), 2);
+            debug_assert!(r < self.dims[0] && c < self.dims[1]);
+            r * self.dims[1] + c
+        }
+
+        /// Flat row-major offset of a rank-4 index.
+        pub(crate) fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
+            debug_assert_eq!(self.rank(), 4);
+            debug_assert!(
+                n < self.dims[0] && c < self.dims[1] && h < self.dims[2] && w < self.dims[3]
+            );
+            ((n * self.dims[1] + c) * self.dims[2] + h) * self.dims[3] + w
+        }
+    }
+
     #[test]
     fn rank_and_len() {
         assert_eq!(Shape::d1(7).rank(), 1);
         assert_eq!(Shape::d1(7).len(), 7);
         assert_eq!(Shape::d2(3, 4).len(), 12);
-        assert_eq!(Shape::d3(2, 3, 4).len(), 24);
         assert_eq!(Shape::d4(2, 3, 4, 5).len(), 120);
-    }
-
-    #[test]
-    fn strides_row_major() {
-        let s = Shape::d4(2, 3, 4, 5);
-        assert_eq!(s.strides(), [60, 20, 5, 1]);
-        let s2 = Shape::d2(3, 4);
-        assert_eq!(s2.strides()[0], 4);
-        assert_eq!(s2.strides()[1], 1);
     }
 
     #[test]
     fn at4_matches_strides() {
         let s = Shape::d4(2, 3, 4, 5);
-        let st = s.strides();
+        let st = [60, 20, 5, 1];
         for n in 0..2 {
             for c in 0..3 {
                 for h in 0..4 {
@@ -160,19 +122,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn from_slice_roundtrip() {
-        let s = Shape::from_slice(&[2, 3]);
-        assert_eq!(s, Shape::d2(2, 3));
-        assert_eq!(s.dims(), &[2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank")]
-    fn from_slice_rank5_panics() {
-        Shape::from_slice(&[1, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -202,18 +151,6 @@ mod tests {
                     seen[o] = true;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn prop_flatten_preserves_len() {
-        for case in 0..256 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let rank = rng.gen_range(1usize..=4);
-            let dims: Vec<usize> = (0..rank).map(|_| rng.gen_range(1usize..6)).collect();
-            let s = Shape::from_slice(&dims);
-            assert_eq!(s.flattened().len(), s.len(), "case {case}: {dims:?}");
-            assert!(s.same_len(&s.flattened()), "case {case}: {dims:?}");
         }
     }
 }

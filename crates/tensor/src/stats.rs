@@ -38,7 +38,7 @@ pub fn log_softmax_rows(logits: &Tensor) -> Tensor {
 }
 
 /// Index of the largest element of a slice (first on ties).
-pub fn argmax(row: &[f32]) -> usize {
+pub(crate) fn argmax(row: &[f32]) -> usize {
     assert!(!row.is_empty(), "argmax of empty slice");
     let mut best = 0usize;
     for (i, &v) in row.iter().enumerate().skip(1) {

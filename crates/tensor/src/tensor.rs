@@ -80,32 +80,6 @@ impl Tensor {
         self
     }
 
-    /// Rank-2 element access.
-    #[inline]
-    pub fn get2(&self, r: usize, c: usize) -> f32 {
-        self.data[self.shape.at2(r, c)]
-    }
-
-    /// Rank-2 element assignment.
-    #[inline]
-    pub fn set2(&mut self, r: usize, c: usize, v: f32) {
-        let i = self.shape.at2(r, c);
-        self.data[i] = v;
-    }
-
-    /// Rank-4 element access.
-    #[inline]
-    pub fn get4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        self.data[self.shape.at4(n, c, h, w)]
-    }
-
-    /// Rank-4 element assignment.
-    #[inline]
-    pub fn set4(&mut self, n: usize, c: usize, h: usize, w: usize, v: f32) {
-        let i = self.shape.at4(n, c, h, w);
-        self.data[i] = v;
-    }
-
     /// Set every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
@@ -119,39 +93,14 @@ impl Tensor {
         }
     }
 
-    /// `self -= other`, elementwise.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.len(), other.len(), "sub_assign: length mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
-        }
-    }
-
     /// `self *= s`.
     pub fn scale(&mut self, s: f32) {
         self.data.iter_mut().for_each(|x| *x *= s);
     }
 
-    /// `self += alpha * other` (BLAS axpy).
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.len(), other.len(), "axpy: length mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// Elementwise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor { shape: self.shape, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
-    /// Elementwise zip into a new tensor.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert_eq!(self.len(), other.len(), "zip: length mismatch");
-        Tensor {
-            shape: self.shape,
-            data: self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect(),
-        }
     }
 
     /// Dot product (flattened), f64 accumulator.
@@ -166,24 +115,9 @@ impl Tensor {
         self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
     }
 
-    /// Arithmetic mean; 0 for empty tensors.
-    pub fn mean(&self) -> f32 {
-        if self.is_empty() {
-            0.0
-        } else {
-            (self.data.iter().map(|&x| x as f64).sum::<f64>() / self.len() as f64) as f32
-        }
-    }
-
     /// L2 norm, f64 accumulator.
     pub fn norm(&self) -> f32 {
         crate::l2_norm(&self.data)
-    }
-
-    /// Maximum element; panics on empty.
-    pub fn max(&self) -> f32 {
-        assert!(!self.is_empty(), "max of empty tensor");
-        self.data.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// True iff any element is NaN or infinite.
@@ -191,39 +125,11 @@ impl Tensor {
         self.data.iter().any(|x| !x.is_finite())
     }
 
-    /// Extract batch item `n` of a rank-4 tensor as a rank-3 tensor.
-    pub fn batch_item(&self, n: usize) -> Tensor {
-        assert_eq!(self.shape.rank(), 4, "batch_item requires rank-4");
-        let (c, h, w) = (self.shape.dim(1), self.shape.dim(2), self.shape.dim(3));
-        let stride = c * h * w;
-        Tensor::from_vec(Shape::d3(c, h, w), self.data[n * stride..(n + 1) * stride].to_vec())
-    }
-
     /// Row `r` of a rank-2 tensor as a slice.
     pub fn row(&self, r: usize) -> &[f32] {
         assert_eq!(self.shape.rank(), 2, "row requires rank-2");
         let cols = self.shape.dim(1);
         &self.data[r * cols..(r + 1) * cols]
-    }
-
-    /// Mutable row `r` of a rank-2 tensor.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert_eq!(self.shape.rank(), 2, "row_mut requires rank-2");
-        let cols = self.shape.dim(1);
-        &mut self.data[r * cols..(r + 1) * cols]
-    }
-
-    /// Rank-2 transpose into a new tensor.
-    pub fn transpose2(&self) -> Tensor {
-        assert_eq!(self.shape.rank(), 2, "transpose2 requires rank-2");
-        let (r, c) = (self.shape.dim(0), self.shape.dim(1));
-        let mut out = Tensor::zeros(Shape::d2(c, r));
-        for i in 0..r {
-            for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
-            }
-        }
-        out
     }
 
     /// Maximum absolute elementwise difference (useful in tests).
@@ -249,6 +155,40 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
+    /// Element access and the rank-2 transpose: the references the kernel
+    /// tests compare against.
+    impl Tensor {
+        pub(crate) fn get2(&self, r: usize, c: usize) -> f32 {
+            self.data[self.shape.at2(r, c)]
+        }
+
+        pub(crate) fn set2(&mut self, r: usize, c: usize, v: f32) {
+            let i = self.shape.at2(r, c);
+            self.data[i] = v;
+        }
+
+        pub(crate) fn get4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
+            self.data[self.shape.at4(n, c, h, w)]
+        }
+
+        pub(crate) fn set4(&mut self, n: usize, c: usize, h: usize, w: usize, v: f32) {
+            let i = self.shape.at4(n, c, h, w);
+            self.data[i] = v;
+        }
+
+        pub(crate) fn transpose2(&self) -> Tensor {
+            assert_eq!(self.shape.rank(), 2, "transpose2 requires rank-2");
+            let (r, c) = (self.shape.dim(0), self.shape.dim(1));
+            let mut out = Tensor::zeros(Shape::d2(c, r));
+            for i in 0..r {
+                for j in 0..c {
+                    out.data[j * r + i] = self.data[i * c + j];
+                }
+            }
+            out
+        }
+    }
+
     fn t(v: &[f32]) -> Tensor {
         Tensor::from_slice(v)
     }
@@ -269,34 +209,29 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale_axpy() {
+    fn add_and_scale() {
         let mut a = t(&[1.0, 2.0, 3.0]);
         a.add_assign(&t(&[1.0, 1.0, 1.0]));
         assert_eq!(a.as_slice(), &[2.0, 3.0, 4.0]);
-        a.sub_assign(&t(&[2.0, 2.0, 2.0]));
-        assert_eq!(a.as_slice(), &[0.0, 1.0, 2.0]);
         a.scale(3.0);
-        assert_eq!(a.as_slice(), &[0.0, 3.0, 6.0]);
-        a.axpy(-1.0, &t(&[0.0, 3.0, 6.0]));
-        assert_eq!(a.as_slice(), &[0.0, 0.0, 0.0]);
+        assert_eq!(a.as_slice(), &[6.0, 9.0, 12.0]);
     }
 
     #[test]
-    fn dot_sum_mean_norm() {
+    fn dot_sum_norm() {
         let a = t(&[1.0, 2.0, 3.0]);
         let b = t(&[4.0, 5.0, 6.0]);
         assert!((a.dot(&b) - 32.0).abs() < 1e-6);
         assert!((a.sum() - 6.0).abs() < 1e-6);
-        assert!((a.mean() - 2.0).abs() < 1e-6);
         assert!((t(&[3.0, 4.0]).norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]
     fn reshape_preserves_data() {
         let a = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]);
-        let b = a.clone().reshape(Shape::d3(3, 2, 1));
+        let b = a.clone().reshape(Shape::d4(1, 3, 2, 1));
         assert_eq!(b.as_slice(), a.as_slice());
-        assert_eq!(b.shape(), Shape::d3(3, 2, 1));
+        assert_eq!(b.shape(), Shape::d4(1, 3, 2, 1));
     }
 
     #[test]
@@ -314,19 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_item_slices_correctly() {
-        let x = Tensor::from_vec(Shape::d4(2, 1, 2, 2), (0..8).map(|i| i as f32).collect());
-        let b1 = x.batch_item(1);
-        assert_eq!(b1.as_slice(), &[4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(b1.shape(), Shape::d3(1, 2, 2));
-    }
-
-    #[test]
     fn rows() {
-        let mut a = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]);
+        let a = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.row(1), &[4., 5., 6.]);
-        a.row_mut(0)[2] = 9.0;
-        assert_eq!(a.get2(0, 2), 9.0);
     }
 
     #[test]
@@ -342,23 +267,6 @@ mod tests {
         a.fill_zero();
         assert_eq!(a.as_slice(), &[0.0; 3]);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn prop_axpy_matches_manual() {
-        for case in 0..256 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let n = rng.gen_range(1usize..32);
-            let v: Vec<f32> = (0..n).map(|_| rng.gen_range(-10f32..10.0)).collect();
-            let (w_seed, alpha) = (rng.gen_range(-10f32..10.0), rng.gen_range(-3f32..3.0));
-            let w: Vec<f32> = v.iter().map(|x| x * 0.5 + w_seed).collect();
-            let mut a = Tensor::from_slice(&v);
-            a.axpy(alpha, &Tensor::from_slice(&w));
-            for i in 0..v.len() {
-                let want = v[i] + alpha * w[i];
-                assert!((a.as_slice()[i] - want).abs() < 1e-4, "case {case}: i {i}");
-            }
-        }
     }
 
     #[test]
