@@ -21,31 +21,15 @@ pub enum PartitionStrategy {
     },
     /// Uniform random split.
     Iid,
-    /// Pathological label shards (each client sees ≤ ~2·per_client labels).
-    Shards {
-        /// Shards dealt to each client.
-        per_client: usize,
-    },
-    /// IID labels but heavy-tailed sample counts per client.
-    QuantitySkew {
-        /// Power-law tail exponent; smaller is heavier.
-        tail: f64,
-    },
 }
 
 /// How the server picks which idle devices start training.
+/// One variant: it stays an enum because the benchmark harness names
+/// `SelectionPolicy::Uniform` until it joins the workspace (ROADMAP item 12).
 #[derive(Clone, Copy, Debug)]
 pub enum SelectionPolicy {
     /// Uniform random from the idle pool (the paper's setting).
     Uniform,
-    /// Speed-biased sampling: device `k` is drawn with weight
-    /// `speed_factor_k^{-exponent}` — positive exponents favour fast
-    /// devices (Oort/PyramidFL-style system-aware selection, §II-A),
-    /// negative ones boost stragglers' participation frequency.
-    SpeedBiased {
-        /// Positive favours fast devices, negative boosts stragglers.
-        exponent: f64,
-    },
 }
 
 /// Which FL algorithm drives the run. Each variant holds the
@@ -143,16 +127,10 @@ pub struct ResilienceConfig {
     /// seconds, capped at 60 s. A client retries a lost upload three times
     /// before giving the session up.
     pub retry_backoff_base: f64,
-    /// Quarantine a client (exclude it from selection for the rest of the
-    /// run) after this many *consecutive* session timeouts. Crashed devices
-    /// stop wasting server concurrency after a couple of timeouts instead
-    /// of being re-selected forever.
-    pub quarantine_after: u32,
-    /// Sanitizer: reject updates containing NaN/±∞ before aggregation.
-    pub reject_non_finite: bool,
     /// Sanitizer: reject updates whose L2 distance from the current global
     /// model exceeds `ratio · max(‖w_global‖, 1)`. `None` disables the norm
-    /// check (non-finite rejection alone never fires on healthy runs).
+    /// check (the sanitizer's unconditional non-finite rejection never
+    /// fires on healthy runs).
     pub max_update_norm_ratio: Option<f64>,
 }
 
@@ -161,8 +139,6 @@ impl Default for ResilienceConfig {
         ResilienceConfig {
             session_timeout: None,
             retry_backoff_base: 2.0,
-            quarantine_after: 2,
-            reject_non_finite: true,
             max_update_norm_ratio: None,
         }
     }
@@ -180,7 +156,6 @@ impl ResilienceConfig {
             base <= RETRY_BACKOFF_CAP,
             "config: retry_backoff_base {base} above the {RETRY_BACKOFF_CAP} s backoff cap"
         );
-        assert!(self.quarantine_after >= 1, "config: quarantine_after must be >= 1");
         if let Some(r) = self.max_update_norm_ratio {
             assert!(r > 0.0, "config: non-positive max_update_norm_ratio");
         }
@@ -277,13 +252,6 @@ pub struct ExperimentConfig {
     pub num_clients: usize,
     /// Partitioning scheme (the paper uses `Dirichlet`).
     pub partition: PartitionStrategy,
-    /// Client-selection policy (the paper uses `Uniform`).
-    pub selection: SelectionPolicy,
-    /// Per-client feature shift σ: each client's images get an affine
-    /// `scale·x + bias` with `scale ~ N(1, σ)`, `bias ~ N(0, σ)` — feature
-    /// (as opposed to label) heterogeneity. 0 disables (the paper's
-    /// setting).
-    pub feature_shift_sigma: f32,
     /// Device fleet timing model.
     pub fleet: FleetConfig,
     /// Local epochs E.
@@ -384,8 +352,6 @@ impl ExperimentConfig {
             test_per_class: 40,
             num_clients: 40,
             partition: PartitionStrategy::Dirichlet { alpha: 0.5 },
-            selection: SelectionPolicy::Uniform,
-            feature_shift_sigma: 0.0,
             fleet: FleetConfig::pareto_fleet(40),
             local_epochs: 5,
             batch_size: 32,
@@ -441,21 +407,8 @@ impl ExperimentConfig {
         assert!(self.batch_size >= 1, "config: zero batch size");
         assert!(self.lr > 0.0, "config: non-positive lr");
         assert!(self.prox_mu >= 0.0, "config: negative prox_mu");
-        assert!(self.feature_shift_sigma >= 0.0, "config: negative feature shift");
-        if let SelectionPolicy::SpeedBiased { exponent } = self.selection {
-            assert!(exponent.is_finite(), "config: non-finite selection exponent");
-        }
-        match self.partition {
-            PartitionStrategy::Dirichlet { alpha } => {
-                assert!(alpha > 0.0, "config: non-positive Dirichlet alpha")
-            }
-            PartitionStrategy::Shards { per_client } => {
-                assert!(per_client >= 1, "config: zero shards per client")
-            }
-            PartitionStrategy::QuantitySkew { tail } => {
-                assert!(tail > 0.0, "config: non-positive quantity-skew tail")
-            }
-            PartitionStrategy::Iid => {}
+        if let PartitionStrategy::Dirichlet { alpha } = self.partition {
+            assert!(alpha > 0.0, "config: non-positive Dirichlet alpha");
         }
         assert!(self.max_sim_time > 0.0, "config: non-positive time limit");
         assert!(self.eval_every >= 1, "config: eval_every must be >= 1");
@@ -685,7 +638,6 @@ mod tests {
         assert!(cfg.attack.is_noop());
         assert!(cfg.robust.rule == crate::robust::RobustAggregator::Mean);
         assert!(cfg.resilience.session_timeout.is_none());
-        assert!(cfg.resilience.reject_non_finite);
         assert!(cfg.resilience.max_update_norm_ratio.is_none());
         cfg.validate();
     }

@@ -52,7 +52,7 @@
 //!   the sanitizer (`crate::sanitize`) rejects non-finite or
 //!   norm-exploded updates in front of the aggregation.
 //! * **Timeout quarantine** — a client whose sessions time out
-//!   `quarantine_after` times in a row is excluded from selection for the
+//!   `QUARANTINE_AFTER` times in a row is excluded from selection for the
 //!   rest of the run.
 //!
 //! With faults disabled and default resilience settings none of these code
@@ -96,6 +96,10 @@ use std::collections::BTreeMap;
 /// Upload retries a client attempts after a transient transit loss before
 /// giving the session up.
 const MAX_UPLOAD_RETRIES: u32 = 3;
+/// Consecutive session timeouts after which a client is quarantined:
+/// excluded from selection for the rest of the run, so a crashed device
+/// stops holding a slot of the server's concurrency.
+const QUARANTINE_AFTER: u32 = 2;
 /// Upper bound on a single upload-retry backoff delay, seconds.
 pub(crate) const RETRY_BACKOFF_CAP: f64 = 60.0;
 
@@ -802,7 +806,7 @@ impl State {
         // generation can never match a later session).
         self.table.remove_session(client);
         self.trace.push(now, TraceEvent::Timeout { id: client });
-        if self.table.record_timeout(client) >= cfg.resilience.quarantine_after {
+        if self.table.record_timeout(client) >= QUARANTINE_AFTER {
             self.table.set_phase(client, ClientPhase::Quarantined);
             self.trace.push(now, TraceEvent::Quarantine { id: client });
         } else {
@@ -1034,11 +1038,7 @@ impl State {
         // deterministic block order over the experiment's dedicated pool, or
         // the global rayon pool when it has none (see `TrainerPool::run`).
         let idle: Vec<usize> = env.pool.run(|| self.table.idle_clients());
-        let ctx = DispatchCtx {
-            active: self.active(),
-            buffered: self.buffer.len(),
-            selection: cfg.selection,
-        };
+        let ctx = DispatchCtx { active: self.active(), buffered: self.buffer.len() };
         let picked = self.policy.select_cohort(&ctx, &idle, &env.fleet, &mut self.sel_rng);
         self.obs.span_end(Phase::Dispatch, dispatch_span);
         if picked.is_empty() {

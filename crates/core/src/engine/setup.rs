@@ -5,11 +5,7 @@ use crate::config::{ExperimentConfig, PartitionStrategy};
 use crate::pool::{TrainJob, TrainerPool};
 use crate::trainer::{CodecTransferStats, CohortTrainer, NetIncident, RemoteJob};
 use rayon::prelude::*;
-use seafl_data::synthetic::{apply_feature_shift, sample_feature_shift};
-use seafl_data::{
-    dirichlet_partition, iid_partition, quantity_skew_partition, shard_partition, ImageDataset,
-    TaskPlan, TrainPlan,
-};
+use seafl_data::{dirichlet_partition, iid_partition, ImageDataset, TaskPlan, TrainPlan};
 use seafl_sim::rng::{rng_from_state, rng_state, stream_rng, streams};
 use seafl_sim::{Fleet, LazyStreams, SimRng};
 use std::collections::BTreeMap;
@@ -68,24 +64,8 @@ impl Environment {
                 dirichlet_partition(train.labels(), cfg.num_clients, alpha, &mut part_rng)
             }
             PartitionStrategy::Iid => iid_partition(train.len(), cfg.num_clients, &mut part_rng),
-            PartitionStrategy::Shards { per_client } => {
-                shard_partition(train.labels(), cfg.num_clients, per_client, &mut part_rng)
-            }
-            PartitionStrategy::QuantitySkew { tail } => {
-                quantity_skew_partition(train.len(), cfg.num_clients, tail, &mut part_rng)
-            }
         };
-        // Every client's shift, drawn now and in client order whether or not
-        // the client is ever dispatched: the partition stream's order fixes
-        // each shift's value.
-        let shifts = if cfg.feature_shift_sigma > 0.0 {
-            (0..parts.len())
-                .map(|_| sample_feature_shift(cfg.feature_shift_sigma, &mut part_rng))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let shards = ClientShards { plan: train, parts, shifts, made: BTreeMap::new() };
+        let shards = ClientShards { plan: train, parts, made: BTreeMap::new() };
 
         let fleet = Fleet::lazy(cfg.fleet.clone(), cfg.seed);
 
@@ -239,17 +219,15 @@ impl Environment {
 
 /// Per-client training shards, made the first time each client trains.
 ///
-/// Holds the training-set plan, the partition and the per-client feature
-/// shifts. A shard is its part of the plan, shifted: a pure function of the
-/// seed, so which shards are made, where and in what order cannot show in
-/// any result. Like a device profile ([`Fleet::lazy`]) or an RNG stream
-/// ([`LazyStreams`]), a client's data costs nothing until it is dispatched.
+/// Holds the training-set plan and the partition. A shard is its part of
+/// the plan: a pure function of the seed, so which shards are made, where
+/// and in what order cannot show in any result. Like a device profile
+/// ([`Fleet::lazy`]) or an RNG stream ([`LazyStreams`]), a client's data
+/// costs nothing until it is dispatched.
 pub struct ClientShards {
     plan: TrainPlan,
     /// Training-sample indices per client.
     parts: Vec<Vec<usize>>,
-    /// `(scale, bias)` per client; empty when `feature_shift_sigma == 0`.
-    shifts: Vec<(f32, f32)>,
     made: BTreeMap<usize, ImageDataset>,
 }
 
@@ -276,11 +254,7 @@ impl ClientShards {
 
     /// Make client `k`'s shard, without keeping it.
     fn make(&self, k: usize) -> ImageDataset {
-        let shard = self.plan.subset(&self.parts[k]);
-        match self.shifts.get(k) {
-            Some(&(scale, bias)) => apply_feature_shift(&shard, scale, bias),
-            None => shard,
-        }
+        self.plan.subset(&self.parts[k])
     }
 
     /// Make and keep every shard of `clients` not made yet, in parallel on
@@ -358,7 +332,7 @@ mod tests {
     }
 
     /// The shards as `build` made them before they were lazy: generate the
-    /// whole training set, partition it, copy each part out and shift it.
+    /// whole training set, partition it and copy each part out.
     fn eager_shards(cfg: &ExperimentConfig) -> Vec<ImageDataset> {
         let data_seed = stream_rng(cfg.seed, streams::DATA).next_u64();
         let task = cfg.spec.generate(cfg.train_per_class, cfg.test_per_class, data_seed);
@@ -369,52 +343,27 @@ mod tests {
                 dirichlet_partition(labels, n, alpha, &mut rng)
             }
             PartitionStrategy::Iid => iid_partition(labels.len(), n, &mut rng),
-            PartitionStrategy::Shards { per_client } => {
-                shard_partition(labels, n, per_client, &mut rng)
-            }
-            PartitionStrategy::QuantitySkew { tail } => {
-                quantity_skew_partition(labels.len(), n, tail, &mut rng)
-            }
         };
-        parts
-            .iter()
-            .map(|idx| {
-                let shard = task.train.subset(idx);
-                if cfg.feature_shift_sigma > 0.0 {
-                    let (scale, bias) = sample_feature_shift(cfg.feature_shift_sigma, &mut rng);
-                    apply_feature_shift(&shard, scale, bias)
-                } else {
-                    shard
-                }
-            })
-            .collect()
+        parts.iter().map(|idx| task.train.subset(idx)).collect()
     }
 
     #[test]
     fn lazy_shards_equal_the_eager_path() {
-        let partitions = [
-            PartitionStrategy::Dirichlet { alpha: 0.5 },
-            PartitionStrategy::Iid,
-            PartitionStrategy::Shards { per_client: 2 },
-            PartitionStrategy::QuantitySkew { tail: 1.5 },
-        ];
+        let partitions = [PartitionStrategy::Dirichlet { alpha: 0.5 }, PartitionStrategy::Iid];
         for partition in partitions {
             for confusion in [0.0, 0.25] {
-                for sigma in [0.0, 0.3] {
-                    let mut cfg = tiny_cfg(11);
-                    cfg.spec.confusion = confusion;
-                    cfg.feature_shift_sigma = sigma;
-                    cfg.partition = partition;
-                    let env = Environment::build(&cfg);
-                    let eager = eager_shards(&cfg);
-                    let case = format!("{partition:?}, confusion {confusion}, sigma {sigma}");
-                    assert_eq!(env.shards.len(), eager.len(), "{case}");
-                    for (k, want) in eager.iter().enumerate() {
-                        let got = env.shards.make(k);
-                        assert_eq!(env.shards.shard_len(k), want.len(), "{case}, client {k}");
-                        assert_eq!(got.labels(), want.labels(), "{case}, client {k}");
-                        assert_eq!(bits(&got), bits(want), "{case}, client {k}");
-                    }
+                let mut cfg = tiny_cfg(11);
+                cfg.spec.confusion = confusion;
+                cfg.partition = partition;
+                let env = Environment::build(&cfg);
+                let eager = eager_shards(&cfg);
+                let case = format!("{partition:?}, confusion {confusion}");
+                assert_eq!(env.shards.len(), eager.len(), "{case}");
+                for (k, want) in eager.iter().enumerate() {
+                    let got = env.shards.make(k);
+                    assert_eq!(env.shards.shard_len(k), want.len(), "{case}, client {k}");
+                    assert_eq!(got.labels(), want.labels(), "{case}, client {k}");
+                    assert_eq!(bits(&got), bits(want), "{case}, client {k}");
                 }
             }
         }

@@ -2,7 +2,6 @@
 
 use crate::policy::{DispatchCtx, ServerPolicy, ServerView};
 use crate::update::ModelUpdate;
-use crate::SelectionPolicy;
 use rand::seq::SliceRandom;
 use seafl_sim::{Fleet, SimRng};
 
@@ -33,7 +32,7 @@ impl ServerPolicy for FedAvgPolicy {
         &mut self,
         ctx: &DispatchCtx,
         idle: &[usize],
-        fleet: &Fleet,
+        _fleet: &Fleet,
         rng: &mut SimRng,
     ) -> Vec<usize> {
         // The barrier: a new cohort only once the last one has fully
@@ -41,16 +40,9 @@ impl ServerPolicy for FedAvgPolicy {
         if ctx.active > 0 || ctx.buffered > 0 {
             return Vec::new();
         }
-        // Uniform keeps the historical `choose_multiple` draw so recorded
-        // FedAvg cohorts stay bit-reproducible across versions.
-        match ctx.selection {
-            SelectionPolicy::Uniform => {
-                idle.choose_multiple(rng, self.clients_per_round).copied().collect()
-            }
-            policy => {
-                crate::selection::select_clients(policy, idle, fleet, self.clients_per_round, rng)
-            }
-        }
+        // The historical `choose_multiple` draw, so recorded FedAvg cohorts
+        // stay bit-reproducible across versions.
+        idle.choose_multiple(rng, self.clients_per_round).copied().collect()
     }
 
     fn should_aggregate(&self, view: &ServerView) -> bool {
@@ -84,6 +76,7 @@ impl ServerPolicy for FedAvgPolicy {
 mod tests {
     use super::*;
     use crate::policy::InFlight;
+    use seafl_sim::rng::{stream_rng, streams};
 
     fn upd(client: usize, born: u64, samples: usize, params: Vec<f32>) -> ModelUpdate {
         ModelUpdate {
@@ -102,6 +95,36 @@ mod tests {
         let updates = vec![upd(0, 0, 30, vec![1.0]), upd(1, 0, 10, vec![5.0])];
         let out = p.aggregate(&[0.0], &updates, 1);
         assert!((out[0] - (0.75 * 1.0 + 0.25 * 5.0)).abs() < 1e-6);
+    }
+
+    /// FedAvg's cohort draw (`choose_multiple`, not the default
+    /// shuffle-and-truncate), pinned like `tests/selection_policies.rs` pins
+    /// the default: a digest of the picks and the selection stream's word
+    /// position after the call.
+    #[test]
+    fn cohort_draws_are_pinned() {
+        // (pool size, cohort size, picks, digest of the picks, word position after).
+        let pins: [(usize, usize, usize, u64, u128); 6] = [
+            (10, 64, 10, 0x65cc873d61b708c4, 17),
+            (10, 11, 10, 0x65cc873d61b708c4, 17),
+            (4_096, 64, 64, 0xbb95e9087db3de1d, 65),
+            (4_096, 4_097, 4_096, 0xbd8a907502cf10b9, 5677),
+            (400_000, 64, 64, 0xf719fd5c5aacb3ed, 89),
+            (400_000, 400_001, 400_000, 0x409fd2954ded47cd, 586_026),
+        ];
+        let mut got = Vec::new();
+        for &(pool, n, ..) in &pins {
+            let idle: Vec<usize> = (0..pool).collect();
+            let fleet = Fleet::lazy(seafl_sim::FleetConfig::pareto_fleet(pool), 1);
+            let mut rng = stream_rng(1, streams::SELECTION);
+            let mut p = FedAvgPolicy { clients_per_round: n };
+            let ctx = DispatchCtx { active: 0, buffered: 0 };
+            let picked = p.select_cohort(&ctx, &idle, &fleet, &mut rng);
+            let bytes: Vec<u8> = picked.iter().flat_map(|&k| (k as u64).to_le_bytes()).collect();
+            let digest = seafl_sim::digest::fnv1a64(&bytes);
+            got.push((pool, n, picked.len(), digest, rng.get_word_pos()));
+        }
+        assert_eq!(got, pins, "FedAvg's cohort draw moved: got {got:?}");
     }
 
     #[test]

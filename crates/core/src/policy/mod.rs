@@ -39,8 +39,6 @@ pub struct DispatchCtx {
     pub(crate) active: usize,
     /// Updates waiting in the buffer for the next aggregation.
     pub(crate) buffered: usize,
-    /// The experiment's client-selection policy.
-    pub(crate) selection: SelectionPolicy,
 }
 
 /// One in-flight training session, as visible to policy hooks.
@@ -118,7 +116,8 @@ pub trait ServerPolicy: Send {
 
     /// Pick the clients to dispatch now from `idle` (ascending client
     /// order). The default keeps `concurrency()` devices training.
-    /// Returning an empty cohort declines the dispatch.
+    /// Returning an empty cohort declines the dispatch. No policy here reads
+    /// `fleet`; the benchmark harness forwards it until ROADMAP item 12.
     fn select_cohort(
         &mut self,
         ctx: &DispatchCtx,
@@ -127,7 +126,7 @@ pub trait ServerPolicy: Send {
         rng: &mut SimRng,
     ) -> Vec<usize> {
         crate::selection::select_clients(
-            ctx.selection,
+            SelectionPolicy::Uniform,
             idle,
             fleet,
             self.concurrency().saturating_sub(ctx.active),

@@ -28,7 +28,7 @@ pub(crate) fn check_update(
     global: &[f32],
     cfg: &ResilienceConfig,
 ) -> Result<(), RejectCause> {
-    if cfg.reject_non_finite && update.params.iter().any(|p| !p.is_finite()) {
+    if update.params.iter().any(|p| !p.is_finite()) {
         return Err(RejectCause::NonFinite);
     }
     if let Some(ratio) = cfg.max_update_norm_ratio {
@@ -92,14 +92,6 @@ mod tests {
             let r = check_update(&upd(0, vec![0.0, bad, 0.0]), &global, &cfg());
             assert_eq!(r, Err(RejectCause::NonFinite));
         }
-    }
-
-    #[test]
-    fn non_finite_check_can_be_disabled() {
-        let mut c = cfg();
-        c.reject_non_finite = false;
-        let global = vec![0.0; 2];
-        assert!(check_update(&upd(0, vec![f32::NAN, 0.0]), &global, &c).is_ok());
     }
 
     #[test]

@@ -1,63 +1,27 @@
-//! Client-selection policies.
+//! Client selection.
 
 use crate::config::SelectionPolicy;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rayon::prelude::*;
-use seafl_sim::{ClientId, Fleet};
+use seafl_sim::Fleet;
 
-/// Candidate-pool size above which the `SpeedBiased` weighting scan shards
-/// across rayon workers. Each weight is an independent pure function of the
-/// device id, and an indexed parallel collect preserves slice order, so the
-/// sharded scan is bit-identical to the sequential one at any thread count.
-const PAR_WEIGHT_THRESHOLD: usize = 4096;
-
-/// Pick up to `n` distinct clients from `candidates` under `policy`.
+/// Pick up to `n` distinct clients from `candidates`, uniformly: shuffle
+/// and take a prefix (exactly the engine's historical behaviour, so runs
+/// are bit-reproducible across versions).
 ///
-/// `Uniform` shuffles and takes a prefix (exactly the engine's historical
-/// behaviour, so default-policy runs are bit-reproducible across versions).
-/// `SpeedBiased` performs weighted sampling without replacement with weight
-/// `speed_factor^{-exponent}`.
+/// `policy` and `fleet` are unused; the benchmark harness passes both until
+/// it joins the workspace (ROADMAP item 12).
 pub fn select_clients(
-    policy: SelectionPolicy,
+    _policy: SelectionPolicy,
     candidates: &[usize],
-    fleet: &Fleet,
+    _fleet: &Fleet,
     n: usize,
     rng: &mut impl Rng,
 ) -> Vec<usize> {
-    match policy {
-        SelectionPolicy::Uniform => {
-            let mut pool = candidates.to_vec();
-            pool.shuffle(rng);
-            pool.truncate(n);
-            pool
-        }
-        SelectionPolicy::SpeedBiased { exponent } => {
-            let mut pool: Vec<usize> = candidates.to_vec();
-            let weight = |k: usize| fleet.speed_factor(ClientId::new(k)).max(1e-9).powf(-exponent);
-            let mut weights: Vec<f64> = if pool.len() >= PAR_WEIGHT_THRESHOLD {
-                pool.par_iter().map(|&k| weight(k)).collect()
-            } else {
-                pool.iter().map(|&k| weight(k)).collect()
-            };
-            let mut picked = Vec::with_capacity(n.min(pool.len()));
-            while picked.len() < n && !pool.is_empty() {
-                let total: f64 = weights.iter().sum();
-                let mut draw = rng.gen::<f64>() * total;
-                let mut idx = pool.len() - 1;
-                for (i, &w) in weights.iter().enumerate() {
-                    if draw < w {
-                        idx = i;
-                        break;
-                    }
-                    draw -= w;
-                }
-                picked.push(pool.swap_remove(idx));
-                weights.swap_remove(idx);
-            }
-            picked
-        }
-    }
+    let mut pool = candidates.to_vec();
+    pool.shuffle(rng);
+    pool.truncate(n);
+    pool
 }
 
 #[cfg(test)]
@@ -69,10 +33,6 @@ mod tests {
 
     fn pareto(n: usize) -> Fleet {
         Fleet::lazy(FleetConfig::pareto_fleet(n), 7)
-    }
-
-    fn mean_speed(fleet: &Fleet, ids: &[usize]) -> f64 {
-        ids.iter().map(|&k| fleet.speed_factor(ClientId::new(k))).sum::<f64>() / ids.len() as f64
     }
 
     #[test]
@@ -89,81 +49,13 @@ mod tests {
     }
 
     #[test]
-    fn biased_selection_prefers_fast_devices() {
-        // Positive exponent weights by speed_factor^-2: over many draws the
-        // picked devices' mean slowdown must sit well below the pool's.
-        let f = pareto(40);
-        let cands: Vec<usize> = (0..40).collect();
-        let pool_mean = mean_speed(&f, &cands);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut picks = Vec::new();
-        for _ in 0..400 {
-            picks.extend(select_clients(
-                SelectionPolicy::SpeedBiased { exponent: 2.0 },
-                &cands,
-                &f,
-                2,
-                &mut rng,
-            ));
-        }
-        let picked_mean = mean_speed(&f, &picks);
-        assert!(
-            picked_mean < 0.8 * pool_mean,
-            "picked mean {picked_mean} not below pool mean {pool_mean}"
-        );
-    }
-
-    #[test]
-    fn negative_exponent_boosts_stragglers() {
-        let f = pareto(40);
-        let cands: Vec<usize> = (0..40).collect();
-        let pool_mean = mean_speed(&f, &cands);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut picks = Vec::new();
-        for _ in 0..400 {
-            picks.extend(select_clients(
-                SelectionPolicy::SpeedBiased { exponent: -2.0 },
-                &cands,
-                &f,
-                2,
-                &mut rng,
-            ));
-        }
-        let picked_mean = mean_speed(&f, &picks);
-        assert!(
-            picked_mean > 1.2 * pool_mean,
-            "picked mean {picked_mean} not above pool mean {pool_mean}"
-        );
-    }
-
-    #[test]
-    fn sharded_weighting_matches_sequential_draws() {
-        // A pool past PAR_WEIGHT_THRESHOLD exercises the rayon scan; the
-        // same seed over a truncated (sequential) pool must agree on the
-        // shared prefix of weights, i.e. the draw sequence only depends on
-        // the weights, not on how they were computed. Cheapest check:
-        // selection from the big pool is reproducible run to run.
-        let n = PAR_WEIGHT_THRESHOLD + 37;
-        let f = pareto(n);
-        let cands: Vec<usize> = (0..n).collect();
-        let policy = SelectionPolicy::SpeedBiased { exponent: 1.5 };
-        let a = select_clients(policy, &cands, &f, 8, &mut StdRng::seed_from_u64(3));
-        let b = select_clients(policy, &cands, &f, 8, &mut StdRng::seed_from_u64(3));
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
-    }
-
-    #[test]
     fn requesting_more_than_available_returns_all() {
         let f = pareto(3);
         let cands = vec![0, 1, 2];
         let mut rng = StdRng::seed_from_u64(3);
-        for policy in [SelectionPolicy::Uniform, SelectionPolicy::SpeedBiased { exponent: 1.0 }] {
-            let picked = select_clients(policy, &cands, &f, 99, &mut rng);
-            let mut p = picked.clone();
-            p.sort_unstable();
-            assert_eq!(p, vec![0, 1, 2]);
-        }
+        let mut picked = select_clients(SelectionPolicy::Uniform, &cands, &f, 99, &mut rng);
+        picked.sort_unstable();
+        assert_eq!(picked, vec![0, 1, 2]);
     }
 
     #[test]

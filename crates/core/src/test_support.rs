@@ -89,7 +89,6 @@ fn apply_fault_overlay(cfg: &mut ExperimentConfig) {
     cfg.faults.corrupt_prob = 0.1;
     cfg.faults.corruption = CorruptionKind::NanBurst { count: 4 };
     cfg.resilience.session_timeout = Some(25.0);
-    cfg.resilience.quarantine_after = 2;
     cfg.resilience.max_update_norm_ratio = Some(50.0);
 }
 

@@ -50,22 +50,6 @@ impl ImageDataset {
         self.labels.is_empty()
     }
 
-    pub(crate) fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    pub(crate) fn channels(&self) -> usize {
-        self.channels
-    }
-
-    pub(crate) fn height(&self) -> usize {
-        self.height
-    }
-
-    pub(crate) fn width(&self) -> usize {
-        self.width
-    }
-
     pub fn labels(&self) -> &[usize] {
         &self.labels
     }

@@ -7,7 +7,7 @@
 //! splits from a Dirichlet distribution. Those corpora are not available
 //! offline, so this crate provides procedurally generated class-prototype
 //! image datasets with matched shapes and tunable difficulty
-//! ([`synthetic`]), the same Dirichlet/IID/shard partitioners
+//! ([`synthetic`]), the same Dirichlet and IID partitioners
 //! (`partition`), and the Zipf/Pareto device-speed samplers the paper's
 //! testbed uses ([`sampling`]). See DESIGN.md §2 for why this substitution
 //! preserves the experimental signal.
@@ -18,5 +18,5 @@ pub mod sampling;
 pub mod synthetic;
 
 pub use dataset::ImageDataset;
-pub use partition::{dirichlet_partition, iid_partition, quantity_skew_partition, shard_partition};
+pub use partition::{dirichlet_partition, iid_partition};
 pub use synthetic::{SyntheticSpec, TaskPlan, TrainPlan};

@@ -1,5 +1,5 @@
-//! Client data partitioners: Dirichlet non-IID (the paper's scheme), IID,
-//! and label-shard splits.
+//! Client data partitioners: Dirichlet non-IID (the paper's scheme) and
+//! IID.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -96,100 +96,6 @@ pub fn iid_partition(
     out
 }
 
-/// Pathological shard split (McMahan et al.): sort by label, cut into
-/// `shards_per_client × num_clients` shards, deal each client
-/// `shards_per_client` shards. Each client sees at most `shards_per_client`
-/// labels.
-pub fn shard_partition(
-    labels: &[usize],
-    num_clients: usize,
-    shards_per_client: usize,
-    rng: &mut impl Rng,
-) -> Vec<Vec<usize>> {
-    assert!(num_clients > 0 && shards_per_client > 0, "shard_partition: zero sizes");
-    let total_shards = num_clients * shards_per_client;
-    assert!(
-        labels.len() >= total_shards,
-        "shard_partition: {} samples cannot fill {} shards",
-        labels.len(),
-        total_shards
-    );
-
-    let mut idx: Vec<usize> = (0..labels.len()).collect();
-    idx.sort_by_key(|&i| labels[i]);
-
-    let shard_len = labels.len() / total_shards;
-    let mut shard_ids: Vec<usize> = (0..total_shards).collect();
-    shard_ids.shuffle(rng);
-
-    let mut out = vec![Vec::new(); num_clients];
-    for (k, &sid) in shard_ids.iter().enumerate() {
-        let client = k / shards_per_client;
-        let start = sid * shard_len;
-        let end = if sid + 1 == total_shards { labels.len() } else { start + shard_len };
-        out[client].extend_from_slice(&idx[start..end]);
-    }
-    out
-}
-
-/// Quantity-skew partition: IID label distribution but heavy-tailed sample
-/// *counts* per client, drawn from a (normalized) Pareto-like power law
-/// with exponent `tail`. Models fleets where a few devices hold most of the
-/// data — the other heterogeneity axis FL systems face.
-///
-/// Every client receives at least one sample.
-pub fn quantity_skew_partition(
-    num_samples: usize,
-    num_clients: usize,
-    tail: f64,
-    rng: &mut impl Rng,
-) -> Vec<Vec<usize>> {
-    assert!(num_clients > 0, "quantity_skew_partition: zero clients");
-    assert!(num_samples >= num_clients, "quantity_skew_partition: too few samples");
-    assert!(tail > 0.0, "quantity_skew_partition: non-positive tail exponent");
-
-    // Power-law weights u^{-1/tail} with u ~ U(0,1): smaller tail = heavier.
-    let raw: Vec<f64> = (0..num_clients)
-        .map(|_| {
-            let u: f64 = rng.gen_range(1e-9..1.0);
-            u.powf(-1.0 / tail)
-        })
-        .collect();
-    let total: f64 = raw.iter().sum();
-
-    // Largest-remainder apportionment of (num_samples - num_clients) extra
-    // samples on top of the guaranteed one per client.
-    let spare = num_samples - num_clients;
-    let mut counts: Vec<usize> =
-        raw.iter().map(|&w| (w / total * spare as f64).floor() as usize + 1).collect();
-    let mut assigned: usize = counts.iter().sum();
-    // Distribute the remainder by descending fractional weight.
-    let mut order: Vec<usize> = (0..num_clients).collect();
-    order.sort_by(|&a, &b| raw[b].partial_cmp(&raw[a]).unwrap());
-    let mut i = 0;
-    while assigned < num_samples {
-        counts[order[i % num_clients]] += 1;
-        assigned += 1;
-        i += 1;
-    }
-    while assigned > num_samples {
-        // Floor+1 overshoot: trim from the largest shards.
-        let j = *order.iter().find(|&&c| counts[c] > 1).expect("trimmable shard");
-        counts[j] -= 1;
-        assigned -= 1;
-    }
-
-    let mut idx: Vec<usize> = (0..num_samples).collect();
-    idx.shuffle(rng);
-    let mut out = Vec::with_capacity(num_clients);
-    let mut start = 0;
-    for &c in &counts {
-        out.push(idx[start..start + c].to_vec());
-        start += c;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,21 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_partition_limits_labels_per_client() {
-        let labels = labels_balanced(10, 100);
-        let mut rng = StdRng::seed_from_u64(3);
-        let parts = shard_partition(&labels, 50, 2, &mut rng);
-        assert_is_partition(labels.len(), &parts);
-        for p in &parts {
-            let mut classes: Vec<usize> = p.iter().map(|&i| labels[i]).collect();
-            classes.sort_unstable();
-            classes.dedup();
-            // 2 shards can straddle at most 4 labels (shard boundaries).
-            assert!(classes.len() <= 4, "client sees {} labels", classes.len());
-        }
-    }
-
-    #[test]
     fn iid_skew_near_zero() {
         let labels = labels_balanced(10, 500);
         let mut rng = StdRng::seed_from_u64(4);
@@ -312,47 +203,6 @@ mod tests {
     fn too_few_samples_panics() {
         let mut rng = StdRng::seed_from_u64(0);
         dirichlet_partition(&[0, 1], 5, 1.0, &mut rng);
-    }
-
-    #[test]
-    fn quantity_skew_is_a_partition_with_heavy_tail() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let parts = quantity_skew_partition(1000, 20, 1.2, &mut rng);
-        assert_is_partition(1000, &parts);
-        assert!(parts.iter().all(|p| !p.is_empty()));
-        let mut sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        sizes.sort_unstable();
-        // Heavy tail: the biggest shard dwarfs the median.
-        assert!(
-            sizes[19] > 3 * sizes[10],
-            "not heavy-tailed: max {} vs median {}",
-            sizes[19],
-            sizes[10]
-        );
-    }
-
-    #[test]
-    fn quantity_skew_exact_total_small_cases() {
-        for (n, c) in [(10usize, 10usize), (11, 10), (57, 7)] {
-            let mut rng = StdRng::seed_from_u64(n as u64);
-            let parts = quantity_skew_partition(n, c, 2.0, &mut rng);
-            assert_is_partition(n, &parts);
-        }
-    }
-
-    #[test]
-    fn prop_quantity_skew_conserves_samples() {
-        for case in 0..16 {
-            let mut rng = StdRng::seed_from_u64(case);
-            let (n, clients) = (rng.gen_range(20usize..400), rng.gen_range(1usize..20));
-            let tail = rng.gen_range(0.5f64..4.0);
-            let seed = rng.gen_range(0usize..500) as u64;
-            let parts = quantity_skew_partition(n, clients, tail, &mut StdRng::seed_from_u64(seed));
-            let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..n).collect::<Vec<_>>(), "case {case}");
-            assert!(parts.iter().all(|p| !p.is_empty()), "case {case}");
-        }
     }
 
     #[test]

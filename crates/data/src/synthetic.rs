@@ -296,37 +296,6 @@ pub struct SyntheticTask {
     pub test: ImageDataset,
 }
 
-/// Apply a client-specific affine feature shift `x ← scale·x + bias` to a
-/// dataset copy.
-///
-/// Label-skew (Dirichlet) is one axis of statistical heterogeneity; the
-/// other is *feature* skew — each device's sensor/camera sees the world
-/// differently (FEMNIST writers, camera white balance). Composing this with
-/// any partitioner yields feature-shifted federations.
-pub fn apply_feature_shift(ds: &ImageDataset, scale: f32, bias: f32) -> ImageDataset {
-    assert!(scale.is_finite() && bias.is_finite(), "non-finite feature shift");
-    let (x, y) = ds.full_batch();
-    let shifted = x.map(|v| scale * v + bias);
-    ImageDataset::new(
-        shifted.into_vec(),
-        y,
-        ds.channels(),
-        ds.height(),
-        ds.width(),
-        ds.num_classes(),
-    )
-}
-
-/// Sample a per-client `(scale, bias)` feature shift: `scale ~ N(1, σ)`
-/// (clamped positive), `bias ~ N(0, σ)`.
-pub fn sample_feature_shift(sigma: f32, rng: &mut impl Rng) -> (f32, f32) {
-    assert!(sigma >= 0.0, "negative feature-shift sigma");
-    let n = Normal::new(0.0f64, sigma as f64).expect("valid normal");
-    let scale = (1.0 + n.sample(rng) as f32).max(0.1);
-    let bias = n.sample(rng) as f32;
-    (scale, bias)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,8 +305,7 @@ mod tests {
         let task = SyntheticSpec::emnist_like().generate(5, 3, 0);
         assert_eq!(task.train.len(), 50);
         assert_eq!(task.test.len(), 30);
-        assert_eq!(task.train.channels(), 1);
-        assert_eq!(task.train.height(), 28);
+        assert_eq!(task.train.batch(&[0]).0.shape(), seafl_tensor::Shape::d4(1, 1, 28, 28));
         assert_eq!(task.train.class_histogram(), vec![5; 10]);
     }
 
@@ -434,30 +402,5 @@ mod tests {
         let c = SyntheticSpec::cinic10_like();
         assert!(c.noise_std > e.noise_std);
         assert!(c.confusion > e.confusion);
-    }
-
-    #[test]
-    fn feature_shift_is_affine_and_preserves_labels() {
-        let task = SyntheticSpec::emnist_like().generate(2, 1, 3);
-        let shifted = apply_feature_shift(&task.train, 2.0, -0.5);
-        assert_eq!(shifted.labels(), task.train.labels());
-        let (x0, _) = task.train.full_batch();
-        let (x1, _) = shifted.full_batch();
-        for (a, b) in x0.as_slice().iter().zip(x1.as_slice().iter()) {
-            assert!((b - (2.0 * a - 0.5)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sampled_shifts_vary_and_scale_stays_positive() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let shifts: Vec<(f32, f32)> =
-            (0..100).map(|_| sample_feature_shift(0.5, &mut rng)).collect();
-        assert!(shifts.iter().all(|&(s, _)| s >= 0.1));
-        let (s0, b0) = shifts[0];
-        assert!(shifts.iter().any(|&(s, b)| s != s0 || b != b0));
-        // sigma = 0 is the identity shift.
-        assert_eq!(sample_feature_shift(0.0, &mut rng), (1.0, 0.0));
     }
 }

@@ -27,10 +27,6 @@ pub enum ModelKind {
     /// ResNet-18 topology on `[3, 32, 32]` inputs (CIFAR-10-like).
     /// `width_base` is the stem channel count (paper-standard: 64).
     ResNet18 { num_classes: usize, width_base: usize },
-    /// ResNet-18 with group normalization instead of batch norm — the
-    /// batch-independent variant commonly used in FL, where batch-norm
-    /// running statistics mix poorly across non-IID clients.
-    ResNet18Gn { num_classes: usize, width_base: usize },
     /// VGG-16 topology on `[3, 32, 32]` inputs (CINIC-10-like).
     /// `width_base` is the first block's channel count (paper-standard: 64).
     Vgg16 { num_classes: usize, width_base: usize },
@@ -47,9 +43,6 @@ impl ModelKind {
             ModelKind::LeNet5 { num_classes } => lenet::lenet5(num_classes, &mut rng),
             ModelKind::ResNet18 { num_classes, width_base } => {
                 resnet::resnet18(num_classes, width_base, &mut rng)
-            }
-            ModelKind::ResNet18Gn { num_classes, width_base } => {
-                resnet::resnet18_gn(num_classes, width_base, &mut rng)
             }
             ModelKind::Vgg16 { num_classes, width_base } => {
                 vgg::vgg16(num_classes, width_base, &mut rng)
@@ -192,26 +185,6 @@ mod tests {
         assert!(m.num_buffer_elems() > 0);
         // ResNet-18 at width 64 has ~11.2M params; width 8 ≈ 64x fewer.
         assert!(m.num_params() > 100_000 / 64 * 10, "params: {}", m.num_params());
-    }
-
-    #[test]
-    fn resnet18_gn_has_no_buffers() {
-        let mut m = ModelKind::ResNet18Gn { num_classes: 10, width_base: 2 }.build(8);
-        assert_eq!(m.num_buffer_elems(), 0, "GroupNorm must not carry running stats");
-        let y = m.net.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
-        assert_eq!(y.shape(), Shape::d2(1, 10));
-        // Same trainable-parameter count as the batch-norm variant.
-        let bn = ModelKind::ResNet18 { num_classes: 10, width_base: 2 }.build(8);
-        assert_eq!(m.num_params(), bn.num_params());
-        assert!(bn.num_buffer_elems() > 0);
-    }
-
-    #[test]
-    fn resnet18_gn_odd_width_builds() {
-        // width 3 makes channel counts 3/6/12/24; group fitting must cope.
-        let mut m = ModelKind::ResNet18Gn { num_classes: 4, width_base: 3 }.build(9);
-        let y = m.net.forward(Tensor::zeros(Shape::d4(1, 3, 32, 32)), false);
-        assert_eq!(y.shape(), Shape::d2(1, 4));
     }
 
     #[test]

@@ -199,172 +199,6 @@ impl Layer for BatchNorm2d {
     }
 }
 
-/// Group normalization (Wu & He, 2018): normalizes over channel groups
-/// *within each sample*, so it has no batch-statistics and no running
-/// buffers — the norm of choice for federated learning, where batch-norm's
-/// running statistics mix poorly across non-IID clients.
-#[derive(Clone)]
-pub(crate) struct GroupNorm {
-    channels: usize,
-    groups: usize,
-    gamma: Tensor,
-    beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
-    cache: Option<GnCache>,
-}
-
-#[derive(Clone)]
-struct GnCache {
-    x_hat: Tensor,
-    inv_std: Vec<f32>, // per (sample, group)
-    in_shape: Shape,
-}
-
-impl GroupNorm {
-    pub(crate) fn new(channels: usize, groups: usize) -> Self {
-        assert!(
-            groups > 0 && channels.is_multiple_of(groups),
-            "GroupNorm: channels {channels} not divisible by groups {groups}"
-        );
-        GroupNorm {
-            channels,
-            groups,
-            gamma: Tensor::full(Shape::d1(channels), 1.0),
-            beta: Tensor::zeros(Shape::d1(channels)),
-            grad_gamma: Tensor::zeros(Shape::d1(channels)),
-            grad_beta: Tensor::zeros(Shape::d1(channels)),
-            cache: None,
-        }
-    }
-}
-
-impl Layer for GroupNorm {
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        let s = x.shape();
-        assert_eq!(s.rank(), 4, "GroupNorm: expected NCHW input");
-        assert_eq!(s.dim(1), self.channels, "GroupNorm: channel mismatch");
-        let (n, c, hw) = (s.dim(0), s.dim(1), s.dim(2) * s.dim(3));
-        let cpg = c / self.groups; // channels per group
-        let m = (cpg * hw) as f32; // elements per (sample, group)
-
-        let xv = x.as_slice();
-        let g = self.gamma.as_slice();
-        let b = self.beta.as_slice();
-        let mut out = vec![0.0f32; x.len()];
-        let mut x_hat = vec![0.0f32; x.len()];
-        let mut inv_stds = vec![0.0f32; n * self.groups];
-
-        for ni in 0..n {
-            for gi in 0..self.groups {
-                let c0 = gi * cpg;
-                let (mut sum, mut sq) = (0.0f64, 0.0f64);
-                for ci in c0..c0 + cpg {
-                    let off = (ni * c + ci) * hw;
-                    for &v in &xv[off..off + hw] {
-                        sum += v as f64;
-                        sq += (v as f64) * (v as f64);
-                    }
-                }
-                let mean = (sum / m as f64) as f32;
-                let var = ((sq / m as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
-                let inv_std = 1.0 / (var + EPS).sqrt();
-                inv_stds[ni * self.groups + gi] = inv_std;
-                for ci in c0..c0 + cpg {
-                    let off = (ni * c + ci) * hw;
-                    for i in off..off + hw {
-                        let xh = (xv[i] - mean) * inv_std;
-                        x_hat[i] = xh;
-                        out[i] = g[ci] * xh + b[ci];
-                    }
-                }
-            }
-        }
-
-        if train {
-            self.cache =
-                Some(GnCache { x_hat: Tensor::from_vec(s, x_hat), inv_std: inv_stds, in_shape: s });
-        }
-        Tensor::from_vec(s, out)
-    }
-
-    #[allow(clippy::needless_range_loop)] // index interleaves several buffers
-    fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let cache =
-            self.cache.take().expect("GroupNorm::backward called without forward(train=true)");
-        let s = cache.in_shape;
-        let (n, c, hw) = (s.dim(0), s.dim(1), s.dim(2) * s.dim(3));
-        let cpg = c / self.groups;
-        let m = (cpg * hw) as f32;
-
-        let gv = grad_out.as_slice();
-        let xh = cache.x_hat.as_slice();
-        let g = self.gamma.as_slice();
-
-        // Parameter gradients (per channel, summed over samples & space).
-        for ci in 0..c {
-            let (mut dg, mut db) = (0.0f64, 0.0f64);
-            for ni in 0..n {
-                let off = (ni * c + ci) * hw;
-                for i in off..off + hw {
-                    dg += (gv[i] * xh[i]) as f64;
-                    db += gv[i] as f64;
-                }
-            }
-            self.grad_gamma.as_mut_slice()[ci] += dg as f32;
-            self.grad_beta.as_mut_slice()[ci] += db as f32;
-        }
-
-        // Input gradient per (sample, group), same form as batch norm within
-        // the group.
-        let mut grad_in = vec![0.0f32; grad_out.len()];
-        for ni in 0..n {
-            for gi in 0..self.groups {
-                let c0 = gi * cpg;
-                let (mut sum_dyg, mut sum_dyg_xh) = (0.0f64, 0.0f64);
-                for ci in c0..c0 + cpg {
-                    let off = (ni * c + ci) * hw;
-                    for i in off..off + hw {
-                        let dyg = (gv[i] * g[ci]) as f64;
-                        sum_dyg += dyg;
-                        sum_dyg_xh += dyg * xh[i] as f64;
-                    }
-                }
-                let inv_std = cache.inv_std[ni * self.groups + gi];
-                let (sd, sdx) = (sum_dyg as f32, sum_dyg_xh as f32);
-                for ci in c0..c0 + cpg {
-                    let off = (ni * c + ci) * hw;
-                    for i in off..off + hw {
-                        grad_in[i] = inv_std / m * (m * gv[i] * g[ci] - sd - xh[i] * sdx);
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(s, grad_in)
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.gamma, &self.beta]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_gamma, &self.grad_beta]
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_gamma.fill_zero();
-        self.grad_beta.fill_zero();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,78 +290,6 @@ mod tests {
         }
         // Sum-loss input gradient should be near zero (mean shift cancels).
         assert!(gin.as_slice().iter().all(|&v| v.abs() < 1e-3));
-    }
-
-    #[test]
-    fn groupnorm_normalizes_within_groups() {
-        let mut gn = GroupNorm::new(4, 2);
-        let x = rng_tensor(Shape::d4(2, 4, 3, 3), 7);
-        let y = gn.forward(x, true);
-        // With γ=1, β=0 each (sample, group) block is ~N(0,1).
-        let s = y.shape();
-        let hw = 9;
-        for ni in 0..2 {
-            for gi in 0..2 {
-                let mut vals = Vec::new();
-                for ci in (gi * 2)..(gi * 2 + 2) {
-                    let off = (ni * s.dim(1) + ci) * hw;
-                    vals.extend_from_slice(&y.as_slice()[off..off + hw]);
-                }
-                let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
-                let var: f32 =
-                    vals.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
-                assert!(mean.abs() < 1e-4, "group mean {mean}");
-                assert!((var - 1.0).abs() < 2e-2, "group var {var}");
-            }
-        }
-    }
-
-    #[test]
-    fn groupnorm_has_no_buffers_and_is_batch_independent() {
-        let mut gn = GroupNorm::new(2, 1);
-        assert!(gn.buffers().is_empty());
-        // A sample normalizes identically whether alone or in a batch.
-        let x1 = rng_tensor(Shape::d4(1, 2, 2, 2), 9);
-        let y_alone = gn.forward(x1.clone(), false);
-        let mut both = x1.as_slice().to_vec();
-        both.extend_from_slice(rng_tensor(Shape::d4(1, 2, 2, 2), 10).as_slice());
-        let y_batch = gn.forward(Tensor::from_vec(Shape::d4(2, 2, 2, 2), both), false);
-        for i in 0..8 {
-            assert!((y_alone.as_slice()[i] - y_batch.as_slice()[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn groupnorm_backward_matches_finite_difference() {
-        let x = rng_tensor(Shape::d4(1, 4, 2, 2), 11);
-        let w = rng_tensor(Shape::d4(1, 4, 2, 2), 12);
-        let mut gn = GroupNorm::new(4, 2);
-        gn.forward(x.clone(), true);
-        let gin = gn.backward(w.clone());
-
-        let eps = 1e-2;
-        for idx in [0usize, 5, 9, 15] {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[idx] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[idx] -= eps;
-            let mut gp = GroupNorm::new(4, 2);
-            let mut gm = GroupNorm::new(4, 2);
-            let lp = gp.forward(xp, true).dot(&w);
-            let lm = gm.forward(xm, true).dot(&w);
-            let fd = (lp - lm) / (2.0 * eps);
-            assert!(
-                (fd - gin.as_slice()[idx]).abs() < 5e-2,
-                "dx[{idx}]: fd={fd} vs {}",
-                gin.as_slice()[idx]
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn groupnorm_indivisible_groups_panics() {
-        GroupNorm::new(5, 2);
     }
 
     #[test]

@@ -2,10 +2,6 @@
 
 use crate::layer::Layer;
 
-/// L2 weight-decay coefficient of [`Sgd::step`]. Always 0: the term is kept
-/// so the update's floating-point arithmetic stays exactly as it was.
-const WEIGHT_DECAY: f32 = 0.0;
-
 /// Stochastic gradient descent with classical (heavyball) momentum — the
 /// optimizer the paper's experiments use (`η` in Algorithm 1).
 #[derive(Clone)]
@@ -30,7 +26,7 @@ impl Sgd {
     /// Apply one update step to all parameters of `layer` using its
     /// accumulated gradients, then zero the gradients.
     ///
-    /// `v ← m·v + g + wd·w ; w ← w − lr·v`
+    /// `v ← m·v + g ; w ← w − lr·v`
     pub(crate) fn step(&mut self, layer: &mut (impl Layer + ?Sized)) {
         // Velocity buffers are lazily sized on first use and then reused.
         {
@@ -47,20 +43,18 @@ impl Sgd {
         // Collect gradient snapshots first (grads() and params_mut() cannot
         // be borrowed simultaneously through the trait).
         let grads: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.as_slice().to_vec()).collect();
-        let (lr, mom, wd) = (self.lr, self.momentum, WEIGHT_DECAY);
+        let (lr, mom) = (self.lr, self.momentum);
         for ((param, grad), vel) in
             layer.params_mut().into_iter().zip(grads.iter()).zip(self.velocity.iter_mut())
         {
             let pv = param.as_mut_slice();
             if mom == 0.0 {
                 for i in 0..pv.len() {
-                    let g = grad[i] + wd * pv[i];
-                    pv[i] -= lr * g;
+                    pv[i] -= lr * grad[i];
                 }
             } else {
                 for i in 0..pv.len() {
-                    let g = grad[i] + wd * pv[i];
-                    vel[i] = mom * vel[i] + g;
+                    vel[i] = mom * vel[i] + grad[i];
                     pv[i] -= lr * vel[i];
                 }
             }

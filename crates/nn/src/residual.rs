@@ -3,37 +3,11 @@
 use crate::activations::Relu;
 use crate::conv::Conv2d;
 use crate::layer::Layer;
-use crate::norm::{BatchNorm2d, GroupNorm};
+use crate::norm::BatchNorm2d;
 use crate::sequential::Sequential;
 use rand::Rng;
 use seafl_tensor::conv::Conv2dGeom;
 use seafl_tensor::Tensor;
-
-/// Which normalization the block's conv layers use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum NormKind {
-    /// Batch normalization (the standard ResNet recipe; running statistics
-    /// travel with the model state).
-    Batch,
-    /// Group normalization with the given group count — batch-independent,
-    /// the common substitution in federated learning.
-    Group(usize),
-}
-
-impl NormKind {
-    fn build(&self, channels: usize) -> Box<dyn Layer> {
-        match *self {
-            NormKind::Batch => Box::new(BatchNorm2d::new(channels)),
-            NormKind::Group(g) => Box::new(GroupNorm::new(channels, Self::fit_groups(g, channels))),
-        }
-    }
-
-    /// Largest divisor of `channels` that does not exceed the requested
-    /// group count (GroupNorm requires divisibility).
-    pub(crate) fn fit_groups(requested: usize, channels: usize) -> usize {
-        (1..=requested.clamp(1, channels)).rev().find(|&g| channels.is_multiple_of(g)).unwrap_or(1)
-    }
-}
 
 /// ResNet basic block: `y = relu(main(x) + shortcut(x))` where `main` is
 /// conv-bn-relu-conv-bn and `shortcut` is identity or a strided 1×1
@@ -47,14 +21,13 @@ pub(crate) struct ResidualBlock {
 }
 
 impl ResidualBlock {
-    /// Build a basic block with an explicit normalization choice.
-    pub(crate) fn with_norm(
+    /// Build a basic block on an `in_c × h × w` input.
+    pub(crate) fn new(
         in_c: usize,
         out_c: usize,
         h: usize,
         w: usize,
         stride: usize,
-        norm: NormKind,
         rng: &mut impl Rng,
     ) -> Self {
         let g1 = Conv2dGeom { in_c, in_h: h, in_w: w, k_h: 3, k_w: 3, stride, pad: 1 };
@@ -63,14 +36,14 @@ impl ResidualBlock {
 
         let main = Sequential::new()
             .add(Conv2d::new(g1, out_c, rng))
-            .add_boxed(norm.build(out_c))
+            .add(BatchNorm2d::new(out_c))
             .add(Relu::new())
             .add(Conv2d::new(g2, out_c, rng))
-            .add_boxed(norm.build(out_c));
+            .add(BatchNorm2d::new(out_c));
 
         let shortcut = if stride != 1 || in_c != out_c {
             let gs = Conv2dGeom { in_c, in_h: h, in_w: w, k_h: 1, k_w: 1, stride, pad: 0 };
-            Some(Sequential::new().add(Conv2d::new(gs, out_c, rng)).add_boxed(norm.build(out_c)))
+            Some(Sequential::new().add(Conv2d::new(gs, out_c, rng)).add(BatchNorm2d::new(out_c)))
         } else {
             None
         };
@@ -170,7 +143,7 @@ mod tests {
     #[test]
     fn identity_block_shape_preserved() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut b = ResidualBlock::with_norm(4, 4, 6, 6, 1, NormKind::Batch, &mut rng);
+        let mut b = ResidualBlock::new(4, 4, 6, 6, 1, &mut rng);
         let x = Tensor::zeros(Shape::d4(2, 4, 6, 6));
         let y = b.forward(x, false);
         assert_eq!(y.shape(), Shape::d4(2, 4, 6, 6));
@@ -181,7 +154,7 @@ mod tests {
     #[test]
     fn strided_block_downsamples_with_projection() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut b = ResidualBlock::with_norm(4, 8, 6, 6, 2, NormKind::Batch, &mut rng);
+        let mut b = ResidualBlock::new(4, 8, 6, 6, 2, &mut rng);
         let x = Tensor::zeros(Shape::d4(1, 4, 6, 6));
         let y = b.forward(x, false);
         assert_eq!(y.shape(), Shape::d4(1, 8, 3, 3));
@@ -191,7 +164,7 @@ mod tests {
     #[test]
     fn backward_produces_input_shaped_gradient() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut b = ResidualBlock::with_norm(3, 6, 4, 4, 2, NormKind::Batch, &mut rng);
+        let mut b = ResidualBlock::new(3, 6, 4, 4, 2, &mut rng);
         let x = Tensor::full(Shape::d4(2, 3, 4, 4), 0.1);
         let y = b.forward(x.clone(), true);
         let g = b.backward(Tensor::full(y.shape(), 1.0));
@@ -204,7 +177,7 @@ mod tests {
         // Zero out the main path's final BN gamma so the main branch
         // contributes nothing; the skip path must still carry gradient.
         let mut rng = StdRng::seed_from_u64(3);
-        let mut b = ResidualBlock::with_norm(2, 2, 4, 4, 1, NormKind::Batch, &mut rng);
+        let mut b = ResidualBlock::new(2, 2, 4, 4, 1, &mut rng);
         let x = Tensor::full(Shape::d4(1, 2, 4, 4), 0.5);
         let y = b.forward(x.clone(), true);
         let g = b.backward(Tensor::full(y.shape(), 1.0));

@@ -20,12 +20,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
         self
     }
-
-    /// Push a pre-boxed layer (for dynamically built architectures).
-    pub(crate) fn add_boxed(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
-        self
-    }
 }
 
 impl Default for Sequential {

@@ -95,36 +95,16 @@ impl FleetConfig {
             latency: 0.05,
         }
     }
-
-    /// Materialize the fleet deterministically from `master_seed`.
-    ///
-    /// Eager reference construction: allocates all `num_devices` profiles up
-    /// front. Million-client fleets should use [`Fleet::lazy`], which derives
-    /// the identical profiles on demand — the equivalence is pinned by
-    /// `lazy_profiles_match_eager_build`.
-    pub fn build(&self, master_seed: u64) -> Vec<DeviceProfile> {
-        assert!(self.num_devices > 0, "FleetConfig: zero devices");
-        let mut rng = stream_rng(master_seed, streams::FLEET);
-        (0..self.num_devices)
-            .map(|_| DeviceProfile {
-                speed_factor: self.pareto_speed.map_or(1.0, |p| p.sample(&mut rng)),
-                idle: self.zipf_idle,
-                up_bandwidth: self.up_bandwidth,
-                down_bandwidth: self.down_bandwidth,
-                latency: self.latency,
-            })
-            .collect()
-    }
 }
 
 /// A fleet of devices materialized lazily from the master seed.
 ///
-/// [`FleetConfig::build`] draws each device's speed factor sequentially from
-/// the `FLEET` RNG stream, so an eager fleet costs O(N) memory even though a
-/// semi-async server only ever touches the cohort-sized subset that actually
-/// trains. `Fleet` stores just the config plus the measured RNG stride of
-/// one speed draw: device `k`'s draw starts at word position `k · stride`,
-/// so [`profile`](Fleet::profile) can seek the counter-based ChaCha stream
+/// Device speed factors are drawn sequentially from the `FLEET` RNG stream,
+/// so an eager fleet would cost O(N) memory even though a semi-async server
+/// only ever touches the cohort-sized subset that actually trains. `Fleet`
+/// stores just the config plus the measured RNG stride of one speed draw:
+/// device `k`'s draw starts at word position `k · stride`, so
+/// [`profile`](Fleet::profile) can seek the counter-based ChaCha stream
 /// straight to it and reproduce the eager profile bit for bit — never-touched
 /// clients cost zero bytes.
 #[derive(Clone, Debug)]
@@ -162,8 +142,9 @@ impl Fleet {
         self.cfg.num_devices == 0
     }
 
-    /// Derive device `id`'s profile, bit-identical to the eager
-    /// [`FleetConfig::build`] entry at the same index.
+    /// Derive device `id`'s profile, bit-identical to entry `id` of the
+    /// eager sequential build (the `lazy_profiles_match_eager_build` test
+    /// oracle).
     pub fn profile(&self, id: ClientId) -> DeviceProfile {
         let k = id.index();
         assert!(k < self.cfg.num_devices, "client {k} outside fleet of {}", self.cfg.num_devices);
@@ -190,14 +171,6 @@ impl Fleet {
             latency: self.cfg.latency,
         }
     }
-
-    /// Device `id`'s speed factor (what selection weighting reads).
-    pub fn speed_factor(&self, id: ClientId) -> f64 {
-        match self.cfg.pareto_speed {
-            None => 1.0,
-            Some(_) => self.profile(id).speed_factor,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,6 +178,23 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The eager reference construction [`Fleet::lazy`] must reproduce:
+    /// every profile drawn up front, in device order, from the `FLEET`
+    /// stream.
+    fn eager_build(cfg: &FleetConfig, master_seed: u64) -> Vec<DeviceProfile> {
+        assert!(cfg.num_devices > 0, "FleetConfig: zero devices");
+        let mut rng = stream_rng(master_seed, streams::FLEET);
+        (0..cfg.num_devices)
+            .map(|_| DeviceProfile {
+                speed_factor: cfg.pareto_speed.map_or(1.0, |p| p.sample(&mut rng)),
+                idle: cfg.zipf_idle,
+                up_bandwidth: cfg.up_bandwidth,
+                down_bandwidth: cfg.down_bandwidth,
+                latency: cfg.latency,
+            })
+            .collect()
+    }
 
     #[test]
     fn epoch_compute_scales_with_speed_factor() {
@@ -247,8 +237,8 @@ mod tests {
     #[test]
     fn pareto_fleet_is_heterogeneous_and_deterministic() {
         let cfg = FleetConfig::pareto_fleet(100);
-        let f1 = cfg.build(7);
-        let f2 = cfg.build(7);
+        let f1 = eager_build(&cfg, 7);
+        let f2 = eager_build(&cfg, 7);
         assert_eq!(f1.len(), 100);
         for (a, b) in f1.iter().zip(f2.iter()) {
             assert_eq!(a.speed_factor, b.speed_factor);
@@ -260,7 +250,7 @@ mod tests {
 
     #[test]
     fn zipf_fleet_has_idle_models() {
-        let fleet = FleetConfig::zipf_idle_fleet(5).build(0);
+        let fleet = eager_build(&FleetConfig::zipf_idle_fleet(5), 0);
         assert!(fleet.iter().all(|d| d.idle.is_some()));
         assert!(fleet.iter().all(|d| d.speed_factor == 1.0));
     }
@@ -268,8 +258,8 @@ mod tests {
     #[test]
     fn different_seed_different_fleet() {
         let cfg = FleetConfig::pareto_fleet(50);
-        let a = cfg.build(1);
-        let b = cfg.build(2);
+        let a = eager_build(&cfg, 1);
+        let b = eager_build(&cfg, 2);
         assert!(a.iter().zip(b.iter()).any(|(x, y)| x.speed_factor != y.speed_factor));
     }
 
@@ -277,7 +267,7 @@ mod tests {
     fn lazy_profiles_match_eager_build() {
         for cfg in [FleetConfig::pareto_fleet(64), FleetConfig::zipf_idle_fleet(64)] {
             for seed in [0u64, 7, 42] {
-                let eager = cfg.build(seed);
+                let eager = eager_build(&cfg, seed);
                 let lazy = Fleet::lazy(cfg.clone(), seed);
                 assert_eq!(lazy.len(), eager.len());
                 // Out-of-order access must still be bit-identical: laziness
@@ -291,7 +281,6 @@ mod tests {
                     );
                     assert_eq!(p.idle.is_some(), eager[k].idle.is_some());
                     assert_eq!(p.up_bandwidth, eager[k].up_bandwidth);
-                    assert_eq!(lazy.speed_factor(ClientId::new(k)), eager[k].speed_factor);
                 }
             }
         }

@@ -6,11 +6,11 @@
 //!
 //! The workspace layers, re-exported here:
 //!
-//! * [`tensor`] — dense `f32` tensors, rayon-parallel GEMM, im2col
+//! * [`tensor`] — dense `f32` tensors, rayon-parallel GEMM, im2col-free
 //!   convolution, pooling.
 //! * [`nn`] — layers with explicit backward passes, the paper's model zoo
 //!   (LeNet-5, ResNet-18, VGG-16, width-scalable), SGD.
-//! * [`data`] — synthetic federated datasets, Dirichlet/IID/shard/quantity
+//! * [`data`] — synthetic federated datasets, Dirichlet and IID
 //!   partitioners, Zipf/Pareto workload samplers.
 //! * [`sim`] — deterministic discrete-event simulation of heterogeneous
 //!   device fleets (virtual clock, event queue, device/network models).

@@ -190,7 +190,6 @@ fn universal_crash_with_timeout_drains_instead_of_hanging() {
     // the first few of them.
     cfg.faults.crash_window = (0.0, 5.0);
     cfg.resilience.session_timeout = Some(20.0);
-    cfg.resilience.quarantine_after = 2;
     let r = run_experiment(&cfg);
     assert!(r.crashes > 0, "no crash ever materialized");
     assert!(r.timeouts > 0, "no session was reclaimed");

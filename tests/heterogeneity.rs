@@ -1,5 +1,5 @@
-//! Data-heterogeneity axes: partition strategies and per-client feature
-//! shift, end-to-end through the engine.
+//! Data heterogeneity end-to-end through the engine: the partition
+//! strategies, and FedProx under extreme label skew.
 
 use seafl::core::{run_experiment, Algorithm, ExperimentConfig, PartitionStrategy};
 use seafl::nn::ModelKind;
@@ -20,12 +20,7 @@ fn cfg(seed: u64, partition: PartitionStrategy) -> ExperimentConfig {
 
 #[test]
 fn every_partition_strategy_runs_and_learns() {
-    for partition in [
-        PartitionStrategy::Dirichlet { alpha: 0.3 },
-        PartitionStrategy::Iid,
-        PartitionStrategy::Shards { per_client: 2 },
-        PartitionStrategy::QuantitySkew { tail: 1.2 },
-    ] {
+    for partition in [PartitionStrategy::Dirichlet { alpha: 0.3 }, PartitionStrategy::Iid] {
         let r = run_experiment(&cfg(1, partition));
         assert_eq!(r.rounds, 20, "{partition:?}");
         assert!(r.best_accuracy() > 0.4, "{partition:?} failed to learn: {:.3}", r.best_accuracy());
@@ -33,37 +28,8 @@ fn every_partition_strategy_runs_and_learns() {
 }
 
 #[test]
-fn iid_learns_faster_than_pathological_shards() {
-    let iid = run_experiment(&cfg(2, PartitionStrategy::Iid));
-    let shards = run_experiment(&cfg(2, PartitionStrategy::Shards { per_client: 1 }));
-    // One label per client is the worst case; IID must reach a (clearly)
-    // higher accuracy in the same simulated schedule.
-    assert!(
-        iid.best_accuracy() > shards.best_accuracy() + 0.05,
-        "iid {:.3} vs shards {:.3}",
-        iid.best_accuracy(),
-        shards.best_accuracy()
-    );
-}
-
-#[test]
-fn feature_shift_changes_dynamics_deterministically() {
-    let base = cfg(3, PartitionStrategy::Dirichlet { alpha: 0.5 });
-    let mut shifted = base.clone();
-    shifted.feature_shift_sigma = 0.6;
-
-    let r0 = run_experiment(&base);
-    let r1 = run_experiment(&shifted);
-    let r1b = run_experiment(&shifted);
-    assert_ne!(r0.accuracy, r1.accuracy, "feature shift had no effect");
-    assert_eq!(r1.accuracy, r1b.accuracy, "feature shift broke determinism");
-    // Feature heterogeneity makes the task harder, never trivially easier.
-    assert!(r1.best_accuracy() <= r0.best_accuracy() + 0.05);
-}
-
-#[test]
 fn fedprox_constrains_drift_under_extreme_skew() {
-    let mut plain = cfg(4, PartitionStrategy::Shards { per_client: 1 });
+    let mut plain = cfg(4, PartitionStrategy::Dirichlet { alpha: 0.05 });
     plain.local_epochs = 8; // exaggerate local drift
     let mut prox = plain.clone();
     prox.prox_mu = 0.5;

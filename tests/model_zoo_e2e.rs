@@ -45,17 +45,6 @@ fn resnet18_federates() {
 }
 
 #[test]
-fn resnet18_groupnorm_federates() {
-    let r = run_experiment(&tiny(
-        5,
-        ModelKind::ResNet18Gn { num_classes: 10, width_base: 2 },
-        SyntheticSpec::cifar10_like(),
-    ));
-    assert_eq!(r.rounds, 3);
-    assert!(r.accuracy.iter().all(|&(_, a)| a.is_finite()));
-}
-
-#[test]
 fn vgg16_federates() {
     let r = run_experiment(&tiny(
         3,

@@ -1,86 +1,42 @@
-//! Client-selection policies end-to-end: speed-biased selection changes
-//! participation and wall-clock behaviour; the default stays uniform.
+//! Uniform client selection, pinned draw for draw.
+//!
+//! `select_clients(Uniform, ..)` shuffles the whole idle pool and keeps a
+//! prefix. Every trace digest depends on which clients it picks and on how
+//! many selection-stream words it consumes, so a change to it (a faster
+//! sampler, say) must reproduce both. This pins a digest of the picks and
+//! the RNG's word position after the call, over pool sizes from a toy fleet
+//! to the 400 000 clients of the fleet-scale benchmark.
 
-use seafl::core::{run_experiment, Algorithm, ExperimentConfig, SelectionPolicy};
-use seafl::nn::ModelKind;
-use seafl::sim::{FleetConfig, TraceEvent};
+use seafl::core::selection::select_clients;
+use seafl::core::SelectionPolicy;
+use seafl::sim::digest::fnv1a64;
+use seafl::sim::rng::{stream_rng, streams};
+use seafl::sim::{Fleet, FleetConfig};
 
-fn cfg(seed: u64, selection: SelectionPolicy) -> ExperimentConfig {
-    let mut c = ExperimentConfig::quick(seed, Algorithm::fedbuff(5, 3));
-    c.num_clients = 12;
-    c.fleet = FleetConfig::pareto_fleet(12);
-    c.train_per_class = 24;
-    c.test_per_class = 8;
-    c.model = ModelKind::Mlp { in_features: 28 * 28, hidden: 16, num_classes: 10 };
-    c.max_rounds = 25;
-    c.stop_at_accuracy = None;
-    c.selection = selection;
-    c
+/// FNV-1a64 over the picked ids as little-endian `u64`s.
+fn picks_digest(picked: &[usize]) -> u64 {
+    let bytes: Vec<u8> = picked.iter().flat_map(|&k| (k as u64).to_le_bytes()).collect();
+    fnv1a64(&bytes)
 }
 
-/// Mean speed factor over all client-start events.
-fn mean_started_speed(r: &seafl::core::RunResult, fleet: &[f64]) -> f64 {
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for (_, ev) in r.trace.entries() {
-        if let TraceEvent::ClientStart { id, .. } = ev {
-            total += fleet[id.index()];
-            n += 1;
-        }
+#[test]
+fn uniform_selection_draws_are_pinned() {
+    // (pool size, n, picks, digest of the picks, word position after).
+    let pins: [(usize, usize, usize, u64, u128); 6] = [
+        (10, 64, 10, 0x2258fc616c934384, 16),
+        (10, 11, 10, 0x2258fc616c934384, 16),
+        (4_096, 64, 64, 0xf0a7069662cdf91a, 5676),
+        (4_096, 4_097, 4_096, 0x2e87024f54375445, 5676),
+        (400_000, 64, 64, 0xe2642736ac5d9e9e, 586_024),
+        (400_000, 400_001, 400_000, 0x4b450feee91ed6ed, 586_024),
+    ];
+    let mut got = Vec::new();
+    for &(pool, n, ..) in &pins {
+        let idle: Vec<usize> = (0..pool).collect();
+        let fleet = Fleet::lazy(FleetConfig::pareto_fleet(pool), 1);
+        let mut rng = stream_rng(1, streams::SELECTION);
+        let picked = select_clients(SelectionPolicy::Uniform, &idle, &fleet, n, &mut rng);
+        got.push((pool, n, picked.len(), picks_digest(&picked), rng.get_word_pos()));
     }
-    total / n as f64
-}
-
-#[test]
-fn fast_bias_starts_faster_devices() {
-    let base = cfg(1, SelectionPolicy::Uniform);
-    let fleet_speeds: Vec<f64> =
-        base.fleet.build(base.seed).iter().map(|d| d.speed_factor).collect();
-
-    let uniform = run_experiment(&base);
-    let fast = run_experiment(&cfg(1, SelectionPolicy::SpeedBiased { exponent: 3.0 }));
-    let slow = run_experiment(&cfg(1, SelectionPolicy::SpeedBiased { exponent: -3.0 }));
-
-    let mu = mean_started_speed(&uniform, &fleet_speeds);
-    let mf = mean_started_speed(&fast, &fleet_speeds);
-    let ms = mean_started_speed(&slow, &fleet_speeds);
-    // Remember: speed_factor is a *slowness* multiplier (1 = fastest tier),
-    // so favouring fast devices lowers the mean factor.
-    assert!(mf < mu, "fast bias did not lower mean factor: {mf} vs {mu}");
-    assert!(ms > mu, "slow boost did not raise mean factor: {ms} vs {mu}");
-}
-
-#[test]
-fn fast_bias_finishes_rounds_sooner() {
-    let uniform = run_experiment(&cfg(2, SelectionPolicy::Uniform));
-    let fast = run_experiment(&cfg(2, SelectionPolicy::SpeedBiased { exponent: 3.0 }));
-    assert_eq!(uniform.rounds, fast.rounds);
-    assert!(
-        fast.sim_time_end < uniform.sim_time_end,
-        "fast-biased selection should compress the schedule: {} vs {}",
-        fast.sim_time_end,
-        uniform.sim_time_end
-    );
-}
-
-#[test]
-fn biased_selection_is_deterministic() {
-    let a = run_experiment(&cfg(3, SelectionPolicy::SpeedBiased { exponent: 2.0 }));
-    let b = run_experiment(&cfg(3, SelectionPolicy::SpeedBiased { exponent: 2.0 }));
-    assert_eq!(a.accuracy, b.accuracy);
-    assert_eq!(a.sim_time_end, b.sim_time_end);
-}
-
-#[test]
-fn fedavg_supports_biased_selection() {
-    let mut c = cfg(4, SelectionPolicy::SpeedBiased { exponent: 3.0 });
-    c.algorithm = Algorithm::fedavg(5);
-    c.max_rounds = 10;
-    let mut u = c.clone();
-    u.selection = SelectionPolicy::Uniform;
-    let biased = run_experiment(&c);
-    let uniform = run_experiment(&u);
-    // Rounds are bounded by the slowest selected device; biasing toward
-    // fast devices must shorten the synchronous schedule.
-    assert!(biased.sim_time_end < uniform.sim_time_end);
+    assert_eq!(got, pins, "uniform selection moved: got {got:?}");
 }
