@@ -96,8 +96,8 @@ impl Layer for Dense {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![(&mut self.weight, &self.grad_weight), (&mut self.bias, &self.grad_bias)]
     }
 
     fn grads(&self) -> Vec<&Tensor> {

@@ -42,9 +42,16 @@ pub(crate) trait Layer: Send {
         Vec::new()
     }
 
+    /// Mutable views of all parameters, each paired with its accumulated
+    /// gradient, same order as [`Layer::params`]: what an optimizer step
+    /// reads and writes in one borrow.
+    fn params_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        Vec::new()
+    }
+
     /// Mutable views of all parameters, same order as [`Layer::params`].
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
+        self.params_grads_mut().into_iter().map(|(p, _)| p).collect()
     }
 
     /// Immutable views of the accumulated gradients, aligned with `params`.

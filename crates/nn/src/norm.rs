@@ -177,8 +177,8 @@ impl Layer for BatchNorm2d {
         vec![&self.gamma, &self.beta]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.gamma, &mut self.beta]
+    fn params_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![(&mut self.gamma, &self.grad_gamma), (&mut self.beta, &self.grad_beta)]
     }
 
     fn grads(&self) -> Vec<&Tensor> {

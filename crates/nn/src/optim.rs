@@ -40,14 +40,12 @@ impl Sgd {
             }
         }
 
-        // Collect gradient snapshots first (grads() and params_mut() cannot
-        // be borrowed simultaneously through the trait).
-        let grads: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.as_slice().to_vec()).collect();
         let (lr, mom) = (self.lr, self.momentum);
         for ((param, grad), vel) in
-            layer.params_mut().into_iter().zip(grads.iter()).zip(self.velocity.iter_mut())
+            layer.params_grads_mut().into_iter().zip(self.velocity.iter_mut())
         {
             let pv = param.as_mut_slice();
+            let grad = grad.as_slice();
             if mom == 0.0 {
                 for i in 0..pv.len() {
                     pv[i] -= lr * grad[i];

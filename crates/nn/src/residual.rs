@@ -93,10 +93,10 @@ impl Layer for ResidualBlock {
         p
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut p = self.main.params_mut();
+    fn params_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        let mut p = self.main.params_grads_mut();
         if let Some(sc) = &mut self.shortcut {
-            p.extend(sc.params_mut());
+            p.extend(sc.params_grads_mut());
         }
         p
     }

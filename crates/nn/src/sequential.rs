@@ -67,8 +67,8 @@ impl Layer for Sequential {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
+    fn params_grads_mut(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        self.layers.iter_mut().flat_map(|l| l.params_grads_mut()).collect()
     }
 
     fn grads(&self) -> Vec<&Tensor> {

@@ -40,6 +40,158 @@ pub fn rng_from_state(state: SimRngState) -> SimRng {
     rng
 }
 
+/// Words in one ChaCha block.
+const BLOCK_WORDS: usize = 16;
+/// Blocks one batch computes side by side: one 256-bit AVX2 register holds
+/// the same state word of all of them.
+const LANES: usize = 8;
+/// Words one batch yields.
+const BATCH_WORDS: usize = BLOCK_WORDS * LANES;
+
+/// Feed `rng`'s keystream to `take`, eight ChaCha12 blocks at a time,
+/// starting at the generator's next unread word.
+///
+/// `take` returns how many words of the slice it used; reading stops at the
+/// first slice it does not use up, and `rng` is left just past the last used
+/// word. So the words `take` sees and the generator's position afterwards are
+/// exactly those of the same number of `next_u32` calls. The blocks are
+/// computed here from `(get_seed, get_stream, get_word_pos)` — the layout
+/// `rand_chacha` documents: a 256-bit key, a 64-bit block counter in state
+/// words 12–13, the stream id in words 14–15 — with AVX2 when the CPU has
+/// it (chosen at run time) and a portable copy of the same code otherwise.
+/// A `take` that finished on a slice's last word is offered one more slice,
+/// which it leaves unused: eight blocks computed for nothing, about 0.3 µs
+/// with AVX2.
+pub fn read_keystream(rng: &mut SimRng, take: impl FnMut(&[u32]) -> usize) {
+    read_keystream_with(Kernel::detect(), rng, take);
+}
+
+fn read_keystream_with(kernel: Kernel, rng: &mut SimRng, mut take: impl FnMut(&[u32]) -> usize) {
+    let mut key = [0u32; 8];
+    for (k, bytes) in key.iter_mut().zip(rng.get_seed().chunks_exact(4)) {
+        *k = u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4) yields 4 bytes"));
+    }
+    let stream = rng.get_stream();
+    let start = rng.get_word_pos();
+    let mut block = (start / BLOCK_WORDS as u128) as u64;
+    let mut skip = (start % BLOCK_WORDS as u128) as usize;
+    let mut used_total = 0u128;
+    let mut buf = [0u32; BATCH_WORDS];
+    loop {
+        kernel.blocks(&key, block, stream, &mut buf);
+        let words = &buf[skip..];
+        let used = take(words);
+        assert!(used <= words.len(), "read_keystream: used {used} of {} words", words.len());
+        used_total += used as u128;
+        if used < words.len() {
+            break;
+        }
+        block = block.wrapping_add(LANES as u64);
+        skip = 0;
+    }
+    rng.set_word_pos(start + used_total);
+}
+
+/// Which compiled copy of [`chacha12_x8`] runs.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    Portable,
+    /// Made only where `is_x86_feature_detected!("avx2")` holds.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Portable
+    }
+
+    fn blocks(self, key: &[u32; 8], counter: u64, stream: u64, out: &mut [u32; BATCH_WORDS]) {
+        match self {
+            Kernel::Portable => chacha12_x8(key, counter, stream, out),
+            // SAFETY: `Kernel::Avx2` exists only where the CPU was detected
+            // to have AVX2 (see the variant's doc).
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { chacha12_x8_avx2(key, counter, stream, out) },
+        }
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn chacha12_x8_avx2(
+    key: &[u32; 8],
+    counter: u64,
+    stream: u64,
+    out: &mut [u32; BATCH_WORDS],
+) {
+    chacha12_x8(key, counter, stream, out);
+}
+
+/// ChaCha12 blocks `counter .. counter + 8` (the counter wraps at 2^64, its
+/// high half carried into state word 13), written to `out` in stream order.
+///
+/// The lane layout keeps state word `w` of all eight blocks in one
+/// `[u32; 8]`, so every operation is one 8-wide vector operation once
+/// compiled for AVX2; the portable copy gets SSE2's two 4-wide halves.
+#[inline(always)]
+fn chacha12_x8(key: &[u32; 8], counter: u64, stream: u64, out: &mut [u32; BATCH_WORDS]) {
+    type Lanes = [u32; LANES];
+    #[inline(always)]
+    fn add(a: Lanes, b: Lanes) -> Lanes {
+        std::array::from_fn(|l| a[l].wrapping_add(b[l]))
+    }
+    #[inline(always)]
+    fn xor_rotl(a: Lanes, b: Lanes, r: u32) -> Lanes {
+        std::array::from_fn(|l| (a[l] ^ b[l]).rotate_left(r))
+    }
+    #[inline(always)]
+    fn quarter(x: &mut [Lanes; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = add(x[a], x[b]);
+        x[d] = xor_rotl(x[d], x[a], 16);
+        x[c] = add(x[c], x[d]);
+        x[b] = xor_rotl(x[b], x[c], 12);
+        x[a] = add(x[a], x[b]);
+        x[d] = xor_rotl(x[d], x[a], 8);
+        x[c] = add(x[c], x[d]);
+        x[b] = xor_rotl(x[b], x[c], 7);
+    }
+    let counters: [u64; LANES] = std::array::from_fn(|l| counter.wrapping_add(l as u64));
+    let constants = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+    let input: [Lanes; 16] = std::array::from_fn(|w| match w {
+        0..=3 => [constants[w]; LANES],
+        4..=11 => [key[w - 4]; LANES],
+        12 => counters.map(|c| c as u32),
+        13 => counters.map(|c| (c >> 32) as u32),
+        14 => [stream as u32; LANES],
+        _ => [(stream >> 32) as u32; LANES],
+    });
+    let mut x = input;
+    for _ in 0..6 {
+        quarter(&mut x, 0, 4, 8, 12);
+        quarter(&mut x, 1, 5, 9, 13);
+        quarter(&mut x, 2, 6, 10, 14);
+        quarter(&mut x, 3, 7, 11, 15);
+        quarter(&mut x, 0, 5, 10, 15);
+        quarter(&mut x, 1, 6, 11, 12);
+        quarter(&mut x, 2, 7, 8, 13);
+        quarter(&mut x, 3, 4, 9, 14);
+    }
+    for (w, (xw, iw)) in x.iter().zip(input.iter()).enumerate() {
+        let sum = add(*xw, *iw);
+        for (l, &v) in sum.iter().enumerate() {
+            out[l * BLOCK_WORDS + w] = v;
+        }
+    }
+}
+
 /// SplitMix64 finalizer — a high-quality 64-bit mixer.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
@@ -181,7 +333,53 @@ pub mod streams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::{Rng, RngCore};
+
+    /// Every compiled copy of the batch keystream this CPU can run.
+    fn kernels() -> Vec<Kernel> {
+        let mut k = vec![Kernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            k.push(Kernel::Avx2);
+        }
+        k
+    }
+
+    #[test]
+    fn batch_keystream_matches_next_u32() {
+        // (stream id, start word): word 0, mid-block offsets, a non-zero
+        // stream, and a batch that crosses the 2^32 block-counter carry.
+        let starts: [(u64, u128); 6] = [
+            (0, 0),
+            (0, 5),
+            (0, 15),
+            (0, 17),
+            (0xDEAD_BEEF_0000_0001, 5),
+            (0, 16 * ((1u128 << 32) - 2) + 3),
+        ];
+        for kernel in kernels() {
+            for &(stream, start) in &starts {
+                for n in [0usize, 1, 113, 128, 1000] {
+                    let mut base = stream_rng(42, 9);
+                    base.set_stream(stream);
+                    base.set_word_pos(start);
+                    let mut oracle = base.clone();
+                    let want: Vec<u32> = (0..n).map(|_| oracle.next_u32()).collect();
+                    let mut batched = base;
+                    let mut got = Vec::new();
+                    read_keystream_with(kernel, &mut batched, |words| {
+                        let k = words.len().min(n - got.len());
+                        got.extend_from_slice(&words[..k]);
+                        k
+                    });
+                    let at = format!("{kernel:?}, stream {stream:#x}, start {start}, {n} words");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(batched.get_word_pos(), oracle.get_word_pos(), "{at}");
+                    assert_eq!(batched.next_u32(), oracle.next_u32(), "{at}: next word");
+                }
+            }
+        }
+    }
 
     #[test]
     fn same_inputs_same_stream() {

@@ -1,11 +1,12 @@
 //! Uniform client selection, pinned draw for draw.
 //!
-//! `select_clients(Uniform, ..)` shuffles the whole idle pool and keeps a
-//! prefix. Every trace digest depends on which clients it picks and on how
-//! many selection-stream words it consumes, so a change to it (a faster
-//! sampler, say) must reproduce both. This pins a digest of the picks and
-//! the RNG's word position after the call, over pool sizes from a toy fleet
-//! to the 400 000 clients of the fleet-scale benchmark.
+//! `select_clients(Uniform, ..)` reproduces the historical shuffle of the
+//! whole idle pool, truncated to a prefix, draw for draw. Every trace
+//! digest depends on which clients it picks and on how many
+//! selection-stream words it consumes, so a change to it must reproduce
+//! both. This pins a digest of the picks and the RNG's word position after
+//! the call, over pool sizes from a toy fleet to the 400 000 clients of the
+//! fleet-scale benchmark.
 
 use seafl::core::selection::select_clients;
 use seafl::core::SelectionPolicy;
