@@ -42,8 +42,8 @@ fn run_spine(n: usize, cohort: usize, total_events: u64, last_rss: f64) -> f64 {
     let mut queue: EventQueue<ClientId> = EventQueue::new();
     let build_ms = t_build.elapsed().as_secs_f64() * 1e3;
 
-    // One full idle-pool scan over all n registered clients — the sharded
-    // bitset walk the engine performs at every refill.
+    // One full idle-pool scan over all n registered clients — the bitset
+    // walk the engine performs at every refill.
     let t_scan = Instant::now();
     let idle = table.idle_clients();
     let idle_scan_ms = t_scan.elapsed().as_secs_f64() * 1e3;

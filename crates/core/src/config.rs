@@ -283,9 +283,10 @@ pub struct ExperimentConfig {
     /// rayon default (all cores, or `RAYON_NUM_THREADS`), `1` trains each
     /// cohort sequentially on the engine thread, `n ≥ 2` uses a dedicated
     /// pool. Results are bitwise identical for every setting. `1` is not
-    /// single-threaded everywhere: the idle scan of a fleet above 4 096
-    /// bitset words (262 144 clients) still fans out on the global rayon
-    /// pool, since there is no dedicated pool to confine it to.
+    /// single-threaded everywhere: a GEMM or convolution inside a training
+    /// step above `seafl-tensor`'s parallel threshold (64³ multiply-adds)
+    /// still splits its row blocks over the global rayon pool, since there
+    /// is no dedicated pool to confine it to.
     pub threads: usize,
     /// Fleet fault model (crashes, upload loss, straggler spikes,
     /// corrupted updates). Off by default: [`FaultConfig::none`] keeps

@@ -1034,10 +1034,7 @@ impl State {
     /// sessions for whatever it picks.
     fn refill(&mut self, cfg: &ExperimentConfig, env: &mut Environment, now: SimTime) {
         let dispatch_span = self.obs.span_start();
-        // The idle scan walks the table's bitset; large fleets shard it in
-        // deterministic block order over the experiment's dedicated pool, or
-        // the global rayon pool when it has none (see `TrainerPool::run`).
-        let idle: Vec<usize> = env.pool.run(|| self.table.idle_clients());
+        let idle = self.table.idle_clients();
         let ctx = DispatchCtx { active: self.active(), buffered: self.buffer.len() };
         let picked = self.policy.select_cohort(&ctx, &idle, &env.fleet, &mut self.sel_rng);
         self.obs.span_end(Phase::Dispatch, dispatch_span);

@@ -19,14 +19,11 @@
 //!   it yields sessions in ascending client order, which is exactly the
 //!   order the policy hooks and the old dense scan observed.
 //!
-//! Per-phase counts make `active()` O(1), and the idle scan shards over
-//! fixed bitset word blocks on rayon — blocks are concatenated in block
-//! order, so the result is bit-identical to the sequential scan at any
-//! thread count.
+//! Per-phase counts make `active()` O(1), and the idle scan is one
+//! sequential walk of the bitset into a `Vec` sized by the idle count.
 
 use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use crate::client::TrainOutcome;
-use rayon::prelude::*;
 use seafl_sim::{ClientId, SimTime};
 use std::collections::BTreeMap;
 
@@ -115,11 +112,6 @@ impl ClientPhase {
     }
 }
 
-/// Bitset word blocks per rayon task in the sharded idle scan. 4096 words =
-/// 262 144 clients per block keeps per-task output buffers contiguous and
-/// the fork/join overhead negligible next to the scan itself.
-const IDLE_SCAN_BLOCK_WORDS: usize = 4096;
-
 /// Struct-of-arrays per-client state for the unified engine (module docs).
 pub struct FleetTable {
     len: usize,
@@ -160,13 +152,13 @@ fn bit_set(words: &mut [u64], k: usize, v: bool) {
     }
 }
 
-/// Indices of set bits in `words` offset by `base`, ascending, appended to
-/// `out`. `limit` caps indices (the last word may cover past `len`).
-fn collect_set_bits(words: &[u64], base: usize, limit: usize, out: &mut Vec<usize>) {
+/// Indices of set bits in `words`, ascending, appended to `out`. `limit`
+/// caps indices (the last word may cover past `len`).
+fn collect_set_bits(words: &[u64], limit: usize, out: &mut Vec<usize>) {
     for (wi, &word) in words.iter().enumerate() {
         let mut w = word;
         while w != 0 {
-            let k = base + wi * 64 + w.trailing_zeros() as usize;
+            let k = wi * 64 + w.trailing_zeros() as usize;
             if k >= limit {
                 return;
             }
@@ -254,27 +246,11 @@ impl FleetTable {
         self.counts[ClientPhase::Training.tag() as usize]
     }
 
-    /// Idle clients in ascending order. Large fleets shard the bitset scan
-    /// over fixed word blocks on rayon; blocks concatenate in block order,
-    /// so the result is identical to the sequential scan at any thread
-    /// count (runs on whatever rayon pool is installed at the call site).
+    /// Idle clients in ascending order.
     pub fn idle_clients(&self) -> Vec<usize> {
-        if self.idle.len() <= IDLE_SCAN_BLOCK_WORDS {
-            let mut out = Vec::with_capacity(self.counts[0]);
-            collect_set_bits(&self.idle, 0, self.len, &mut out);
-            return out;
-        }
-        let blocks: Vec<Vec<usize>> = self
-            .idle
-            .par_chunks(IDLE_SCAN_BLOCK_WORDS)
-            .enumerate()
-            .map(|(b, words)| {
-                let mut out = Vec::new();
-                collect_set_bits(words, b * IDLE_SCAN_BLOCK_WORDS * 64, self.len, &mut out);
-                out
-            })
-            .collect();
-        blocks.concat()
+        let mut out = Vec::with_capacity(self.counts[0]);
+        collect_set_bits(&self.idle, self.len, &mut out);
+        out
     }
 
     /// Client `id`'s next upload generation (pre-increment value).
@@ -359,7 +335,7 @@ impl FleetTable {
         w.usize(self.len);
         w.usize(self.resident_records());
         let mut rows = Vec::new();
-        collect_set_bits(&self.touched, 0, self.len, &mut rows);
+        collect_set_bits(&self.touched, self.len, &mut rows);
         for k in rows {
             w.u32(k as u32);
             w.u8(self.phase[k].tag());
@@ -486,17 +462,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_idle_scan_matches_sequential_order() {
-        // Cross the parallel threshold so the rayon path actually runs.
-        let n = IDLE_SCAN_BLOCK_WORDS * 64 + 321;
+    fn fleet_scale_idle_scan_matches_naive_phase_scan() {
+        // More than 4 096 bitset words, with a partly used tail word and
+        // clients in every non-idle phase.
+        let n = 4_100 * 64 + 321;
         let mut t = FleetTable::new(n);
-        for k in (0..n).step_by(977) {
-            t.set_phase(cid(k), ClientPhase::Training);
+        let phases = [ClientPhase::Training, ClientPhase::Buffered, ClientPhase::Quarantined];
+        for (i, k) in (0..n).step_by(977).enumerate() {
+            t.set_phase(cid(k), phases[i % 3]);
         }
-        let mut expect = Vec::new();
-        collect_set_bits(&t.idle, 0, n, &mut expect);
+        t.set_phase(cid(n - 1), ClientPhase::Training);
+        let expect: Vec<usize> = (0..n).filter(|&k| t.phase(cid(k)) == ClientPhase::Idle).collect();
         assert_eq!(t.idle_clients(), expect);
-        assert!(expect.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

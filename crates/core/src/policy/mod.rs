@@ -30,7 +30,6 @@ pub use seafl::{SeaflPolicy, StalenessPolicy};
 use crate::checkpoint::{BinReader, BinWriter, CodecError};
 use crate::config::{Algorithm, ExperimentConfig, SelectionPolicy};
 use crate::update::ModelUpdate;
-use rayon::prelude::*;
 use seafl_sim::{Fleet, SimRng, TerminationReason};
 
 /// What the engine is about to do when it asks a policy for a cohort.
@@ -219,12 +218,6 @@ pub trait ServerPolicy: Send {
     }
 }
 
-/// Model size (elements) above which [`weighted_average`] shards over the
-/// ambient rayon pool. Each output element is the same j-ordered sum of
-/// `w[j] * params[j][i]` regardless of which worker computes it, so the
-/// sharded path is bit-identical to the sequential one at any thread count.
-const PAR_AVG_CHUNK: usize = 16_384;
-
 /// Weighted average of `updates` with weights `w` (Σw = 1) — Eq. 7's
 /// buffer combination, shared by every weight-based policy.
 pub(crate) fn weighted_average(updates: &[ModelUpdate], weights: &[f32]) -> Vec<f32> {
@@ -233,21 +226,9 @@ pub(crate) fn weighted_average(updates: &[ModelUpdate], weights: &[f32]) -> Vec<
         assert_eq!(u.params.len(), dim, "weighted_average: mixed model sizes");
     }
     let mut out = vec![0.0f32; dim];
-    if dim >= 2 * PAR_AVG_CHUNK {
-        out.par_chunks_mut(PAR_AVG_CHUNK).enumerate().for_each(|(b, chunk)| {
-            let base = b * PAR_AVG_CHUNK;
-            for (u, &w) in updates.iter().zip(weights.iter()) {
-                let src = &u.params[base..base + chunk.len()];
-                for (o, &p) in chunk.iter_mut().zip(src.iter()) {
-                    *o += w * p;
-                }
-            }
-        });
-    } else {
-        for (u, &w) in updates.iter().zip(weights.iter()) {
-            for (o, &p) in out.iter_mut().zip(u.params.iter()) {
-                *o += w * p;
-            }
+    for (u, &w) in updates.iter().zip(weights.iter()) {
+        for (o, &p) in out.iter_mut().zip(u.params.iter()) {
+            *o += w * p;
         }
     }
     out

@@ -20,10 +20,11 @@
 //! `threads = 1` trains every cohort sequentially on the calling thread;
 //! `threads = 0` uses the global rayon pool; `threads >= 2` runs on a
 //! dedicated pool of that size. [`TrainerPool::run`] installs the dedicated
-//! pool when there is one and otherwise calls its closure directly, so
-//! rayon work inside it — such as the idle scan of a fleet above 4 096
-//! bitset words (262 144 clients) — runs on the global pool at both
-//! `threads = 0` and `threads = 1`. The
+//! pool when there is one and otherwise calls its closure directly. At
+//! `threads = 1` cohorts, evaluation chunks and shard builds run on the
+//! calling thread, but a GEMM or convolution inside a training step above
+//! `seafl-tensor`'s parallel threshold (64³ multiply-adds) still splits its
+//! row blocks over the global rayon pool. The
 //! `tests/parallel_determinism.rs` suite pins the bitwise guarantee across
 //! all algorithms.
 //!

@@ -8,7 +8,9 @@
 //! ```
 //!
 //! The experiment itself is the fixed preset from
-//! [`seafl_net::preset::loopback_config`]; only transport knobs are
+//! [`seafl_net::preset::loopback_config`]. Only the flags both binaries
+//! share, which [`seafl_net::preset::apply_shared_flag`] parses, and the
+//! server's own endpoint, worker count, idle timeout and file paths are
 //! configurable, so server, workers and any in-process reference run
 //! agree on the science by construction. The report file is plain
 //! `key=value` lines (model/trace digests, rounds, wire counters) for
@@ -25,20 +27,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 struct Args {
-    listen: String,
+    /// The preset with every config flag applied; `transport.listen` is
+    /// `--listen`.
+    cfg: ExperimentConfig,
     workers: usize,
-    seed: u64,
-    algorithm: String,
-    codec: String,
     addr_file: Option<String>,
     report_file: Option<String>,
-    chunk_bytes: Option<usize>,
-    replay_history: Option<usize>,
-    idle_timeout: Option<f64>,
-    rto_base: Option<f64>,
-    loss_drop: Option<f64>,
-    loss_dup: Option<f64>,
-    loss_reorder: Option<f64>,
 }
 
 fn usage() -> ! {
@@ -51,83 +45,41 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        listen: "tcp://127.0.0.1:0".into(),
-        workers: 1,
-        seed: 11,
-        algorithm: "seafl".into(),
-        codec: "identity".into(),
-        addr_file: None,
-        report_file: None,
-        chunk_bytes: None,
-        replay_history: None,
-        idle_timeout: None,
-        rto_base: None,
-        loss_drop: None,
-        loss_dup: None,
-        loss_reorder: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--listen" => args.listen = val(),
-            "--workers" => args.workers = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--algorithm" => args.algorithm = val(),
-            "--codec" => args.codec = val(),
-            "--addr-file" => args.addr_file = Some(val()),
-            "--report-file" => args.report_file = Some(val()),
-            "--chunk-bytes" => args.chunk_bytes = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--replay-history" => {
-                args.replay_history = Some(val().parse().unwrap_or_else(|_| usage()))
-            }
-            "--idle-timeout" => args.idle_timeout = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--rto-base" => args.rto_base = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--loss-drop" => args.loss_drop = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--loss-dup" => args.loss_dup = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--loss-reorder" => args.loss_reorder = Some(val().parse().unwrap_or_else(|_| usage())),
-            _ => usage(),
-        }
-    }
-    args
-}
-
-/// Report a bad flag value and exit 2, like an unparsable one.
+/// Report a bad flag value and exit 2, like an unknown flag.
 fn bad_value<T>(e: impl std::fmt::Display) -> T {
     eprintln!("seafl-server: {e}");
     std::process::exit(2);
 }
 
-fn build_config(args: &Args) -> ExperimentConfig {
-    let mut cfg = preset::loopback_config(args.seed, &args.algorithm).unwrap_or_else(bad_value);
-    cfg.codec = preset::codec_by_name(&args.codec).unwrap_or_else(bad_value);
-    cfg.transport.listen = Some(args.listen.clone());
-    if let Some(v) = args.chunk_bytes {
-        cfg.transport.chunk_bytes = v;
+fn parse_args() -> Args {
+    let mut cfg = preset::base_config();
+    cfg.transport.listen = Some("tcp://127.0.0.1:0".into());
+    let mut args = Args { cfg, workers: 1, addr_file: None, report_file: None };
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        let value = it.next().unwrap_or_else(|| usage());
+        let cfg = &mut args.cfg;
+        match flag.as_str() {
+            "--listen" => cfg.transport.listen = Some(value),
+            "--workers" => {
+                args.workers = preset::parse_value(&flag, &value).unwrap_or_else(bad_value)
+            }
+            "--addr-file" => args.addr_file = Some(value),
+            "--report-file" => args.report_file = Some(value),
+            "--idle-timeout" => {
+                cfg.transport.idle_timeout =
+                    preset::parse_value(&flag, &value).unwrap_or_else(bad_value)
+            }
+            _ => {
+                if !preset::apply_shared_flag(cfg, &flag, &value).unwrap_or_else(bad_value) {
+                    usage()
+                }
+            }
+        }
     }
-    if let Some(v) = args.replay_history {
-        cfg.transport.replay_history = v;
-    }
-    if let Some(v) = args.idle_timeout {
-        cfg.transport.idle_timeout = v;
-    }
-    if let Some(v) = args.rto_base {
-        cfg.transport.rto_base = v;
-    }
-    if let Some(v) = args.loss_drop {
-        cfg.transport.loss.drop_prob = v;
-    }
-    if let Some(v) = args.loss_dup {
-        cfg.transport.loss.dup_prob = v;
-    }
-    if let Some(v) = args.loss_reorder {
-        cfg.transport.loss.reorder_prob = v;
-    }
-    cfg.transport.validate().unwrap_or_else(bad_value);
-    cfg.validate();
-    cfg
+    args.cfg.transport.validate().unwrap_or_else(bad_value);
+    args.cfg.validate();
+    args
 }
 
 /// Write `path` atomically (tmp + rename) so a polling reader never sees
@@ -144,13 +96,14 @@ fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 
 fn main() {
     let args = parse_args();
-    let cfg = build_config(&args);
-    let ep = Endpoint::parse(&args.listen).unwrap_or_else(|e| {
+    let cfg = &args.cfg;
+    let listen = cfg.transport.listen.as_deref().expect("set in parse_args");
+    let ep = Endpoint::parse(listen).unwrap_or_else(|e| {
         eprintln!("seafl-server: {e}");
         std::process::exit(2);
     });
     let stats = Arc::new(Mutex::new(NetStats::default()));
-    let mut server = NetServer::bind(&ep, &cfg, stats.clone()).unwrap_or_else(|e| {
+    let mut server = NetServer::bind(&ep, cfg, stats.clone()).unwrap_or_else(|e| {
         eprintln!("seafl-server: {e}");
         std::process::exit(1);
     });
@@ -168,9 +121,9 @@ fn main() {
     }
     eprintln!("seafl-server: {} workers connected, starting run", args.workers);
 
-    let mut env = Environment::build(&cfg);
+    let mut env = Environment::build(cfg);
     env.trainer = Some(Box::new(server));
-    let result = run_loop(&cfg, &mut env, build_policy(&cfg));
+    let result = run_loop(cfg, &mut env, build_policy(cfg));
     if let Some(trainer) = env.trainer.as_mut() {
         trainer.shutdown();
     }

@@ -169,20 +169,13 @@ impl NetClient {
             recv_next: self.link.recv_next(),
         };
         t.send(&Frame::new(FrameKind::Hello, 0, hello.encode()))?;
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let frame = loop {
-            if let Some(f) = t.recv(Duration::from_millis(200))? {
-                break f;
-            }
-            if Instant::now() >= deadline {
-                return Err(NetError::Io {
-                    context: format!("handshake with {}", self.endpoint),
-                    source: std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "no Welcome within 10s",
-                    ),
-                });
-            }
+        // One total deadline: a server that trickles its answer cannot
+        // hold the client past it.
+        let Some(frame) = t.recv_until(Instant::now() + Duration::from_secs(10))? else {
+            return Err(NetError::Io {
+                context: format!("handshake with {}", self.endpoint),
+                source: std::io::Error::new(std::io::ErrorKind::TimedOut, "no Welcome within 10s"),
+            });
         };
         let peer = t.peer().to_string();
         match (frame.kind, Msg::decode(&frame.payload)) {

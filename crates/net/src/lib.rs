@@ -31,7 +31,7 @@
 //!   frame-granular send/recv over TCP or UDS, with a timeout (the client
 //!   polls its one link) or without (the server's reader threads).
 //! * `lossy` — deterministic, seeded fault injection (drop / duplicate /
-//!   reorder / delay / forced disconnect) wrapping any transport.
+//!   reorder / forced disconnect) wrapping any transport.
 //! * [`server`] / `client` — the two endpoints; `src/bin/` wraps them as
 //!   the `seafl-server` and `seafl-client` binaries. The server reads each
 //!   connection on its own thread into one event queue and sleeps on that

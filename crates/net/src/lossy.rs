@@ -68,10 +68,6 @@ impl<T: Transport> Transport for LossyTransport<T> {
             FrameFate::Reorder if held.is_none() => {
                 self.held = Some(frame.clone());
             }
-            FrameFate::Delay => {
-                std::thread::sleep(Duration::from_millis(self.cfg.delay_ms));
-                self.inner.send(frame)?;
-            }
             FrameFate::Deliver | FrameFate::Reorder => {
                 self.inner.send(frame)?;
             }

@@ -11,6 +11,7 @@
 use seafl_core::{Algorithm, CodecConfig, CodecStage, ExperimentConfig};
 use seafl_nn::ModelKind;
 use seafl_sim::FleetConfig;
+use std::str::FromStr;
 
 /// Algorithm from its stable label (the `--algorithm` flag).
 pub(crate) fn algorithm_by_name(name: &str) -> Result<Algorithm, String> {
@@ -77,6 +78,47 @@ pub fn loopback_config(seed: u64, algorithm_name: &str) -> Result<ExperimentConf
     Ok(cfg)
 }
 
+/// The config both wire binaries start from before reading their flags:
+/// the preset at seed 11 running SEAFL.
+pub fn base_config() -> ExperimentConfig {
+    loopback_config(11, "seafl").expect("the stock preset is valid")
+}
+
+/// `value` parsed as `T`, or a message naming `flag` and the value.
+pub fn parse_value<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: bad value {value:?}: {e}"))
+}
+
+/// Set the field behind `flag` from `value`, for the flags both wire
+/// binaries accept: `--seed`, `--algorithm`, `--codec`, `--chunk-bytes`,
+/// `--replay-history`, `--rto-base`, `--loss-drop`, `--loss-dup` and
+/// `--loss-reorder`. `Ok(false)` means `flag` is none of them. The error is
+/// the message a binary prints before it exits 2. Range checks are
+/// [`seafl_core::TransportConfig::validate`]'s, once every flag is read.
+pub fn apply_shared_flag(
+    cfg: &mut ExperimentConfig,
+    flag: &str,
+    value: &str,
+) -> Result<bool, String> {
+    let t = &mut cfg.transport;
+    match flag {
+        "--seed" => cfg.seed = parse_value(flag, value)?,
+        "--algorithm" => cfg.algorithm = algorithm_by_name(value)?,
+        "--codec" => cfg.codec = codec_by_name(value)?,
+        "--chunk-bytes" => t.chunk_bytes = parse_value(flag, value)?,
+        "--replay-history" => t.replay_history = parse_value(flag, value)?,
+        "--rto-base" => t.rto_base = parse_value(flag, value)?,
+        "--loss-drop" => t.loss.drop_prob = parse_value(flag, value)?,
+        "--loss-dup" => t.loss.dup_prob = parse_value(flag, value)?,
+        "--loss-reorder" => t.loss.reorder_prob = parse_value(flag, value)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,6 +172,55 @@ mod tests {
     fn preset_validates() {
         loopback_config(1, "seafl").unwrap().validate();
         loopback_config(1, "fedavg").unwrap().validate();
+    }
+
+    #[test]
+    fn shared_flags_land_in_their_fields() {
+        let mut cfg = base_config();
+        for (flag, value) in [
+            ("--seed", "7"),
+            ("--algorithm", "fedbuff"),
+            ("--codec", "topk+ef"),
+            ("--chunk-bytes", "4096"),
+            ("--replay-history", "9"),
+            ("--rto-base", "0.5"),
+            ("--loss-drop", "0.1"),
+            ("--loss-dup", "0.2"),
+            ("--loss-reorder", "0.3"),
+        ] {
+            assert_eq!(apply_shared_flag(&mut cfg, flag, value), Ok(true), "{flag}");
+        }
+        // Seed and algorithm build the same experiment the preset does.
+        let mut want = loopback_config(7, "fedbuff").unwrap();
+        want.codec = codec_by_name("topk+ef").unwrap();
+        assert_eq!(cfg.state_hash(), want.state_hash());
+        let t = &cfg.transport;
+        assert_eq!((t.chunk_bytes, t.replay_history, t.rto_base), (4096, 9, 0.5));
+        assert_eq!((t.loss.drop_prob, t.loss.dup_prob, t.loss.reorder_prob), (0.1, 0.2, 0.3));
+        assert_eq!(apply_shared_flag(&mut cfg, "--disconnect-after", "3"), Ok(false));
+        assert_eq!(apply_shared_flag(&mut cfg, "--listen", "tcp://127.0.0.1:0"), Ok(false));
+    }
+
+    #[test]
+    fn bad_shared_flag_values_name_the_value() {
+        let mut cfg = base_config();
+        for (flag, value, want) in [
+            ("--seed", "x1", "--seed: bad value \"x1\""),
+            ("--algorithm", "sgd", "unknown algorithm \"sgd\""),
+            ("--codec", "zstd", "unknown codec part \"zstd\""),
+            ("--chunk-bytes", "-4", "--chunk-bytes: bad value \"-4\""),
+            ("--replay-history", "1.5", "--replay-history: bad value \"1.5\""),
+            ("--rto-base", "fast", "--rto-base: bad value \"fast\""),
+            ("--loss-drop", "p", "--loss-drop: bad value \"p\""),
+            ("--loss-dup", "", "--loss-dup: bad value \"\""),
+            ("--loss-reorder", "1/2", "--loss-reorder: bad value \"1/2\""),
+        ] {
+            let e = apply_shared_flag(&mut cfg, flag, value).unwrap_err();
+            assert!(e.contains(want), "{flag}: want {want:?} in {e:?}");
+        }
+        // A refused value leaves the config as it was.
+        assert_eq!(cfg.state_hash(), base_config().state_hash());
+        assert_eq!(cfg.transport, base_config().transport);
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub(crate) const SERVER_LINK_BASE: u64 = 1_000;
 /// this long for its handshake.
 const ACCEPT_TICK: Duration = Duration::from_millis(10);
 
+/// The longest the pump spends reading one new connection's `Hello`, in
+/// total: a peer that trickles its bytes is dropped when it runs out.
+pub const HANDSHAKE_WAIT: Duration = Duration::from_secs(2);
+
 /// Wire-level counters measured by the server (ground truth the run
 /// report prefers over the engine's modeled traffic).
 #[derive(Clone, Copy, Debug, Default)]
@@ -291,7 +295,7 @@ impl NetServer {
     }
 
     fn handshake(&mut self, mut t: StreamTransport) {
-        let frame = match t.recv(Duration::from_secs(2)) {
+        let frame = match t.recv_until(Instant::now() + HANDSHAKE_WAIT) {
             Ok(Some(f)) if f.kind == FrameKind::Hello => f,
             _ => return,
         };

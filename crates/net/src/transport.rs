@@ -19,7 +19,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parsed endpoint: where to listen or connect.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -203,34 +203,60 @@ impl StreamTransport {
 
     /// Decode the next frame, reading while the buffered bytes hold no
     /// whole one; each read waits at most `timeout` (`None`: block), and
-    /// one that times out returns `Ok(None)`.
+    /// one that times out returns `Ok(None)`. A peer that keeps sending a
+    /// byte at a time keeps this reading: bound a wait on an untrusted
+    /// peer with [`StreamTransport::recv_until`] instead.
     fn recv_within(&mut self, timeout: Option<Duration>) -> Result<Option<Frame>, NetError> {
         loop {
-            if let Some(frame) = self
-                .decoder
-                .next_frame()
-                .map_err(|source| NetError::Frame { peer: self.peer.clone(), source })?
-            {
+            if let Some(frame) = self.decoded()? {
                 return Ok(Some(frame));
             }
-            self.set_read_timeout(timeout)?;
-            let mut buf = [0u8; 16 * 1024];
-            match self.read_some(&mut buf) {
-                Ok(0) => return Err(NetError::Disconnected { peer: self.peer.clone() }),
-                Ok(n) => self.decoder.feed(&buf[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) => {
-                    return Err(NetError::Io {
-                        context: format!("recv from {}", self.peer),
-                        source: e,
-                    })
-                }
+            if !self.fill(timeout)? {
+                return Ok(None);
             }
+        }
+    }
+
+    /// Decode the next frame by `deadline`, or `Ok(None)`. Each read waits
+    /// only for what is left of the wait, so a peer that trickles bytes
+    /// cannot stretch it: the handshake's read of a peer not yet trusted.
+    pub(crate) fn recv_until(&mut self, deadline: Instant) -> Result<Option<Frame>, NetError> {
+        loop {
+            if let Some(frame) = self.decoded()? {
+                return Ok(Some(frame));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || !self.fill(Some(left))? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// The next whole frame among the bytes already read, if any.
+    fn decoded(&mut self) -> Result<Option<Frame>, NetError> {
+        self.decoder
+            .next_frame()
+            .map_err(|source| NetError::Frame { peer: self.peer.clone(), source })
+    }
+
+    /// One read into the decoder, waiting at most `timeout` (`None`:
+    /// block); `false` when it timed out with nothing read.
+    fn fill(&mut self, timeout: Option<Duration>) -> Result<bool, NetError> {
+        self.set_read_timeout(timeout)?;
+        let mut buf = [0u8; 16 * 1024];
+        match self.read_some(&mut buf) {
+            Ok(0) => Err(NetError::Disconnected { peer: self.peer.clone() }),
+            Ok(n) => {
+                self.decoder.feed(&buf[..n]);
+                Ok(true)
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(NetError::Io { context: format!("recv from {}", self.peer), source: e }),
         }
     }
 

@@ -7,11 +7,16 @@
 //! (cargo provides their paths via `CARGO_BIN_EXE_*`), so they cover the
 //! full stack: argument parsing, handshake, fragmented transfers, the
 //! sequenced link's replay, RTO retransmits, quarantine and the report
-//! file format that CI diffs.
+//! file format that CI diffs. One test drives an in-process `NetServer`
+//! with a raw socket instead: a hostile peer's trickled handshake.
 
 use seafl_core::run_experiment;
 use seafl_net::preset::loopback_config;
+use seafl_net::server::HANDSHAKE_WAIT;
+use seafl_net::{Endpoint, Frame, FrameKind, NetServer};
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -73,25 +78,76 @@ fn args(list: &[&str]) -> Vec<String> {
 
 /// A flag value the preset or the transport config refuses ends either
 /// binary with exit code 2 and a message naming the value, before any
-/// socket is bound or dialled — as an unparsable value or an unknown
-/// codec already did.
+/// socket is bound or dialled. Every flag the two binaries share is
+/// refused the same way by both; a flag neither knows exits 2 with usage.
 #[test]
 fn bad_flag_values_exit_2_naming_the_value() {
-    let cases: [(&str, &[&str], &str); 6] = [
-        (SERVER, &["--algorithm", "nope"], "\"nope\""),
-        (SERVER, &["--loss-drop", "2"], "loss.drop_prob 2 outside [0,1]"),
-        (SERVER, &["--rto-base", "5"], "rto_base 5 above the 2 s"),
-        (CLIENT, &["--connect", "tcp://127.0.0.1:1", "--algorithm", "nope"], "\"nope\""),
-        (CLIENT, &["--connect", "tcp://127.0.0.1:1", "--loss-dup", "1.5"], "loss.dup_prob 1.5"),
-        // Refused before the client waits for a server's addr file.
-        (CLIENT, &["--addr-file", "/nonexistent/seafl.addr", "--algorithm", "nope"], "\"nope\""),
+    let shared: [(&str, &str, &str); 9] = [
+        ("--seed", "x1", "--seed: bad value \"x1\""),
+        ("--algorithm", "nope", "\"nope\""),
+        ("--codec", "zstd", "\"zstd\""),
+        ("--chunk-bytes", "-1", "--chunk-bytes: bad value \"-1\""),
+        ("--replay-history", "many", "--replay-history: bad value \"many\""),
+        ("--rto-base", "5", "rto_base 5 above the 2 s"),
+        ("--loss-drop", "2", "loss.drop_prob 2 outside [0,1]"),
+        ("--loss-dup", "1.5", "loss.dup_prob 1.5"),
+        ("--loss-reorder", "-0.5", "loss.reorder_prob -0.5 outside [0,1]"),
     ];
+    let mut cases: Vec<(&str, Vec<&str>, &str)> = Vec::new();
+    for (flag, value, want) in shared {
+        cases.push((SERVER, vec![flag, value], want));
+        cases.push((CLIENT, vec!["--connect", "tcp://127.0.0.1:1", flag, value], want));
+    }
+    // The loss model has no delay fate: its old flag is unknown to both.
+    cases.push((SERVER, vec!["--loss-delay", "0.1"], "usage: seafl-server"));
+    cases.push((CLIENT, vec!["--connect", "tcp://127.0.0.1:1", "--loss-delay", "0.1"], "usage:"));
+    // Refused before the client waits for a server's addr file.
+    cases.push((
+        CLIENT,
+        vec!["--addr-file", "/nonexistent/seafl.addr", "--algorithm", "nope"],
+        "\"nope\"",
+    ));
     for (bin, flags, want) in cases {
-        let out = Command::new(bin).args(flags).output().unwrap();
+        let out = Command::new(bin).args(&flags).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bin} {flags:?}: {stderr}");
         assert!(stderr.contains(want), "{bin} {flags:?}: want {want:?} in {stderr:?}");
     }
+}
+
+/// A peer that sends a valid `Hello` header and then trickles its payload
+/// a byte every 100 ms keeps every single read inside the handshake wait.
+/// The server must still drop it once [`HANDSHAKE_WAIT`] has passed in
+/// total, so `wait_for_workers` (and the pump, which accepts the same way)
+/// is held no longer than that.
+#[test]
+fn trickled_hello_cannot_hold_the_pump() {
+    let cfg = loopback_config(1, "seafl").unwrap();
+    let ep = Endpoint::parse("tcp://127.0.0.1:0").unwrap();
+    let mut server = NetServer::bind(&ep, &cfg, Default::default()).unwrap();
+    let Endpoint::Tcp(addr) = server.local_endpoint().clone() else { unreachable!() };
+    // The header announces a 1 MB payload, which never completes.
+    let payload = vec![0u8; 1 << 20];
+    let hello = Frame::new(FrameKind::Hello, 0, payload.clone()).encode();
+    let header_len = hello.len() - payload.len();
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.write_all(&hello[..header_len]).unwrap();
+    let trickler = std::thread::spawn(move || {
+        let stop = Instant::now() + Duration::from_secs(15);
+        for &b in &hello[header_len..] {
+            std::thread::sleep(Duration::from_millis(100));
+            // Ends once the server has hung up on it.
+            if Instant::now() >= stop || peer.write_all(&[b]).is_err() {
+                return;
+            }
+        }
+    });
+    let t = Instant::now();
+    let waited = server.wait_for_workers(1, Duration::from_secs(1));
+    let elapsed = t.elapsed();
+    assert!(waited.is_err(), "a trickling peer is not a worker");
+    assert!(elapsed < HANDSHAKE_WAIT + Duration::from_secs(1), "held for {elapsed:?}");
+    trickler.join().unwrap();
 }
 
 /// Four TCP workers under seeded drop/duplicate/reorder loss on both

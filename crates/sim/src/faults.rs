@@ -61,15 +61,13 @@ pub fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), ConfigErro
 }
 
 /// What a Byzantine/buggy device does to its update before uploading.
+/// One variant; it stays an enum because the benchmark harness names
+/// `CorruptionKind::NanBurst` until it joins the workspace (ROADMAP item 12).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CorruptionKind {
     /// Overwrite `count` evenly spaced parameters with NaN (a poisoned or
     /// numerically diverged update).
     NanBurst { count: usize },
-    /// Scale every parameter by `factor` (a norm-exploded update; factors
-    /// around 10–100 model diverged local training, larger ones model
-    /// deliberate model-boosting attacks).
-    GradientScale { factor: f32 },
 }
 
 /// A temporary per-device slowdown: between `start` and `end` (sim
@@ -170,10 +168,8 @@ impl FaultConfig {
         })?;
         ensure(self.straggler_duration >= 0.0, || "faults: negative straggler_duration".into())?;
         ensure(self.straggler_factor >= 1.0, || "faults: straggler_factor must be >= 1".into())?;
-        if let CorruptionKind::NanBurst { count } = self.corruption {
-            ensure(count >= 1, || "faults: NanBurst count must be >= 1".into())?;
-        }
-        Ok(())
+        let CorruptionKind::NanBurst { count } = self.corruption;
+        ensure(count >= 1, || "faults: NanBurst count must be >= 1".into())
     }
 }
 
@@ -343,12 +339,6 @@ impl FaultPlan {
                 let stride = (params.len() / n).max(1);
                 for i in 0..n {
                     params[i * stride] = f32::NAN;
-                }
-                true
-            }
-            Some(CorruptionKind::GradientScale { factor }) => {
-                for p in params.iter_mut() {
-                    *p *= factor;
                 }
                 true
             }
@@ -756,16 +746,6 @@ mod tests {
         let mut params = vec![1.0f32; 100];
         assert!(plan.corrupt(0, &mut params));
         assert_eq!(params.iter().filter(|p| p.is_nan()).count(), 4);
-    }
-
-    #[test]
-    fn gradient_scale_scales() {
-        let mut plan = FaultPlan::none(1);
-        plan.devices = vec![DeviceFaults::healthy()];
-        plan.devices[0].corruption = Some(CorruptionKind::GradientScale { factor: 100.0 });
-        let mut params = vec![0.5f32; 10];
-        assert!(plan.corrupt(0, &mut params));
-        assert!(params.iter().all(|&p| p == 50.0));
     }
 
     #[test]

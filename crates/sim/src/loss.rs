@@ -1,7 +1,7 @@
 //! Deterministic wire-loss model for real transports.
 //!
 //! The `seafl-net` crate wraps its sockets in a `LossyTransport` that drops,
-//! duplicates, reorders or delays frames. Like every other stochastic
+//! duplicates or reorders frames. Like every other stochastic
 //! channel in the simulator, the decisions are *seeded and addressable*: the
 //! fate of the `n`-th frame sent on link `l` is a pure function of
 //! `(master_seed, NET_LOSS_BASE + l, n)` via
@@ -25,15 +25,12 @@ pub enum FrameFate {
     /// Hold the frame back and deliver it *after* the next frame sent on
     /// the link (adjacent-pair reordering).
     Reorder,
-    /// Deliver after an extra [`LossConfig::delay_ms`] of real time.
-    Delay,
 }
 
 /// Seeded frame-level loss model for one transport link.
 ///
-/// The four probabilities partition a single uniform draw per frame
-/// (`drop`, then `duplicate`, then `reorder`, then `delay`, remainder
-/// delivers clean), so they must sum to at most 1. [`LossConfig::none`]
+/// The three probabilities partition a single uniform draw per frame
+/// (`drop`, then `duplicate`, then `reorder`, remainder delivers clean), so they must sum to at most 1. [`LossConfig::none`]
 /// (the default) draws nothing and forwards everything.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LossConfig {
@@ -43,10 +40,6 @@ pub struct LossConfig {
     pub dup_prob: f64,
     /// Per-frame probability the frame swaps places with its successor.
     pub reorder_prob: f64,
-    /// Per-frame probability delivery is delayed by [`delay_ms`](Self::delay_ms).
-    pub delay_prob: f64,
-    /// Extra real-time delivery latency for delayed frames, milliseconds.
-    pub delay_ms: u64,
     /// Hard-kill the link once this many frames have been sent on it
     /// (a forced mid-transfer disconnect; the reconnect/replay handshake
     /// must resume the session). Fires at most once per process.
@@ -56,14 +49,7 @@ pub struct LossConfig {
 impl LossConfig {
     /// A perfectly reliable link: nothing is drawn, everything delivers.
     pub fn none() -> Self {
-        LossConfig {
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            reorder_prob: 0.0,
-            delay_prob: 0.0,
-            delay_ms: 0,
-            disconnect_after: None,
-        }
+        LossConfig { drop_prob: 0.0, dup_prob: 0.0, reorder_prob: 0.0, disconnect_after: None }
     }
 
     /// True when this config can never alter a frame or kill a link.
@@ -71,22 +57,20 @@ impl LossConfig {
         self.drop_prob == 0.0
             && self.dup_prob == 0.0
             && self.reorder_prob == 0.0
-            && self.delay_prob == 0.0
             && self.disconnect_after.is_none()
     }
 
     /// Check invariants; every probability must lie in `[0, 1]` and the
-    /// four together must not exceed 1 (they partition one draw).
+    /// three together must not exceed 1 (they partition one draw).
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (name, p) in [
             ("loss.drop_prob", self.drop_prob),
             ("loss.dup_prob", self.dup_prob),
             ("loss.reorder_prob", self.reorder_prob),
-            ("loss.delay_prob", self.delay_prob),
         ] {
             ensure((0.0..=1.0).contains(&p), || format!("config: {name} {p} outside [0,1]"))?;
         }
-        let sum = self.drop_prob + self.dup_prob + self.reorder_prob + self.delay_prob;
+        let sum = self.drop_prob + self.dup_prob + self.reorder_prob;
         ensure(sum <= 1.0, || format!("config: loss probabilities sum to {sum}, must be <= 1"))?;
         Ok(())
     }
@@ -94,11 +78,7 @@ impl LossConfig {
     /// Decide the fate of frame number `frame` (0-based send counter) on
     /// link `link`. Pure: same inputs, same fate, forever.
     pub fn fate(&self, master_seed: u64, link: u64, frame: u64) -> FrameFate {
-        if self.drop_prob == 0.0
-            && self.dup_prob == 0.0
-            && self.reorder_prob == 0.0
-            && self.delay_prob == 0.0
-        {
+        if self.drop_prob == 0.0 && self.dup_prob == 0.0 && self.reorder_prob == 0.0 {
             return FrameFate::Deliver;
         }
         let u = unit_from_counter(master_seed, streams::NET_LOSS_BASE + link, frame);
@@ -113,10 +93,6 @@ impl LossConfig {
         edge += self.reorder_prob;
         if u < edge {
             return FrameFate::Reorder;
-        }
-        edge += self.delay_prob;
-        if u < edge {
-            return FrameFate::Delay;
         }
         FrameFate::Deliver
     }
@@ -133,14 +109,7 @@ mod tests {
     use super::*;
 
     fn lossy() -> LossConfig {
-        LossConfig {
-            drop_prob: 0.1,
-            dup_prob: 0.1,
-            reorder_prob: 0.1,
-            delay_prob: 0.1,
-            delay_ms: 5,
-            disconnect_after: None,
-        }
+        LossConfig { drop_prob: 0.1, dup_prob: 0.1, reorder_prob: 0.1, disconnect_after: None }
     }
 
     #[test]
@@ -187,7 +156,7 @@ mod tests {
     #[test]
     fn probability_sum_above_one_rejected() {
         let mut c = lossy();
-        c.drop_prob = 0.8;
+        c.drop_prob = 0.9;
         let err = c.validate().unwrap_err();
         assert!(err.to_string().contains("sum"), "got: {err}");
     }
